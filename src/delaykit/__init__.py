@@ -45,7 +45,6 @@ from .estimators import (
     permutation_entropy,
     select_word_length,
     shannon_entropy_binned,
-    state_active_information_storage,
     td_mutual_information_curve,
     triple_information,
     weighted_permutation_entropy,

@@ -18,8 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,10 +39,10 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
-    SweepGrid,
     atau_surface,
     autocorrelation,
     permutation_entropy,
+    run_grid,
     select_word_length,
     td_mutual_information_curve,
     weighted_permutation_entropy,
@@ -57,7 +57,7 @@ from .systems import (
     generate_flow_trace,
     generate_map_trace,
 )
-from .timeseries import load_series, save_series
+from .timeseries import delay_reconstruct, load_series, read_rows, save_series
 from .topology import (
     LANDMARK_STRATEGIES,
     betti_numbers,
@@ -84,7 +84,10 @@ class ExperimentConfig:
         lines += [f"{key}={self.params[key]}" for key in sorted(self.params)]
         return lines
 
-    def dump(self, path: str) -> None:
+    def dump(self, path: str | None) -> None:
+        """Write ``key=value`` lines to ``path``; no path, no file."""
+        if not path:
+            return
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"command={self.command}\n")
             for key in sorted(self.params):
@@ -100,15 +103,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _parse(convert, text: str, what: str):
+    """``convert(text)``, reporting a malformed value as a validation failure."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValidationError(f"bad {what} {text!r}") from None
+
+
 def _parse_range(text: str) -> list[int]:
     """'a:b' expands to the inclusive range a..b; a bare integer stands alone."""
-    if ":" in text:
-        a, b = text.split(":", 1)
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise ValidationError(f"bad range {text!r}: end below start")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    a, colon, b = text.partition(":")
+    lo = _parse(int, a, "range start")
+    hi = _parse(int, b, "range end") if colon else lo
+    if hi < lo:
+        raise ValidationError(f"bad range {text!r}: end below start")
+    return list(range(lo, hi + 1))
 
 
 def _write_lines(path: str, header: list[str], rows) -> None:
@@ -117,30 +127,6 @@ def _write_lines(path: str, header: list[str], rows) -> None:
             fh.write(f"# {line}\n")
         for row in rows:
             fh.write(f"{row}\n")
-
-
-def _load_cloud(path: str) -> np.ndarray:
-    """Point cloud as CSV rows of coordinates; dimension comes from the
-    first data row, ``#`` lines are comments."""
-    rows = []
-    dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                vals = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                raise SeriesFormatError(lineno, f"cannot parse {line!r} as coordinates")
-            if dim is None:
-                dim = len(vals)
-            elif len(vals) != dim:
-                raise SeriesFormatError(lineno, f"expected {dim} coordinates")
-            rows.append(vals)
-    if not rows:
-        raise SeriesFormatError(0, "cloud file contains no data rows")
-    return np.array(rows, dtype=np.float64)
 
 
 # --------------------------------------------------------------------------
@@ -176,33 +162,29 @@ def _add_generate(sub):
 
 
 def _system_params(args) -> dict:
-    picks = {
-        "lorenz63": ("sigma", "rho", "beta"),
-        "lorenz96": ("K", "F"),
-        "rossler": ("a", "b", "c"),
-        "henon": ("a", "b"),
-        "logistic": ("r",),
-    }[args.system]
-    return {k: getattr(args, k) for k in picks if getattr(args, k) is not None}
+    names = {**FLOW_DEFAULTS, **MAP_DEFAULTS}[args.system]
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
 def run_generate(args) -> int:
     params = _system_params(args)
     is_flow = args.system in FLOWS
     if is_flow:
+        # validated before drawing x0, which needs a sound K
         spec = FlowSpec(args.system, params, dt=args.dt, steps=args.steps,
                         transient=args.transient,
                         observed_index=args.observed_index)
-    else:
-        spec = MapSpec(args.system, params, x0=(0.0,) * (2 if args.system == "henon" else 1),
-                       n=args.n, transient=args.transient)
+        params = spec.params
 
     if args.x0 is not None:
-        x0 = np.array([float(v) for v in args.x0.split(",")])
+        x0 = np.array([_parse(float, v, "--x0 entry") for v in args.x0.split(",")])
     elif args.seed is not None:
-        x0 = default_initial_state(args.system, spec.params, args.seed)
+        x0 = default_initial_state(args.system, params, args.seed)
     else:
         raise ValidationError("provide --x0 or --seed")
+    if not is_flow:
+        spec = MapSpec(args.system, params, x0=tuple(x0), n=args.n,
+                       transient=args.transient)
 
     config = ExperimentConfig("generate", {
         "system": args.system, **spec.params,
@@ -211,14 +193,11 @@ def run_generate(args) -> int:
         "x0": ",".join(f"{v:.17g}" for v in x0),
         "seed": args.seed,
     })
-    if args.dump_config:
-        config.dump(args.dump_config)
+    config.dump(args.dump_config)
 
     if is_flow:
         series = generate_flow_trace(spec, x0)
     else:
-        spec = MapSpec(args.system, params, x0=tuple(x0), n=args.n,
-                       transient=args.transient)
         series = generate_map_trace(spec)
     save_series(series, args.output, header_lines=config.header_lines())
     print(f"wrote {len(series)} samples to {args.output}")
@@ -251,21 +230,17 @@ def _add_sweep(sub):
     p.set_defaults(func=run_sweep)
 
 
-def _mase_cell(task):
-    values, m, tau, h, fraction, theiler = task
-    try:
-        run = rolling_evaluate(values, fraction, "lma", h=h, m=m, tau=tau,
-                               theiler=theiler)
-        return (m, tau, run.score.value, None)
-    except DelayKitError as err:
-        return (m, tau, float("nan"), str(err))
+def _mase_cell(values, m, tau, h, fraction, theiler):
+    run = rolling_evaluate(values, fraction, "lma", h=h, m=m, tau=tau,
+                           theiler=theiler)
+    return run.score.value
 
 
 def run_sweep(args) -> int:
     m_values = _parse_range(args.m)
     tau_values = _parse_range(args.tau)
-    if args.h < 1 or args.k < 1 or args.jobs < 1:
-        raise ValidationError("h, k, and jobs must be positive")
+    if args.h < 1 or args.k < 1:
+        raise ValidationError("h and k must be positive")
     if not 0.0 < args.split < 1.0:
         raise ValidationError("split must lie in (0, 1)")
     series = load_series(args.input)
@@ -274,30 +249,17 @@ def run_sweep(args) -> int:
         "h": args.h, "k": args.k, "max_samples": args.max_samples,
         "split": args.split, "theiler": args.theiler, "jobs": args.jobs,
     })
-    if args.dump_config:
-        config.dump(args.dump_config)
+    config.dump(args.dump_config)
 
     if args.mode == "atau":
         grid = atau_surface(series, m_values, tau_values, h=args.h, k=args.k,
                             max_samples=args.max_samples, jobs=args.jobs)
         best = grid.argbest("max")
     else:
-        tasks = [(series.values, m, tau, args.h, args.split, args.theiler)
-                 for m in m_values for tau in tau_values]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_mase_cell, tasks, chunksize=1))
-        else:
-            results = [_mase_cell(t) for t in tasks]
-        values = np.full((len(m_values), len(tau_values)), np.nan)
-        errors = {}
-        for m, tau, v, err in results:
-            values[m_values.index(m), tau_values.index(tau)] = v
-            if err is not None:
-                errors[(m, tau)] = err
-        grid = SweepGrid(tuple(m_values), tuple(tau_values), values,
-                         metadata={"quantity": "h_mase", "h": args.h},
-                         cell_errors=errors)
+        cell = partial(_mase_cell, h=args.h, fraction=args.split,
+                       theiler=args.theiler)
+        grid = run_grid(cell, series, m_values, tau_values, args.jobs,
+                        {"quantity": "h_mase", "h": args.h})
         best = grid.argbest("min")
 
     _write_lines(args.output, config.header_lines(), grid.to_csv_rows())
@@ -350,8 +312,7 @@ def run_select_params(args) -> int:
         "m_range": args.m_range, "tau_range": args.tau_range,
         "h": args.h, "k": args.k,
     })
-    if args.dump_config:
-        config.dump(args.dump_config)
+    config.dump(args.dump_config)
 
     curve_rows = None
     if args.method == "first_min_mi":
@@ -419,16 +380,13 @@ def _add_forecast(sub):
 
 
 def run_forecast(args) -> int:
-    if args.method == "lma" and (args.m is None or args.tau is None):
-        raise ValidationError("lma requires --m and --tau")
     series = load_series(args.input)
     config = ExperimentConfig("forecast", {
         "method": args.method, "input": args.input, "split": args.split,
         "h": args.h, "m": args.m, "tau": args.tau, "theiler": args.theiler,
         "order": args.order, "refit_every": args.refit_every,
     })
-    if args.dump_config:
-        config.dump(args.dump_config)
+    config.dump(args.dump_config)
 
     run = rolling_evaluate(series, args.split, args.method, h=args.h,
                            m=args.m, tau=args.tau, theiler=args.theiler,
@@ -472,14 +430,14 @@ def _add_wpe(sub):
 
 def run_wpe(args) -> int:
     series = load_series(args.input)
-    ell = select_word_length(len(series)) if args.ell == "auto" else int(args.ell)
+    ell = (select_word_length(len(series)) if args.ell == "auto"
+           else _parse(int, args.ell, "--ell"))
     if len(series) < ell:
         raise ValidationError(f"series of length {len(series)} is shorter than ell={ell}")
     config = ExperimentConfig("wpe", {
         "input": args.input, "ell": ell, "normalized": not args.unnormalized,
     })
-    if args.dump_config:
-        config.dump(args.dump_config)
+    config.dump(args.dump_config)
     normalized = not args.unnormalized
     out = {
         "pe": permutation_entropy(series, ell, normalized=normalized),
@@ -521,17 +479,11 @@ def _topology_cloud(args) -> np.ndarray:
     if args.cloud and args.series:
         raise ValidationError("give either --cloud or --series, not both")
     if args.cloud:
-        return _load_cloud(args.cloud)
+        return read_rows(args.cloud)
     if args.series:
         if args.m is None or args.tau is None:
             raise ValidationError("--series needs --m and --tau")
-        from .timeseries import delay_matrix
-
-        series = load_series(args.series)
-        span = (args.m - 1) * args.tau
-        if span >= len(series):
-            raise CapacityError(span + 1, len(series))
-        return delay_matrix(series.values, args.m, args.tau)
+        return delay_reconstruct(load_series(args.series), args.m, args.tau).points
     raise ValidationError("topology needs --cloud or --series")
 
 
@@ -543,16 +495,16 @@ def run_topology(args) -> int:
         "xi": args.xi, "xi_grid": args.xi_grid, "xi_min": args.xi_min,
         "xi_max": args.xi_max,
     })
-    if args.dump_config:
-        config.dump(args.dump_config)
+    config.dump(args.dump_config)
 
     if args.mode == "lifespan":
-        if not args.series or not args.m_range or args.tau is None:
-            raise ValidationError("lifespan mode needs --series, --m-range, --tau")
-        if args.xi is None:
-            raise ValidationError("lifespan mode needs --xi")
-        if not args.output:
-            raise ValidationError("lifespan mode needs -o")
+        if not (args.series and args.m_range and args.tau is not None
+                and args.xi is not None and args.output):
+            raise ValidationError(
+                "lifespan mode needs --series, --m-range, --tau, --xi and -o")
+        if args.landmarks != "equally_spaced" or args.seed is not None:
+            raise ValidationError("lifespan mode places its own equally spaced "
+                                  "landmarks; drop --landmarks and --seed")
         series = load_series(args.series)
         spans = edge_lifespan_diagram(series, _parse_range(args.m_range),
                                       args.tau, args.xi, args.ell)

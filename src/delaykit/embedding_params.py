@@ -21,7 +21,7 @@ from .estimators import (
     binned_mutual_information,
     td_mutual_information_curve,
 )
-from .timeseries import ScalarSeries, delay_matrix
+from .timeseries import as_values, delay_matrix
 
 __all__ = [
     "FnnConfig",
@@ -90,7 +90,7 @@ def tau_first_min_mi(series, tau_max: int,
     """
     if tau_max < 3:
         raise ValidationError("tau_max must be >= 3")
-    values = series.values if isinstance(series, ScalarSeries) else np.asarray(series)
+    values = as_values(series)
     if scheme is None:
         scheme = BinningScheme.from_values(values, 16)
     curve = td_mutual_information_curve(values, tau_max, scheme=scheme)
@@ -152,14 +152,14 @@ def fnn_fraction(series, m: int, tau: int,
     Both criteria are ratios, so the result is scale invariant.
     """
     config = config or FnnConfig()
-    values = series.values if isinstance(series, ScalarSeries) else np.asarray(series)
+    values = as_values(series)
     if m < 1 or tau < 1:
         raise ValidationError("require m >= 1 and tau >= 1")
-    ext = delay_matrix(values, m + 1, tau)  # columns 0..m-1 plus the new lag
-    if ext.shape[0] < 2:
+    if values.size - m * tau < 2:
         raise ValidationError(
             f"series cannot support the false-neighbor test at (m+1={m + 1}, tau={tau})"
         )
+    ext = delay_matrix(values, m + 1, tau)  # columns 0..m-1 plus the new lag
     base = ext[:, :m]
     added = ext[:, m]
     _, nbr = cKDTree(base).query(base, k=2, workers=-1)

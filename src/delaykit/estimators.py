@@ -14,13 +14,19 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
-from .errors import CapacityError, DegenerateSeriesError, ValidationError
-from .timeseries import ScalarSeries, delay_matrix
+from .errors import (
+    CapacityError,
+    DegenerateSeriesError,
+    DelayKitError,
+    ValidationError,
+)
+from .timeseries import as_points, as_values, delay_matrix
 
 __all__ = [
     "BinningScheme",
@@ -32,7 +38,6 @@ __all__ = [
     "td_mutual_information_curve",
     "ksg_mutual_information",
     "active_information_storage",
-    "state_active_information_storage",
     "atau_surface",
     "horizon_info_ratio",
     "autocorrelation",
@@ -154,12 +159,6 @@ def _entropy_from_counts(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p))) + 0.0  # avoid -0.0
 
 
-def _as_values(series) -> np.ndarray:
-    if isinstance(series, ScalarSeries):
-        return series.values
-    return np.asarray(series, dtype=np.float64)
-
-
 def shannon_entropy_binned(series, scheme: BinningScheme | None = None,
                            bins: int = DEFAULT_BINS_1D) -> float:
     """Shannon entropy of the binned value distribution, in bits.
@@ -167,7 +166,7 @@ def shannon_entropy_binned(series, scheme: BinningScheme | None = None,
     With no scheme, equal-width bins span the observed [min, max].
     Empty bins contribute nothing; a constant series has zero entropy.
     """
-    values = _as_values(series)
+    values = as_values(series)
     if scheme is None:
         scheme = BinningScheme.from_values(values, bins)
     counts = np.bincount(scheme.indices(values), minlength=scheme.bins)
@@ -182,7 +181,7 @@ def binned_mutual_information(x, y, scheme: BinningScheme | None = None,
     symmetric and nonnegative up to rounding. A shared ``scheme`` bins
     both variables; otherwise each variable gets its own range.
     """
-    xv, yv = _as_values(x), _as_values(y)
+    xv, yv = as_values(x), as_values(y)
     if xv.size != yv.size:
         raise ValidationError("series must have equal lengths")
     sx = scheme or BinningScheme.from_values(xv, bins)
@@ -201,7 +200,7 @@ def td_mutual_information_curve(series, tau_max: int,
                                 bins: int = DEFAULT_BINS_2D) -> list[tuple[int, float]]:
     """Binned mutual information between the series and its tau-lagged copy,
     for tau = 1..tau_max, over the overlapping N - tau pairs."""
-    values = _as_values(series)
+    values = as_values(series)
     if tau_max >= values.size:
         raise ValidationError("tau_max must be smaller than the series length")
     if tau_max < 1:
@@ -237,12 +236,7 @@ def ksg_mutual_information(x_points, y_points, k: int = 4) -> float:
     Duplicate points only make boundary counts larger; the estimate stays
     finite (and grows with N when Y is a deterministic copy of X).
     """
-    xp = np.asarray(x_points, dtype=np.float64)
-    yp = np.asarray(y_points, dtype=np.float64)
-    if xp.ndim == 1:
-        xp = xp[:, None]
-    if yp.ndim == 1:
-        yp = yp[:, None]
+    xp, yp = as_points(x_points), as_points(y_points)
     n = xp.shape[0]
     if yp.shape[0] != n:
         raise ValidationError("point sets must have equal sizes")
@@ -281,12 +275,6 @@ def _subsample(states: np.ndarray, future: np.ndarray,
     return states[::stride], future[::stride], stride
 
 
-def state_active_information_storage(states, future, k: int = 4) -> float:
-    """Shared information between an arbitrary state-point set and the
-    future observation it is paired with, in bits."""
-    return ksg_mutual_information(states, future, k=k)
-
-
 def active_information_storage(series, m: int, tau: int, h: int = 1,
                                k: int = 4,
                                max_samples: int | None = None) -> float:
@@ -298,19 +286,55 @@ def active_information_storage(series, m: int, tau: int, h: int = 1,
     """
     if m < 1 or tau < 1 or h < 1:
         raise ValidationError("require m >= 1, tau >= 1, h >= 1")
-    values = _as_values(series)
+    values = as_values(series)
     states, future = _delay_state_and_future(values, m, tau, h)
     states, future, _ = _subsample(states, future, max_samples)
-    return state_active_information_storage(states, future, k=k)
+    return ksg_mutual_information(states, future, k=k)
 
 
-def _atau_cell(args):
-    values, m, tau, h, k, max_samples = args
+def run_grid(cell_fn, series, m_range, tau_range, jobs: int,
+             metadata: dict) -> SweepGrid:
+    """Evaluate ``cell_fn(values, m, tau)`` at every cell of an (m, tau) grid.
+
+    Cells are independent. With ``jobs > 1`` they run in worker
+    processes, so ``cell_fn`` must pickle by name: a module-level
+    function or a ``functools.partial`` of one. A cell that raises a
+    toolkit error is flagged missing (NaN) with its message in
+    ``cell_errors``; the rest of the grid is still returned.
+    """
+    values = as_values(series)
+    m_values = tuple(int(m) for m in m_range)
+    tau_values = tuple(int(t) for t in tau_range)
+    if not m_values or not tau_values:
+        raise ValidationError("empty parameter grid")
+    if jobs < 1:
+        raise ValidationError("jobs must be >= 1")
+    cells = [(m, tau) for m in m_values for tau in tau_values]
+    task = partial(_grid_cell, cell_fn, values)
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, *zip(*cells), chunksize=1))
+    else:
+        results = [task(m, tau) for m, tau in cells]
+    grid = np.array([value for value, _ in results], dtype=np.float64)
+    errors = {cell: err for cell, (_, err) in zip(cells, results) if err is not None}
+    return SweepGrid(m_values, tau_values,
+                     grid.reshape(len(m_values), len(tau_values)),
+                     metadata=metadata, cell_errors=errors)
+
+
+def _grid_cell(cell_fn, values, m, tau):
     try:
-        return (m, tau, active_information_storage(values, m, tau, h=h, k=k,
-                                                   max_samples=max_samples), None)
-    except (CapacityError, ValidationError) as err:
-        return (m, tau, np.nan, str(err))
+        return cell_fn(values, m, tau), None
+    except DelayKitError as err:
+        return np.nan, str(err)
+
+
+def _atau_cell(values, m, tau, h, k, max_samples):
+    # workers unpickle this cell by name; it looks the estimator up per call
+    return active_information_storage(values, m, tau, h=h, k=k,
+                                      max_samples=max_samples)
 
 
 def atau_surface(series, m_range, tau_range, h: int = 1, k: int = 4,
@@ -321,26 +345,11 @@ def atau_surface(series, m_range, tau_range, h: int = 1, k: int = 4,
     Cells are independent; invalid cells are flagged missing (NaN) with
     the error recorded, and the rest of the grid is still returned.
     """
-    values = _as_values(series)
-    m_values = tuple(int(m) for m in m_range)
-    tau_values = tuple(int(t) for t in tau_range)
-    if not m_values or not tau_values:
-        raise ValidationError("empty parameter grid")
-    tasks = [(values, m, tau, h, k, max_samples)
-             for m in m_values for tau in tau_values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_atau_cell, tasks, chunksize=1))
-    else:
-        results = [_atau_cell(t) for t in tasks]
-    grid = np.full((len(m_values), len(tau_values)), np.nan)
-    errors = {}
-    for m, tau, value, err in results:
-        grid[m_values.index(m), tau_values.index(tau)] = value
-        if err is not None:
-            errors[(m, tau)] = err
+    if max_samples is not None and max_samples < 1:
+        raise ValidationError("max_samples must be >= 1")
+    cell = partial(_atau_cell, h=h, k=k, max_samples=max_samples)
     meta = {"h": h, "k": k, "max_samples": max_samples, "quantity": "atau"}
-    return SweepGrid(m_values, tau_values, grid, metadata=meta, cell_errors=errors)
+    return run_grid(cell, series, m_range, tau_range, jobs, meta)
 
 
 def horizon_info_ratio(series, m: int, tau: int, h_max: int, k: int = 4,
@@ -351,7 +360,7 @@ def horizon_info_ratio(series, m: int, tau: int, h_max: int, k: int = 4,
     The denominator is the binned entropy of the future observations; a
     constant series makes it zero and the ratio undefined.
     """
-    values = _as_values(series)
+    values = as_values(series)
     out = []
     for h in range(1, h_max + 1):
         a = active_information_storage(values, m, tau, h=h, k=k,
@@ -369,7 +378,7 @@ def horizon_info_ratio(series, m: int, tau: int, h_max: int, k: int = 4,
 def autocorrelation(series, tau: int) -> float:
     """Autocorrelation at lag ``tau`` using the full-series mean and
     variance; exactly 1 at lag zero."""
-    values = _as_values(series)
+    values = as_values(series)
     n = values.size
     if not 0 <= tau < n:
         raise ValidationError("require 0 <= tau < series length")
@@ -383,12 +392,27 @@ def autocorrelation(series, tau: int) -> float:
     return float(np.sum(dev[tau:] * dev[:-tau]) / ((n - tau) * var))
 
 
-def _pattern_codes(values: np.ndarray, ell: int) -> np.ndarray:
-    """Each window's ordinal pattern packed into one integer code."""
+def _ordinal_ranks(series, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every length-``ell`` window and its ranks (see ``ordinal_patterns``)."""
+    values = as_values(series)
+    if ell < 2:
+        raise ValidationError("word length must be >= 2")
+    if values.size < ell:
+        raise CapacityError(ell, values.size)
     windows = np.lib.stride_tricks.sliding_window_view(values, ell)
-    ranks = np.argsort(windows, axis=1, kind="stable")
-    weights = ell ** np.arange(ell, dtype=np.int64)
-    return ranks @ weights
+    return windows, np.argsort(windows, axis=1, kind="stable")
+
+
+def _pattern_labels(ranks: np.ndarray) -> np.ndarray:
+    """Each window's ordinal pattern as a dense label 0, 1, ... in packed
+    base-ell code order, so count tables stay as short as the number of
+    distinct patterns rather than ell**ell long."""
+    ell = ranks.shape[1]
+    if ell > 15:
+        raise ValidationError("word length must be <= 15, the longest whose "
+                              "packed pattern code fits in 64 bits")
+    codes = ranks @ ell ** np.arange(ell, dtype=np.int64)
+    return np.unique(codes, return_inverse=True)[1]
 
 
 def ordinal_patterns(series, ell: int) -> list[OrdinalPattern]:
@@ -397,13 +421,7 @@ def ordinal_patterns(series, ell: int) -> list[OrdinalPattern]:
     Ranks are the window's time indices sorted by value; equal values keep
     temporal order, so the earlier sample gets the lower rank.
     """
-    values = _as_values(series)
-    if ell < 2:
-        raise ValidationError("word length must be >= 2")
-    if values.size < ell:
-        raise CapacityError(ell, values.size)
-    windows = np.lib.stride_tricks.sliding_window_view(values, ell)
-    ranks = np.argsort(windows, axis=1, kind="stable")
+    _, ranks = _ordinal_ranks(series, ell)
     return [OrdinalPattern(ell, tuple(int(r) for r in row)) for row in ranks]
 
 
@@ -412,14 +430,8 @@ def permutation_entropy(series, ell: int, normalized: bool = True) -> float:
 
     Normalization divides by log2(ell!) so the result lies in [0, 1].
     """
-    values = _as_values(series)
-    if ell < 2:
-        raise ValidationError("word length must be >= 2")
-    if values.size < ell:
-        raise CapacityError(ell, values.size)
-    codes = _pattern_codes(values, ell)
-    counts = np.bincount(codes)
-    h = _entropy_from_counts(counts[counts > 0])
+    _, ranks = _ordinal_ranks(series, ell)
+    h = _entropy_from_counts(np.bincount(_pattern_labels(ranks)))
     if normalized:
         h /= math.log2(math.factorial(ell))
     return h
@@ -432,18 +444,12 @@ def weighted_permutation_entropy(series, ell: int, normalized: bool = True) -> f
     A series whose every window is constant has zero total weight; that
     case is defined as 0 (maximally structured).
     """
-    values = _as_values(series)
-    if ell < 2:
-        raise ValidationError("word length must be >= 2")
-    if values.size < ell:
-        raise CapacityError(ell, values.size)
-    windows = np.lib.stride_tricks.sliding_window_view(values, ell)
+    windows, ranks = _ordinal_ranks(series, ell)
     weights = np.var(windows, axis=1)
     total = weights.sum()
     if total == 0.0:
         return 0.0
-    codes = _pattern_codes(values, ell)
-    mass = np.bincount(codes, weights=weights)
+    mass = np.bincount(_pattern_labels(ranks), weights=weights)
     p = mass[mass > 0] / total
     h = max(0.0, float(-np.sum(p * np.log2(p))))
     if normalized:
@@ -460,7 +466,7 @@ def triple_information(x, y, z, scheme: BinningScheme | None = None,
     information diagram (positive for three identical variables, negative
     for XOR-style synergy); binding and total correlation are nonnegative.
     """
-    xv, yv, zv = _as_values(x), _as_values(y), _as_values(z)
+    xv, yv, zv = as_values(x), as_values(y), as_values(z)
     if not (xv.size == yv.size == zv.size):
         raise ValidationError("series must have equal lengths")
     sx = scheme or BinningScheme.from_values(xv, bins)

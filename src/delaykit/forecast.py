@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NoNeighborError, ValidationError
 from .metrics import MaseScore, h_mase
-from .timeseries import ScalarSeries, delay_matrix, split
+from .timeseries import ScalarSeries, as_values, delay_matrix, split
 
 __all__ = [
     "ForecastRun",
@@ -26,8 +26,6 @@ __all__ = [
     "forecast_lma",
     "rolling_evaluate",
 ]
-
-METHODS = ("random_walk", "naive", "lma", "ar")
 
 
 @dataclass(frozen=True)
@@ -46,15 +44,9 @@ class ForecastRun:
             raise ValidationError("predictions and truth must align")
 
 
-def _values(train) -> np.ndarray:
-    if isinstance(train, ScalarSeries):
-        return train.values
-    return np.asarray(train, dtype=np.float64)
-
-
 def forecast_random_walk(train) -> float:
     """The last observed value."""
-    x = _values(train)
+    x = as_values(train)
     if x.size < 1:
         raise ValidationError("train must be nonempty")
     return float(x[-1])
@@ -62,7 +54,7 @@ def forecast_random_walk(train) -> float:
 
 def forecast_naive(train) -> float:
     """The arithmetic mean of all prior observations."""
-    x = _values(train)
+    x = as_values(train)
     if x.size < 1:
         raise ValidationError("train must be nonempty")
     return float(x.mean())
@@ -77,6 +69,8 @@ def _fit_ar(x: np.ndarray, order: int):
     mean predictor and is flagged.
     """
     n = x.size
+    if order < 1:
+        raise ValidationError("AR order must be >= 1")
     if n <= order:
         raise ValidationError(f"AR({order}) needs more than {order} samples")
     rows = n - order
@@ -100,7 +94,7 @@ def _ar_step(coef: np.ndarray, recent: np.ndarray) -> float:
 
 def forecast_ar(train, order: int = 8) -> float:
     """One-step prediction from a least-squares AR(order) fit with intercept."""
-    x = _values(train)
+    x = as_values(train)
     coef, _ = _fit_ar(x, order)
     return _ar_step(coef, x)
 
@@ -121,7 +115,9 @@ def forecast_lma(train, m: int, tau: int, steps: int = 1,
     NoNeighborError
         When every candidate is excluded.
     """
-    x = _values(train)
+    x = as_values(train)
+    if m < 1 or tau < 1:
+        raise ValidationError("require m >= 1 and tau >= 1")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     if theiler < 0:
@@ -157,6 +153,54 @@ def forecast_lma(train, m: int, tau: int, steps: int = 1,
     return out
 
 
+def _ar_blocks(order: int, refit_every: int, params: dict):
+    """Block forecaster for the AR baseline: refits every ``refit_every``
+    blocks and counts mean-predictor fallbacks in ``params``."""
+    coef = None
+    blocks = 0
+
+    def forecast(train: np.ndarray, steps: int) -> np.ndarray:
+        nonlocal coef, blocks
+        if blocks % refit_every == 0:
+            coef, fellback = _fit_ar(train, order)
+            if fellback:
+                params["fallbacks"] += 1
+        blocks += 1
+        recent = list(train[-order:])
+        out = np.empty(steps)
+        for i in range(steps):
+            nxt = _ar_step(coef, np.asarray(recent))
+            out[i] = nxt
+            recent = (recent + [nxt])[-order:]
+        return out
+
+    return forecast
+
+
+def _block_forecaster(method, params: dict, m, tau, theiler: int, order: int,
+                      refit_every: int):
+    """Resolve ``method`` to ``f(train_values, steps) -> array`` and record
+    the settings it uses in ``params``."""
+    if callable(method):
+        return method
+    if method == "random_walk":
+        return lambda train, steps: np.full(steps, forecast_random_walk(train))
+    if method == "naive":
+        return lambda train, steps: np.full(steps, forecast_naive(train))
+    if method == "lma":
+        if m is None or tau is None:
+            raise ValidationError("lma requires m and tau")
+        params.update({"m": m, "tau": tau, "theiler": theiler})
+        return lambda train, steps: forecast_lma(train, m, tau, steps=steps,
+                                                 theiler=theiler)
+    if method == "ar":
+        if refit_every < 1:
+            raise ValidationError("refit_every must be >= 1")
+        params.update({"order": order, "refit_every": refit_every, "fallbacks": 0})
+        return _ar_blocks(order, refit_every, params)
+    raise ValidationError(f"unknown forecast method {method!r}")
+
+
 def rolling_evaluate(series, fraction: float, method, h: int = 1, *,
                      m: int | None = None, tau: int | None = None,
                      theiler: int = 0, order: int = 8,
@@ -174,10 +218,9 @@ def rolling_evaluate(series, fraction: float, method, h: int = 1, *,
     ``refit_every`` blocks; fallbacks to the mean predictor are counted in
     the run's params.
     """
-    if isinstance(series, ScalarSeries):
-        full = series
-    else:
-        full = ScalarSeries(np.asarray(series, dtype=np.float64))
+    if h < 1:
+        raise ValidationError("horizon h must be >= 1")
+    full = series if isinstance(series, ScalarSeries) else ScalarSeries(series)
     parts = split(full, fraction)
     x = full.values
     n = len(parts.train)
@@ -185,49 +228,15 @@ def rolling_evaluate(series, fraction: float, method, h: int = 1, *,
 
     name = method if isinstance(method, str) else getattr(method, "__name__", "custom")
     params: dict = {"h": h, "fraction": fraction}
-    if name == "lma":
-        if m is None or tau is None:
-            raise ValidationError("lma requires m and tau")
-        params.update({"m": m, "tau": tau, "theiler": theiler})
-    if name == "ar":
-        if refit_every < 1:
-            raise ValidationError("refit_every must be >= 1")
-        params.update({"order": order, "refit_every": refit_every, "fallbacks": 0})
-
+    forecaster = _block_forecaster(method, params, m, tau, theiler, order,
+                                   refit_every)
     predictions = []
-    pos = n
-    block_index = 0
-    ar_coef = None
-    while pos < total:
+    for pos in range(n, total, h):
         block = min(h, total - pos)
-        train_values = x[:pos]
-        if callable(method):
-            block_pred = np.asarray(method(train_values, block), dtype=np.float64)
-            if block_pred.shape != (block,):
-                raise ValidationError("custom method returned a wrong-length block")
-        elif method == "random_walk":
-            block_pred = np.full(block, train_values[-1])
-        elif method == "naive":
-            block_pred = np.full(block, train_values.mean())
-        elif method == "lma":
-            block_pred = forecast_lma(train_values, m, tau, steps=block,
-                                      theiler=theiler)
-        elif method == "ar":
-            if ar_coef is None or block_index % refit_every == 0:
-                ar_coef, fellback = _fit_ar(train_values, order)
-                if fellback:
-                    params["fallbacks"] += 1
-            recent = list(train_values[-order:])
-            block_pred = np.empty(block)
-            for i in range(block):
-                nxt = _ar_step(ar_coef, np.asarray(recent))
-                block_pred[i] = nxt
-                recent = (recent + [nxt])[-order:]
-        else:
-            raise ValidationError(f"unknown forecast method {method!r}")
+        block_pred = np.asarray(forecaster(x[:pos], block), dtype=np.float64)
+        if block_pred.shape != (block,):
+            raise ValidationError(f"method {name!r} returned a wrong-length block")
         predictions.append(block_pred)
-        pos += block
-        block_index += 1
 
     pred = np.concatenate(predictions)
     truth = x[n:]

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeriesError, ValidationError
+from .timeseries import as_values
 
 __all__ = ["MaseScore", "h_mase"]
 
@@ -74,8 +75,7 @@ def h_mase(predictions, truth, train, h: int) -> MaseScore:
     """
     p = np.asarray(predictions, dtype=np.float64)
     c = np.asarray(truth, dtype=np.float64)
-    x = np.asarray(train.values if hasattr(train, "values") else train,
-                   dtype=np.float64)
+    x = as_values(train)
     if p.shape != c.shape or p.ndim != 1:
         raise ValidationError("predictions and truth must be equal-length vectors")
     k = p.size

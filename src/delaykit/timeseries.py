@@ -7,6 +7,7 @@ numpy allows it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,27 +154,58 @@ def split(series: ScalarSeries, fraction: float) -> TrainTestSplit:
     )
 
 
-def load_series(path) -> ScalarSeries:
-    """Read a series file: one decimal value per line, ``#`` lines ignored.
+def as_values(series) -> np.ndarray:
+    """The float64 samples of a ScalarSeries or of any array-like."""
+    if isinstance(series, ScalarSeries):
+        return series.values
+    return np.asarray(series, dtype=np.float64)
 
-    Parse failures report the 1-based line number; an empty file is an error.
+
+def as_points(points) -> np.ndarray:
+    """A float64 (n, d) point array; a flat input is n one-dimensional points."""
+    points = np.asarray(points, dtype=np.float64)
+    return points[:, None] if points.ndim == 1 else points
+
+
+def read_rows(path, width: int | None = None) -> np.ndarray:
+    """Read a text file of comma-separated reals as a (rows, width) float64
+    array; blank lines and ``#`` lines are skipped.
+
+    Without ``width`` the first data row sets it. A row with an
+    unparseable token, the wrong number of values or a non-finite value
+    raises SeriesFormatError carrying its 1-based line number; so does a
+    file with no data rows (line 0).
     """
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    rows = []
+    # undecodable bytes become U+FFFD, which fails to parse with a line number
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                x = float(line)
+                row = [float(tok) for tok in line.split(",")]
             except ValueError:
-                raise SeriesFormatError(lineno, f"cannot parse {line!r} as a real number")
-            if not np.isfinite(x):
-                raise SeriesFormatError(lineno, f"non-finite value {line!r}")
-            values.append(x)
-    if not values:
+                raise SeriesFormatError(
+                    lineno, f"cannot parse {line!r} as real numbers") from None
+            width = width or len(row)
+            if len(row) != width:
+                raise SeriesFormatError(
+                    lineno, f"expected {width} values, got {len(row)}")
+            if not all(map(math.isfinite, row)):
+                raise SeriesFormatError(lineno, f"non-finite value in {line!r}")
+            rows.append(row)
+    if not rows:
         raise SeriesFormatError(0, "file contains no data lines")
-    return ScalarSeries(np.array(values, dtype=np.float64))
+    return np.array(rows, dtype=np.float64)
+
+
+def load_series(path) -> ScalarSeries:
+    """Read a series file: one decimal value per line, ``#`` lines ignored.
+
+    Parse failures report the 1-based line number; an empty file is an error.
+    """
+    return ScalarSeries(read_rows(path, width=1)[:, 0])
 
 
 def save_series(series: ScalarSeries, path, header_lines: list[str] | None = None) -> None:

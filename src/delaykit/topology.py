@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .timeseries import ScalarSeries, delay_matrix
+from .timeseries import as_points, as_values, delay_matrix
 
 __all__ = [
     "LandmarkSet",
@@ -108,7 +108,7 @@ def select_landmarks(cloud: np.ndarray, ell: int, strategy: str = "equally_space
     seed. Everything is deterministic; distance ties resolve to the
     smallest index.
     """
-    cloud = np.asarray(cloud, dtype=np.float64)
+    cloud = as_points(cloud)
     n = cloud.shape[0]
     if not 1 <= ell <= n:
         raise ValidationError(f"need 1 <= ell <= {n}, got {ell}")
@@ -139,9 +139,7 @@ class _WitnessGeometry:
     distance matrix once."""
 
     def __init__(self, cloud: np.ndarray, landmarks: LandmarkSet):
-        cloud = np.asarray(cloud, dtype=np.float64)
-        if cloud.ndim == 1:
-            cloud = cloud[:, None]
+        cloud = as_points(cloud)
         self.cloud = cloud
         self.landmarks = landmarks
         lm = cloud[list(landmarks.indices)]
@@ -322,11 +320,9 @@ def scaled_epsilon(xi: float, cloud: np.ndarray) -> float:
     of scalar data this is exactly sqrt(m) * (x_max - x_min)."""
     if xi < 0:
         raise ValidationError("xi must be >= 0")
-    cloud = np.asarray(cloud, dtype=np.float64)
+    cloud = as_points(cloud)
     if cloud.size == 0:
         raise ValidationError("cloud must be nonempty")
-    if cloud.ndim == 1:
-        cloud = cloud[:, None]
     extents = cloud.max(axis=0) - cloud.min(axis=0)
     return xi * float(np.sqrt(np.sum(extents**2)))
 
@@ -342,12 +338,14 @@ def edge_lifespan_diagram(series, m_range, tau: int, xi: float,
     diameter. Cell (i, j) of the returned ell-by-ell matrix is the edge's
     maximal lifespan in dimensions; 0 means the edge never appears.
     """
-    values = series.values if isinstance(series, ScalarSeries) else np.asarray(series)
+    values = as_values(series)
     m_values = sorted(int(m) for m in m_range)
     if not m_values or m_values[0] < 1:
         raise ValidationError("m_range must contain dimensions >= 1")
     if tau < 1:
         raise ValidationError("tau must be >= 1")
+    if ell < 1:
+        raise ValidationError("need at least one landmark")
     shortest = values.size - (m_values[-1] - 1) * tau
     if shortest < ell:
         raise ValidationError(

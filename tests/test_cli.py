@@ -132,6 +132,19 @@ class TestSweep:
             assert code == 0
         assert data_lines(serial) == data_lines(parallel)
 
+    def test_mase_error_cells_match_across_jobs(self, henon_file, tmp_path, capsys):
+        # a Theiler window this wide leaves m=2 cells no admissible analogue
+        grids = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"mase{jobs}.csv"
+            code, _, _ = run_cli(capsys, "sweep", "--mode", "mase",
+                                 "--m", "1:2", "--tau", "1:2", "--theiler", "2248",
+                                 "--jobs", jobs, "-i", str(henon_file), "-o", str(out))
+            assert code == 0
+            grids.append(data_lines(out))
+        assert grids[0] == grids[1]
+        assert [row.endswith(",") for row in grids[0][1:]] == [False, False, True, True]
+
     def test_bad_range_rejected(self, henon_file, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--mode", "atau",
                              "--m", "3:1", "--tau", "1",
@@ -314,3 +327,60 @@ class TestTopology:
 
 def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
+
+
+@pytest.fixture()
+def small_files(tmp_path):
+    rng = np.random.default_rng(11)
+    x = np.sin(0.3 * np.arange(300)) + 0.1 * rng.standard_normal(300)
+    series = tmp_path / "s.txt"
+    dk.save_series(dk.ScalarSeries(x), series)
+    cloud = tmp_path / "c.csv"
+    cloud.write_text("0,0\n1,0\nnan,1\n0,1\n")
+    return {"series": str(series), "cloud": str(cloud),
+            "out": str(tmp_path / "out.txt")}
+
+
+MISUSE = {
+    "range_token": ["sweep", "--mode", "atau", "--m", "1:x", "--tau", "1",
+                    "-i", "{series}", "-o", "{out}"],
+    "ell_token": ["wpe", "--ell", "x", "-i", "{series}"],
+    "x0_token": ["generate", "--system", "henon", "--x0", "a,b", "-o", "{out}"],
+    "sweep_max_samples_zero": ["sweep", "--mode", "atau", "--m", "1:2", "--tau", "1",
+                               "--max-samples", "0", "-i", "{series}", "-o", "{out}"],
+    "sweep_max_samples_negative": ["sweep", "--mode", "atau", "--m", "1:2",
+                                   "--tau", "1", "--max-samples", "-5",
+                                   "-i", "{series}", "-o", "{out}"],
+    "select_max_samples_zero": ["select-params", "--method", "atau_optimal",
+                                "--max-samples", "0", "-i", "{series}"],
+    "select_jobs_zero": ["select-params", "--method", "atau_optimal",
+                         "--jobs", "0", "-i", "{series}"],
+    "forecast_h_zero": ["forecast", "--method", "naive", "--h", "0", "-i", "{series}"],
+    "forecast_lma_m_zero": ["forecast", "--method", "lma", "--m", "0", "--tau", "1",
+                            "-i", "{series}"],
+    "topology_series_m_zero": ["topology", "--mode", "betti", "--series", "{series}",
+                               "--m", "0", "--tau", "1", "--xi", "0.01", "--ell", "5"],
+    "topology_series_tau_zero": ["topology", "--mode", "betti", "--series", "{series}",
+                                 "--m", "2", "--tau", "0", "--xi", "0.01", "--ell", "5"],
+    "lifespan_landmarks": ["topology", "--mode", "lifespan", "--series", "{series}",
+                           "--m-range", "1:2", "--tau", "1", "--xi", "0.01",
+                           "--ell", "5", "--landmarks", "max_min", "-o", "{out}"],
+    "lifespan_seed": ["topology", "--mode", "lifespan", "--series", "{series}",
+                      "--m-range", "1:2", "--tau", "1", "--xi", "0.01",
+                      "--ell", "5", "--seed", "3", "-o", "{out}"],
+    "cloud_nan_row": ["topology", "--mode", "betti", "--cloud", "{cloud}",
+                      "--xi", "0.01", "--ell", "2"],
+    "lifespan_ell_zero": ["topology", "--mode", "lifespan", "--series", "{series}",
+                          "--m-range", "1:2", "--tau", "1", "--xi", "0.01",
+                          "--ell", "0", "-o", "{out}"],
+    "ar_order_negative": ["forecast", "--method", "ar", "--order", "-1",
+                          "-i", "{series}"],
+    "word_length_overflow": ["wpe", "--ell", "16", "-i", "{series}"],
+}
+
+
+@pytest.mark.parametrize("argv", MISUSE.values(), ids=MISUSE.keys())
+def test_misuse_exits_one_with_one_line_message(small_files, capsys, argv):
+    code, _, err = run_cli(capsys, *[arg.format(**small_files) for arg in argv])
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -7,6 +7,7 @@ from delaykit.errors import (
     NoEmbeddingFoundError,
     NoMinimumError,
     NoZeroCrossingError,
+    ValidationError,
 )
 
 
@@ -86,6 +87,12 @@ class TestFnnFraction:
             fast = dk.fnn_fraction(values, m, tau)
             slow = brute_force_fnn(values, m, tau)
             assert fast == pytest.approx(slow, abs=1e-12)
+
+    @pytest.mark.parametrize("m, tau", [(3, 100), (3, 120), (5, 100)])
+    def test_too_short_series_rejected(self, m, tau):
+        # m*tau at or past the series length used to fail inside numpy
+        with pytest.raises(ValidationError):
+            dk.fnn_fraction(np.random.default_rng(4).uniform(size=300), m, tau)
 
     def test_line_has_no_false_neighbors(self):
         line = np.linspace(0.0, 10.0, 2000)

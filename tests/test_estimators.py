@@ -5,7 +5,7 @@ import pytest
 
 import delaykit as dk
 from delaykit.errors import CapacityError, DegenerateSeriesError, ValidationError
-from delaykit.estimators import BinningScheme
+from delaykit.estimators import BinningScheme, _pattern_labels
 
 
 class TestBinnedEntropy:
@@ -214,9 +214,19 @@ class TestAtauSurface:
     def test_parallel_jobs_match_serial(self):
         rng = np.random.default_rng(25)
         x = rng.normal(size=1500)
-        serial = dk.atau_surface(x, [1, 2], [1, 2], h=1, k=4, jobs=1)
-        parallel = dk.atau_surface(x, [1, 2], [1, 2], h=1, k=4, jobs=2)
-        assert np.array_equal(serial.values, parallel.values)
+        # m=1600 cells cannot be reconstructed and must fail identically
+        serial = dk.atau_surface(x, [1, 2, 1600], [1, 2], h=1, k=4, jobs=1)
+        parallel = dk.atau_surface(x, [1, 2, 1600], [1, 2], h=1, k=4, jobs=2)
+        assert serial.values.tobytes() == parallel.values.tobytes()
+        assert serial.cell_errors == parallel.cell_errors
+        assert set(serial.cell_errors) == {(1600, 1), (1600, 2)}
+        assert serial.metadata == parallel.metadata
+
+    @pytest.mark.parametrize("kwargs", [{"max_samples": 0}, {"max_samples": -5},
+                                        {"jobs": 0}])
+    def test_bad_sampling_or_jobs_rejected_before_any_cell(self, kwargs):
+        with pytest.raises(ValidationError):
+            dk.atau_surface(np.arange(200.0), [1, 2], [1], **kwargs)
 
     def test_argbest_tie_breaks_to_smallest(self):
         values = np.array([[1.0, 2.0], [2.0, 2.0]])
@@ -338,6 +348,46 @@ class TestWeightedPermutationEntropy:
 
     def test_constant_series_zero(self):
         assert dk.weighted_permutation_entropy(np.full(100, 2.0), 4) == 0.0
+
+
+def _packed_code_entropies(values, ell):
+    """PE and WPE (normalized) from count tables indexed by the raw packed
+    base-ell pattern code, as they were computed before dense labels."""
+    windows = np.lib.stride_tricks.sliding_window_view(values, ell)
+    codes = np.argsort(windows, axis=1, kind="stable") @ ell ** np.arange(ell)
+    counts = np.bincount(codes)
+    p = np.sort(counts[counts > 0]) / counts.sum()
+    pe = (float(-np.sum(p * np.log2(p))) + 0.0) / math.log2(math.factorial(ell))
+    weights = np.var(windows, axis=1)
+    mass = np.bincount(codes, weights=weights)
+    q = mass[mass > 0] / weights.sum()
+    wpe = max(0.0, float(-np.sum(q * np.log2(q)))) / math.log2(math.factorial(ell))
+    return pe, wpe
+
+
+class TestPatternLabels:
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7])
+    def test_entropies_match_packed_code_oracle(self, ell):
+        rng = np.random.default_rng(26)
+        # rounding leaves ties inside windows
+        x = np.round(rng.normal(size=3000), 1)
+        pe, wpe = _packed_code_entropies(x, ell)
+        assert dk.permutation_entropy(x, ell) == pe
+        assert dk.weighted_permutation_entropy(x, ell) == wpe
+
+    def test_labels_are_dense(self):
+        # packed codes at ell=9 reach ~9**9; the labels count distinct patterns
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.random.default_rng(27).normal(size=40), 9)
+        labels = _pattern_labels(np.argsort(windows, axis=1, kind="stable"))
+        assert labels.max() < windows.shape[0]
+
+    def test_overflowing_word_length_rejected(self):
+        x = np.random.default_rng(28).normal(size=100)
+        with pytest.raises(ValidationError):
+            dk.permutation_entropy(x, 16)
+        with pytest.raises(ValidationError):
+            dk.weighted_permutation_entropy(x, 16)
 
 
 class TestTripleInformation:

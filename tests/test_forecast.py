@@ -3,6 +3,7 @@ import pytest
 
 import delaykit as dk
 from delaykit.errors import NoNeighborError, ValidationError
+from delaykit.forecast import _ar_step, _fit_ar
 
 
 class TestSimplePredictors:
@@ -140,8 +141,99 @@ class TestRollingEvaluate:
         with pytest.raises(ValidationError):
             dk.rolling_evaluate(np.arange(100.0), 0.9, "arima", h=1)
 
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_horizon_below_one_rejected(self, h):
+        # h=0 used to loop forever; h=-1 failed inside numpy
+        with pytest.raises(ValidationError):
+            dk.rolling_evaluate(np.arange(100.0), 0.9, "naive", h=h)
+
+    def test_wrong_length_block_rejected(self):
+        with pytest.raises(ValidationError):
+            dk.rolling_evaluate(np.arange(100.0), 0.9,
+                                lambda train, steps: np.zeros(steps + 1), h=2)
+
     def test_lorenz96_optimal_beats_heuristic(self, lorenz96_20k):
         sub = dk.ScalarSeries(lorenz96_20k.values[:6000])
         good = dk.rolling_evaluate(sub, 0.9, "lma", h=1, m=2, tau=1)
         heuristic = dk.rolling_evaluate(sub, 0.9, "lma", h=1, m=8, tau=26)
         assert good.score < heuristic.score
+
+
+def rolling_oracle(series, fraction, method, h=1, *, m=None, tau=None,
+                   theiler=0, order=8, refit_every=1):
+    """The rolling protocol as a per-block if/elif chain over the built-in
+    methods; ``rolling_evaluate`` must reproduce it bit for bit."""
+    full = dk.ScalarSeries(series)
+    parts = dk.split(full, fraction)
+    x = full.values
+    n = len(parts.train)
+    total = len(full)
+    params = {"h": h, "fraction": fraction}
+    if method == "lma":
+        params.update({"m": m, "tau": tau, "theiler": theiler})
+    if method == "ar":
+        params.update({"order": order, "refit_every": refit_every, "fallbacks": 0})
+
+    predictions = []
+    pos = n
+    block_index = 0
+    ar_coef = None
+    while pos < total:
+        block = min(h, total - pos)
+        train_values = x[:pos]
+        if method == "random_walk":
+            block_pred = np.full(block, train_values[-1])
+        elif method == "naive":
+            block_pred = np.full(block, train_values.mean())
+        elif method == "lma":
+            block_pred = dk.forecast_lma(train_values, m, tau, steps=block,
+                                         theiler=theiler)
+        elif method == "ar":
+            if ar_coef is None or block_index % refit_every == 0:
+                ar_coef, fellback = _fit_ar(train_values, order)
+                if fellback:
+                    params["fallbacks"] += 1
+            recent = list(train_values[-order:])
+            block_pred = np.empty(block)
+            for i in range(block):
+                nxt = _ar_step(ar_coef, np.asarray(recent))
+                block_pred[i] = nxt
+                recent = (recent + [nxt])[-order:]
+        else:
+            raise AssertionError(method)
+        predictions.append(block_pred)
+        pos += block
+        block_index += 1
+
+    pred = np.concatenate(predictions)
+    return pred, dk.h_mase(pred, x[n:], parts.train, h), params
+
+
+def _noisy_oscillator(n=300, seed=8):
+    rng = np.random.default_rng(seed)
+    return np.sin(0.4 * np.arange(n)) + 0.3 * rng.standard_normal(n)
+
+
+class TestRollingOracle:
+    @pytest.mark.parametrize("refit_every", [1, 3])
+    @pytest.mark.parametrize("h", [1, 3])
+    @pytest.mark.parametrize("method", ["random_walk", "naive", "lma", "ar"])
+    def test_matches_per_block_dispatch(self, method, h, refit_every):
+        x = _noisy_oscillator()
+        kwargs = {"m": 2, "tau": 2, "theiler": 1, "order": 4,
+                  "refit_every": refit_every}
+        run = dk.rolling_evaluate(x, 0.8, method, h=h, **kwargs)
+        pred, score, params = rolling_oracle(x, 0.8, method, h=h, **kwargs)
+        assert run.predictions.tobytes() == pred.tobytes()
+        assert run.score.value == score.value
+        assert run.params == params
+
+    def test_ar_fallbacks_counted_like_oracle(self):
+        # an alternating series makes every AR(4) design rank-deficient
+        x = np.tile([1.0, -1.0], 60)
+        run = dk.rolling_evaluate(x, 0.8, "ar", h=3, order=4, refit_every=2)
+        pred, score, params = rolling_oracle(x, 0.8, "ar", h=3, order=4,
+                                             refit_every=2)
+        assert run.params["fallbacks"] == params["fallbacks"] > 0
+        assert run.predictions.tobytes() == pred.tobytes()
+        assert run.score.value == score.value

@@ -3,6 +3,7 @@ import pytest
 
 import delaykit as dk
 from delaykit.errors import CapacityError, SeriesFormatError, ValidationError
+from delaykit.timeseries import read_rows
 
 
 def test_series_rejects_non_finite():
@@ -128,6 +129,33 @@ class TestSeriesFiles:
         p.write_text("# only a comment\n")
         with pytest.raises(SeriesFormatError):
             dk.load_series(p)
+
+    @pytest.mark.parametrize("text, line", [
+        ("1,2\n# note\n3,4\n5\n", 4),        # ragged row
+        ("1,2\n\n3,nan\n", 3),                # non-finite value
+        ("1,2\n3,x\n", 2),                     # bad token
+        ("1,2\n3,4\n\xff\xfe,1\n", 3),      # undecodable bytes
+    ])
+    def test_row_errors_report_line(self, tmp_path, text, line):
+        p = tmp_path / "rows.csv"
+        p.write_bytes(text.encode("latin-1"))
+        with pytest.raises(SeriesFormatError) as exc:
+            read_rows(p)
+        assert exc.value.line == line
+
+    def test_rows_keep_first_row_width(self, tmp_path):
+        p = tmp_path / "rows.csv"
+        p.write_text("# x,y\n1, 2\n-3.5,4e2\n")
+        assert read_rows(p).tolist() == [[1.0, 2.0], [-3.5, 400.0]]
+
+    @pytest.mark.parametrize("text, line", [("1.0\n2,3\n", 2),
+                                            ("1.0\n\ninf\n", 3)])
+    def test_series_rejects_extra_columns_and_non_finite(self, tmp_path, text, line):
+        p = tmp_path / "s.txt"
+        p.write_text(text)
+        with pytest.raises(SeriesFormatError) as exc:
+            dk.load_series(p)
+        assert exc.value.line == line
 
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(3)

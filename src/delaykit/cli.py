@@ -533,8 +533,9 @@ def run_topology(args) -> int:
     # barcode
     if not args.output:
         raise ValidationError("barcode mode needs -o")
-    if args.xi_grid < 1 or not 0 < args.xi_min < args.xi_max:
-        raise ValidationError("need xi_grid >= 1 and 0 < xi_min < xi_max")
+    # comparisons with nan are false, so this also rejects non-finite ends
+    if args.xi_grid < 1 or not 0 < args.xi_min < args.xi_max < np.inf:
+        raise ValidationError("need xi_grid >= 1 and 0 < xi_min < xi_max < inf")
     xis = np.geomspace(args.xi_min, args.xi_max, args.xi_grid)
     eps_grid = [scaled_epsilon(x, cloud) for x in xis]
     bc0, bc1 = epsilon_barcode(cloud, landmarks, eps_grid)

@@ -376,9 +376,18 @@ MISUSE = {
     "ar_order_negative": ["forecast", "--method", "ar", "--order", "-1",
                           "-i", "{series}"],
     "word_length_overflow": ["wpe", "--ell", "16", "-i", "{series}"],
+    "betti_xi_nan": ["topology", "--mode", "betti", "--series", "{series}",
+                     "--m", "2", "--tau", "1", "--xi", "nan", "--ell", "5"],
+    "betti_xi_inf": ["topology", "--mode", "betti", "--series", "{series}",
+                     "--m", "2", "--tau", "1", "--xi", "inf", "--ell", "5"],
+    "barcode_xi_max_inf": ["topology", "--mode", "barcode", "--series", "{series}",
+                           "--m", "2", "--tau", "1", "--ell", "5",
+                           "--xi-max", "inf", "-o", "{out}"],
 }
 
 
+# outside pytest a warning would print a second line on stderr
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", MISUSE.values(), ids=MISUSE.keys())
 def test_misuse_exits_one_with_one_line_message(small_files, capsys, argv):
     code, _, err = run_cli(capsys, *[arg.format(**small_files) for arg in argv])

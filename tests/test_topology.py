@@ -1,9 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delaykit as dk
+from delaykit import topology
 from delaykit.errors import ValidationError
 from delaykit.timeseries import delay_matrix
 from delaykit.topology import WitnessComplexSnapshot
@@ -72,6 +76,157 @@ def brute_force_homology(snapshot):
     beta0 = v - rank1
     beta1 = len(edges) - rank1 - rank2
     return beta0, beta1, rank2
+
+
+class DenseWitnessGeometry:
+    """Oracle: the dense landmark-by-witness geometry the chunked pass
+    replaced. All distances are held at once, in the same arithmetic, and
+    membership and adjacency are rebuilt per scale."""
+
+    def __init__(self, cloud, landmarks):
+        cloud = np.asarray(cloud, dtype=np.float64)
+        cloud = cloud[:, None] if cloud.ndim == 1 else cloud
+        lm = cloud[list(landmarks.indices)]
+        sq = (np.sum(lm**2, axis=1)[:, None]
+              + np.sum(cloud**2, axis=1)[None, :]
+              - 2.0 * (lm @ cloud.T))
+        self.dist = np.sqrt(np.clip(sq, 0.0, None))
+        self.nearest = self.dist.min(axis=0)
+
+    def membership(self, eps):
+        return self.dist <= self.nearest[None, :] + eps
+
+    def adjacency(self, eps):
+        member = self.membership(eps).astype(np.float32)
+        adj = (member @ member.T) > 0.0
+        np.fill_diagonal(adj, False)
+        return adj
+
+
+def snapshot_from_adjacency(adj, eps=0.0):
+    """Clique complex of an adjacency matrix, edges and triangles in
+    lexicographic order."""
+    upper = np.triu(adj, 1)
+    cliques = upper[:, :, None] & upper[None, :, :] & upper[:, None, :]
+    return WitnessComplexSnapshot(
+        epsilon=eps, vertices=adj.shape[0],
+        edges=np.argwhere(upper).astype(np.int64).reshape(-1, 2),
+        triangles=np.argwhere(cliques).astype(np.int64).reshape(-1, 3))
+
+
+def count_barcode(grid, counts, dimension):
+    """Oracle: count-matched intervals (newest feature dies first) that
+    reproduce a Betti count at every grid value."""
+    open_births, intervals, prev = [], [], 0
+    for s, c in zip(grid, counts):
+        if c > prev:
+            open_births.extend([s] * (c - prev))
+        elif c < prev:
+            for _ in range(prev - c):
+                intervals.append((open_births.pop(), s))
+        prev = c
+    intervals.extend((b, None) for b in reversed(open_births))
+    return dk.Barcode(dimension=dimension, intervals=tuple(sorted(
+        intervals, key=lambda iv: (iv[0], np.inf if iv[1] is None else iv[1]))))
+
+
+def dense_barcode(cloud, landmarks, grid):
+    """Oracle: a complex rebuilt from the dense geometry at every scale."""
+    geom = DenseWitnessGeometry(cloud, landmarks)
+    counts = [dk.betti_numbers(snapshot_from_adjacency(geom.adjacency(eps), eps))
+              for eps in grid]
+    return tuple(count_barcode(grid, [c[d] for c in counts], d) for d in (0, 1))
+
+
+def dense_lifespans(values, m_values, tau, xi, ell):
+    """Oracle: the per-dimension lifespan loop over the dense geometry."""
+    stride = (values.size - (max(m_values) - 1) * tau) // ell
+    landmarks = dk.LandmarkSet(indices=tuple(i * stride for i in range(ell)),
+                               strategy="equally_spaced")
+    best = run = np.zeros((ell, ell), dtype=np.int64)
+    for m in sorted(m_values):
+        cloud = delay_matrix(values, m, tau)
+        adj = DenseWitnessGeometry(cloud, landmarks).adjacency(
+            dk.scaled_epsilon(xi, cloud))
+        run = np.where(adj, run + 1, 0)
+        best = np.maximum(best, run)
+    return best
+
+
+def boundary_reduction_barcode(births, grid):
+    """Oracle: persistence of the edge filtration by the standard boundary
+    reduction — union-find for components, triangle columns (bitsets over
+    edge positions, triangles ordered by youngest edge) for cycles — with
+    both ends snapped up to the grid."""
+    ell = births.shape[0]
+    i, j = np.nonzero(np.isfinite(births))
+    order = np.lexsort((j, i, births[i, j]))
+    edges = list(zip(i[order].tolist(), j[order].tolist()))
+    birth = births[i[order], j[order]].tolist()
+    pos = {e: n for n, e in enumerate(edges)}
+    parent = list(range(ell))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    h0, h1 = [], {}
+    for n, (a, b) in enumerate(edges):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            h0.append((0.0, birth[n]))
+        else:
+            h1[n] = np.inf  # opens a cycle, until a triangle closes it
+    h0 += [(0.0, np.inf)] * (ell - len(h0))
+    faces = sorted((max(pos[(a, b)], pos[(a, c)], pos[(b, c)]),
+                    pos[(a, b)], pos[(a, c)], pos[(b, c)])
+                   for a, b, c in itertools.combinations(range(ell), 3)
+                   if {(a, b), (a, c), (b, c)} <= pos.keys())
+    lows = {}
+    for youngest, x, y, z in faces:
+        col = (1 << x) | (1 << y) | (1 << z)
+        while col and col.bit_length() - 1 in lows:
+            col ^= lows[col.bit_length() - 1]
+        if col:
+            lows[col.bit_length() - 1] = col
+            h1[col.bit_length() - 1] = birth[youngest]
+    bars = []
+    for pairs in (h0, [(birth[n], d) for n, d in h1.items()]):
+        snapped = []
+        for b, d in pairs:
+            sb = next(g for g in grid if g >= b)
+            sd = next((g for g in grid if g >= d), None)
+            if sb != sd:
+                snapped.append((sb, sd))
+        bars.append(sorted(snapped, key=lambda iv: (iv[0], iv[1] or np.inf)))
+    return bars
+
+
+@pytest.fixture()
+def small_chunks(monkeypatch):
+    """Several witness blocks per cloud, the last one ragged."""
+    monkeypatch.setattr(topology, "_CHUNK", 7)
+
+
+def bench_grid(cloud, n=100, lo=2e-4, hi=5e-2):
+    return [dk.scaled_epsilon(xi, cloud) for xi in np.geomspace(lo, hi, n)]
+
+
+def random_cases():
+    rng = np.random.default_rng(16)
+    for n, d, ell in ((61, 1, 9), (90, 2, 14), (150, 2, 25), (120, 3, 20)):
+        cloud = rng.normal(size=(n, d))
+        lm = dk.select_landmarks(cloud, ell, "max_min")
+        yield cloud, lm, bench_grid(cloud, 40, 1e-3, 0.3)
+
+
+def lorenz_cases(traj):
+    cloud_3d = traj[:2000]
+    cloud_2d = delay_matrix(traj[:2000, 0], 2, 3)
+    for cloud in (cloud_2d, cloud_3d):
+        yield cloud, dk.select_landmarks(cloud, 60, "max_min"), bench_grid(cloud)
 
 
 def random_clique_snapshot(rng):
@@ -327,3 +482,179 @@ class TestLorenzHomology:
         total = snap.vertices + snap.edges.shape[0] + snap.triangles.shape[0]
         assert 500 <= total <= 20000
         assert dk.betti_numbers(snap) == (1, 2)
+
+
+class TestChunkedPassMatchesDenseOracle:
+    def test_births_threshold_to_the_dense_adjacency(self, small_chunks,
+                                                     lorenz63_traj_20k):
+        cases = list(random_cases()) + list(lorenz_cases(lorenz63_traj_20k))
+        for cloud, lm, grid in cases:
+            births = topology._edge_births(cloud, lm, grid[-1])
+            geom = DenseWitnessGeometry(cloud, lm)
+            for eps in grid:
+                assert np.array_equal(births <= eps, np.triu(geom.adjacency(eps), 1))
+
+    def test_barcode_intervals_match_the_boundary_reduction(self, small_chunks,
+                                                           lorenz63_traj_20k):
+        cases = list(random_cases()) + list(lorenz_cases(lorenz63_traj_20k))
+        for cloud, lm, grid in cases:
+            want = boundary_reduction_barcode(
+                topology._edge_births(cloud, lm, grid[-1]), grid)
+            got = dk.epsilon_barcode(cloud, lm, grid)
+            assert [list(bc.intervals) for bc in got] == want
+
+    def test_barcode_counts_on_random_clouds(self, small_chunks):
+        for cloud, lm, grid in random_cases():
+            got = dk.epsilon_barcode(cloud, lm, grid)
+            want = dense_barcode(cloud, lm, grid)
+            for eps in grid:
+                assert [bc.count_at(eps) for bc in got] == \
+                    [bc.count_at(eps) for bc in want]
+
+    def test_barcode_counts_on_lorenz63(self, small_chunks, lorenz63_traj_20k):
+        for cloud, lm, grid in lorenz_cases(lorenz63_traj_20k):
+            got = dk.epsilon_barcode(cloud, lm, grid)
+            want = dense_barcode(cloud, lm, grid)
+            assert max(want[1].count_at(eps) for eps in grid) > 0
+            for eps in grid:
+                assert [bc.count_at(eps) for bc in got] == \
+                    [bc.count_at(eps) for bc in want]
+
+    def test_build_complex_and_memberships(self, small_chunks, lorenz63_traj_20k):
+        cases = list(random_cases()) + list(lorenz_cases(lorenz63_traj_20k))
+        for cloud, lm, grid in cases:
+            geom = DenseWitnessGeometry(cloud, lm)
+            for eps in grid[::9]:
+                snap = dk.build_complex(cloud, lm, eps)
+                want = snapshot_from_adjacency(geom.adjacency(eps))
+                assert np.array_equal(snap.edges, want.edges)
+                assert np.array_equal(snap.triangles, want.triangles)
+                assert np.array_equal(dk.fuzzy_witness_sets(cloud, lm, eps),
+                                      geom.membership(eps))
+
+    def test_edge_lifespan_matrix(self, small_chunks, lorenz63_20k):
+        values = lorenz63_20k.values[:3000]
+        for xi in (0.003, 0.0054, 0.02):
+            got = dk.edge_lifespan_diagram(values, range(1, 6), tau=3, xi=xi, ell=40)
+            assert np.array_equal(got, dense_lifespans(values, range(1, 6), 3, xi, 40))
+
+
+def float_neighbours(values, steps=2):
+    """Each value and the ``steps`` floats on either side of it."""
+    out = [values]
+    up = down = values
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+class TestExactThresholds:
+    def test_scales_follow_the_float_predicate(self):
+        rng = np.random.default_rng(17)
+        nearest = rng.uniform(0.1, 10.0, 20000) * 10.0 ** rng.integers(-3, 4, 20000)
+        gap = nearest * 10.0 ** rng.uniform(-15, 1, 20000)
+        dist = nearest + gap
+        naive = dist - nearest
+        # the subtraction misjudges the predicate at some of these scales
+        eps = float_neighbours(naive).reshape(-1, naive.size)
+        assert np.any((naive <= eps) != (dist <= nearest + eps))
+        scale = topology._membership_scales(dist, nearest)
+        for e in float_neighbours(scale).reshape(-1, scale.size):
+            assert np.array_equal(scale <= e, dist <= nearest + e)
+        for e in eps:
+            assert np.array_equal(scale <= e, dist <= nearest + e)
+
+    def test_clouds_where_subtraction_disagrees(self):
+        rng = np.random.default_rng(18)
+        found = 0
+        for _ in range(40):
+            cloud = rng.uniform(-1.0, 1.0, size=(24, 2)) * 10.0 ** rng.integers(-2, 3)
+            lm = dk.select_landmarks(cloud, 6, "random", seed=1)
+            geom = DenseWitnessGeometry(cloud, lm)
+            naive = geom.dist - geom.nearest[None, :]
+            candidates = np.unique(float_neighbours(naive.ravel(), steps=1))
+            candidates = candidates[candidates >= 0]
+            bad = [e for e in candidates
+                   if np.any((naive <= e) != geom.membership(e))]
+            if not bad:
+                continue
+            found += 1
+            births = topology._edge_births(cloud, lm, max(bad))
+            for e in bad:
+                assert np.array_equal(births <= e, np.triu(geom.adjacency(e), 1))
+            got = dk.epsilon_barcode(cloud, lm, bad)
+            want = dense_barcode(cloud, lm, bad)
+            for e in bad:
+                assert [bc.count_at(e) for bc in got] == [bc.count_at(e) for bc in want]
+        assert found > 0
+
+    def test_lattice_ties_at_grid_values(self, small_chunks):
+        xs, ys = np.meshgrid(np.arange(9.0), np.arange(7.0))
+        for cloud in (np.column_stack([xs.ravel(), ys.ravel()]),
+                      np.column_stack([xs.ravel(), ys.ravel()]) * 0.1 + 3.0):
+            lm = dk.select_landmarks(cloud, 12, "equally_spaced")
+            geom = DenseWitnessGeometry(cloud, lm)
+            # exact tie values: every witness's membership scale
+            grid = np.unique(geom.dist - geom.nearest[None, :]).tolist()
+            births = topology._edge_births(cloud, lm, grid[-1])
+            for e in np.unique(float_neighbours(np.array(grid), steps=1)):
+                if 0 <= e <= grid[-1]:
+                    assert np.array_equal(births <= e, np.triu(geom.adjacency(e), 1))
+            got = dk.epsilon_barcode(cloud, lm, grid)
+            want = dense_barcode(cloud, lm, grid)
+            for e in grid:
+                assert [bc.count_at(e) for bc in got] == [bc.count_at(e) for bc in want]
+
+
+@st.composite
+def clouds_and_grids(draw):
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 3))
+    # quarter-lattice coordinates and grid values give exact ties
+    coords = draw(st.lists(st.integers(-12, 12), min_size=n * d, max_size=n * d))
+    cloud = np.array(coords, dtype=np.float64).reshape(n, d) / 4
+    ell = draw(st.integers(1, n))
+    scales = st.one_of(st.integers(0, 40).map(lambda k: k / 4),
+                       st.floats(0.0, 10.0, allow_nan=False))
+    grid = sorted(set(draw(st.lists(scales, min_size=1, max_size=10))))
+    extra = draw(st.lists(scales, max_size=6))
+    return cloud, dk.select_landmarks(cloud, ell), grid, sorted(set(grid) | set(extra))
+
+
+class TestBarcodeProperties:
+    def test_barcode_properties(self, monkeypatch):
+        monkeypatch.setattr(topology, "_CHUNK", 7)
+
+        @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @given(clouds_and_grids())
+        def run(case):
+            cloud, lm, grid, finer = case
+            bars = dk.epsilon_barcode(cloud, lm, grid)
+            finer_bars = dk.epsilon_barcode(cloud, lm, finer)
+            for eps in grid:
+                counts = [bc.count_at(eps) for bc in bars]
+                snap = dk.build_complex(cloud, lm, eps)
+                assert tuple(counts) == dk.betti_numbers(snap)
+                assert counts == [bc.count_at(eps) for bc in finer_bars]
+            for barcodes, scales in ((bars, grid), (finer_bars, finer)):
+                for birth, death in (iv for bc in barcodes for iv in bc.intervals):
+                    assert birth in scales
+                    assert death is None or (death in scales and birth < death)
+
+        run()
+
+
+def test_build_complex_memory_is_bounded():
+    # the dense geometry would hold 13 B per landmark-witness pair: 520 MB
+    cloud = np.random.default_rng(19).uniform(size=(200_000, 2))
+    lm = dk.select_landmarks(cloud, 200)
+    eps = dk.scaled_epsilon(0.01, cloud)
+    tracemalloc.start()
+    try:
+        snap = dk.build_complex(cloud, lm, eps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert snap.edges.shape[0] > 0
+    assert peak < 64 * 2**20

@@ -132,17 +132,29 @@ def _write_lines(path: str, header: list[str], rows) -> None:
 # --------------------------------------------------------------------------
 # generate
 
+# Sampling flags by the kind of system they apply to, with the value each
+# takes when omitted; parameter flags apply only to their own system.
+FLOW_SAMPLING = {"dt": 1.0 / 64.0, "steps": 10000, "observed_index": 0}
+MAP_SAMPLING = {"n": 10000}
+
+
 def _add_generate(sub):
     p = sub.add_parser("generate", help="synthesize a benchmark trace",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--system", required=True, choices=FLOWS + MAPS)
-    p.add_argument("--dt", type=float, default=1.0 / 64.0, help="flow time step")
-    p.add_argument("--steps", type=int, default=10000, help="flow sample count")
-    p.add_argument("--n", type=int, default=10000, help="map iterate count")
+    # SUPPRESS leaves a flag unset when omitted, so a stray one can be told
+    # from a default
+    p.add_argument("--dt", type=float, default=argparse.SUPPRESS,
+                   help=f"flow time step (default: {FLOW_SAMPLING['dt']})")
+    p.add_argument("--steps", type=int, default=argparse.SUPPRESS,
+                   help=f"flow sample count (default: {FLOW_SAMPLING['steps']})")
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS,
+                   help=f"map iterate count (default: {MAP_SAMPLING['n']})")
     p.add_argument("--transient", type=int, default=0,
                    help="leading samples to discard")
-    p.add_argument("--observed-index", type=int, default=0,
-                   help="state coordinate to observe (flows)")
+    p.add_argument("--observed-index", type=int, default=argparse.SUPPRESS,
+                   help="state coordinate to observe (flows) "
+                        f"(default: {FLOW_SAMPLING['observed_index']})")
     p.add_argument("--sigma", type=float, help="lorenz63 sigma")
     p.add_argument("--rho", type=float, help="lorenz63 rho")
     p.add_argument("--beta", type=float, help="lorenz63 beta")
@@ -161,19 +173,30 @@ def _add_generate(sub):
     p.set_defaults(func=run_generate)
 
 
-def _system_params(args) -> dict:
+def _system_settings(args) -> tuple[dict, dict]:
+    """The parameters given for ``--system`` and its sampling settings.
+
+    A sampling or parameter flag that belongs to other systems is an error.
+    """
+    sampling = FLOW_SAMPLING if args.system in FLOWS else MAP_SAMPLING
     names = {**FLOW_DEFAULTS, **MAP_DEFAULTS}[args.system]
-    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    every = dict.fromkeys([*FLOW_SAMPLING, *MAP_SAMPLING, *(
+        k for d in (*FLOW_DEFAULTS.values(), *MAP_DEFAULTS.values()) for k in d)])
+    stray = [k for k in every if k not in sampling and k not in names
+             and getattr(args, k, None) is not None]
+    if stray:
+        flags = ", ".join("--" + k.replace("_", "-") for k in stray)
+        raise ValidationError(f"{args.system} takes no {flags}")
+    params = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    return params, {k: getattr(args, k, v) for k, v in sampling.items()}
 
 
 def run_generate(args) -> int:
-    params = _system_params(args)
+    params, sampling = _system_settings(args)
     is_flow = args.system in FLOWS
     if is_flow:
         # validated before drawing x0, which needs a sound K
-        spec = FlowSpec(args.system, params, dt=args.dt, steps=args.steps,
-                        transient=args.transient,
-                        observed_index=args.observed_index)
+        spec = FlowSpec(args.system, params, transient=args.transient, **sampling)
         params = spec.params
 
     if args.x0 is not None:
@@ -183,12 +206,12 @@ def run_generate(args) -> int:
     else:
         raise ValidationError("provide --x0 or --seed")
     if not is_flow:
-        spec = MapSpec(args.system, params, x0=tuple(x0), n=args.n,
-                       transient=args.transient)
+        spec = MapSpec(args.system, params, x0=tuple(x0),
+                       transient=args.transient, **sampling)
 
     config = ExperimentConfig("generate", {
         "system": args.system, **spec.params,
-        **({"dt": args.dt, "steps": args.steps} if is_flow else {"n": args.n}),
+        **{k: sampling[k] for k in sampling if k != "observed_index"},
         "transient": args.transient,
         "x0": ",".join(f"{v:.17g}" for v in x0),
         "seed": args.seed,

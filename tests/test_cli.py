@@ -75,6 +75,26 @@ class TestGenerate:
                     "--seed", "9", "-o", str(path))
         assert a.read_text() == b.read_text()
 
+    def test_omitted_sampling_flags_take_defaults(self, tmp_path, capsys):
+        for system, count, recorded in [
+                ("lorenz63", 10000, ["dt=0.015625", "steps=10000"]),
+                ("henon", 10000, ["n=10000"])]:
+            out = tmp_path / f"{system}.txt"
+            code, _, _ = run_cli(capsys, "generate", "--system", system,
+                                 "--seed", "2", "-o", str(out))
+            assert code == 0
+            assert len(data_lines(out)) == count
+            header = out.read_text().splitlines()
+            assert all(f"# {line}" in header for line in recorded)
+
+    def test_stray_flag_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "h.txt"
+        code, _, err = run_cli(capsys, "generate", "--system", "henon",
+                               "--dt", "0.1", "--seed", "1", "-o", str(out))
+        assert code == 1
+        assert not out.exists()
+        assert err == "error: henon takes no --dt\n"
+
     def test_dump_config(self, tmp_path, capsys):
         out = tmp_path / "s.txt"
         cfg = tmp_path / "cfg.txt"
@@ -346,6 +366,20 @@ MISUSE = {
                     "-i", "{series}", "-o", "{out}"],
     "ell_token": ["wpe", "--ell", "x", "-i", "{series}"],
     "x0_token": ["generate", "--system", "henon", "--x0", "a,b", "-o", "{out}"],
+    "generate_map_flow_flags": ["generate", "--system", "henon", "--n", "20",
+                                "--seed", "1", "--observed-index", "5", "--dt", "-3",
+                                "-o", "{out}"],
+    "generate_flow_map_flags": ["generate", "--system", "lorenz63", "--steps", "20",
+                                "--n", "5", "--r", "2.0", "--K", "9", "--seed", "1",
+                                "-o", "{out}"],
+    "generate_flow_n": ["generate", "--system", "lorenz96", "--steps", "20",
+                        "--n", "5", "--seed", "1", "-o", "{out}"],
+    "generate_map_steps": ["generate", "--system", "logistic", "--steps", "20",
+                           "--seed", "1", "-o", "{out}"],
+    "generate_other_flow_param": ["generate", "--system", "rossler", "--steps", "20",
+                                  "--sigma", "3", "--seed", "1", "-o", "{out}"],
+    "generate_other_map_param": ["generate", "--system", "henon", "--n", "20",
+                                 "--c", "3", "--seed", "1", "-o", "{out}"],
     "sweep_max_samples_zero": ["sweep", "--mode", "atau", "--m", "1:2", "--tau", "1",
                                "--max-samples", "0", "-i", "{series}", "-o", "{out}"],
     "sweep_max_samples_negative": ["sweep", "--mode", "atau", "--m", "1:2",

@@ -111,10 +111,10 @@ def bases(files):
     """Valid invocations, one per mode or method, as flag -> value maps."""
     series, cloud, out = files["series.txt"], files["cloud.csv"], files["out"]
     return {
-        "generate": [{"--system": system, "--steps": "30", "--n": "30",
-                      "--seed": "1", "-o": out}
-                     for system in ("lorenz63", "lorenz96", "rossler", "henon",
-                                    "logistic")],
+        "generate": [{"--system": system, "--steps": "30", "--seed": "1", "-o": out}
+                     for system in ("lorenz63", "lorenz96", "rossler")]
+        + [{"--system": system, "--n": "30", "--seed": "1", "-o": out}
+           for system in ("henon", "logistic")],
         "sweep": [{"--mode": mode, "-i": series, "--m": "1:2", "--tau": "1:2",
                    "-o": out} for mode in ("atau", "mase")],
         "select-params": [
@@ -168,3 +168,13 @@ def test_any_argv_exits_cleanly(files, command):
         assert code in (0, 1, 2), argv
 
     run()
+
+
+def test_every_base_is_valid(files):
+    for command, invocations in bases(files).items():
+        for base in invocations:
+            argv = [command] + [token for pair in base.items() for token in pair]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code == 0, (argv, err.getvalue())

@@ -1,10 +1,13 @@
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import delaykit as dk
 from delaykit.errors import DivergenceError, ValidationError
+from delaykit.systems import DIVERGENCE_LIMIT
 
 
 class TestIntegrateRK4:
@@ -142,3 +145,194 @@ def test_seeded_initial_states_replayable():
         c = dk.default_initial_state(name, params, 43)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+# --------------------------------------------------------------------------
+# Oracles: the per-step loops that the fast paths replaced, kept verbatim.
+# Every trace and every divergence step must match them bit for bit.
+
+
+def oracle_field(spec):
+    """The fields as first written: numpy-scalar arithmetic and np.roll."""
+    p = spec.params
+    if spec.name == "lorenz63":
+        sigma, rho, beta = p["sigma"], p["rho"], p["beta"]
+
+        def f(v):
+            x, y, z = v
+            return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
+
+        return f
+    if spec.name == "rossler":
+        a, b, c = p["a"], p["b"], p["c"]
+
+        def f(v):
+            x, y, z = v
+            return np.array([-y - z, x + a * y, b + z * (x - c)])
+
+        return f
+    forcing = p["F"]
+
+    def f(v):
+        return (np.roll(v, -1) - np.roll(v, 2)) * np.roll(v, 1) - v + forcing
+
+    return f
+
+
+def oracle_integrate_rk4(field, x0, dt, steps):
+    """The RK4 loop with the two-part finiteness and magnitude check."""
+    x = np.array(x0, dtype=np.float64, copy=True)
+    out = np.empty((steps, x.size), dtype=np.float64)
+    out[0] = x
+    half = dt / 2.0
+    for i in range(1, steps):
+        k1 = field(x)
+        k2 = field(x + half * k1)
+        k3 = field(x + half * k2)
+        k4 = field(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
+            raise DivergenceError(i)
+        out[i] = x
+    return out
+
+
+def oracle_henon(spec):
+    """The Henon loop with np.isfinite on every iterate."""
+    a, b = spec.params["a"], spec.params["b"]
+    xs = np.empty(spec.n, dtype=np.float64)
+    x, y = spec.x0
+    for i in range(spec.n):
+        xs[i] = x
+        x, y = 1.0 - a * x * x + y, b * x
+        if not (np.isfinite(x) and np.isfinite(y)) or max(abs(x), abs(y)) > DIVERGENCE_LIMIT:
+            raise DivergenceError(i + 1)
+    return xs[spec.transient:]
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as bytes, or the step of the DivergenceError it raised,
+    plus the distinct warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = np.asarray(fn(*args)).tobytes()
+        except DivergenceError as err:
+            result = ("diverged", err.step)
+    return result, {(w.category, str(w.message)) for w in caught}
+
+
+FLOW_CASES = [
+    ("lorenz96", {"K": 4}),
+    ("lorenz96", {"K": 7, "F": 8}),
+    ("lorenz96", {"K": 22}),
+    ("lorenz96", {"K": 22, "F": 3.7}),
+    ("lorenz63", {}),
+    ("lorenz63", {"rho": 35}),
+    ("lorenz63", {"sigma": 9.5, "rho": np.float32(28.3), "beta": 2}),
+    ("rossler", {}),
+    ("rossler", {"a": 0.2, "b": 0.2, "c": 5.7}),
+    ("rossler", {"c": 9}),
+]
+
+
+@pytest.mark.parametrize("dt", [1 / 64, 0.07])
+@pytest.mark.parametrize("name,params", FLOW_CASES, ids=[
+    "-".join([n, *(f"{k}={v}" for k, v in p.items())]) for n, p in FLOW_CASES])
+def test_flows_match_oracle_bytes(name, params, dt):
+    spec = dk.FlowSpec(name, params, dt=dt, steps=3000, transient=500,
+                       observed_index=1)
+    x0 = dk.default_initial_state(name, spec.params, seed=5)
+    expected = oracle_integrate_rk4(oracle_field(spec), x0, dt, spec.steps)
+    traj = dk.integrate_rk4(spec.field_function(), x0, dt, spec.steps)
+    assert traj.tobytes() == expected.tobytes()
+    series = dk.generate_flow_trace(spec, x0)
+    assert series.values.tobytes() == expected[500:, 1].tobytes()
+
+
+@pytest.mark.parametrize("params,x0", [
+    ({}, (0.1, -0.05)),
+    ({}, (0.0, 0.0)),
+    ({"a": 1.2, "b": 0.25}, (0.3, 0.1)),
+    ({"a": 1, "b": np.float32(0.3)}, (0.2, 0.2)),
+])
+def test_henon_matches_oracle_bytes(params, x0):
+    spec = dk.MapSpec("henon", params, x0=x0, n=20000, transient=100)
+    expected = oracle_henon(spec)
+    assert dk.generate_map_trace(spec).values.tobytes() == expected.tobytes()
+
+
+def _nan_above(v):
+    return np.where(np.abs(v) > 50.0, np.nan, 2.0 * v)
+
+
+def _inf_above(v):
+    return np.where(np.abs(v) > 50.0, np.inf, 2.0 * v)
+
+
+DIVERGENT_FIELDS = {
+    "square": (lambda v: v * v, [10.0], 0.5),
+    "nan": (_nan_above, [1.0, -3.0], 0.5),
+    "inf": (_inf_above, [1.0, -3.0], 0.5),
+    "above_limit": (lambda v: 50.0 * v, [1.0, 2.0, -1.0], 0.5),
+}
+
+
+@pytest.mark.parametrize("case", DIVERGENT_FIELDS, ids=list(DIVERGENT_FIELDS))
+def test_divergence_step_and_warnings_match_oracle(case):
+    field, x0, dt = DIVERGENT_FIELDS[case]
+    x0 = np.array(x0)
+    new, new_warnings = outcome(dk.integrate_rk4, field, x0, dt, 400)
+    old, old_warnings = outcome(oracle_integrate_rk4, field, x0, dt, 400)
+    assert new[0] == "diverged"
+    assert new == old
+    assert new_warnings <= old_warnings
+
+
+@pytest.mark.parametrize("name,params,dt", [
+    ("lorenz63", {}, 0.3),
+    ("lorenz63", {"rho": 2800}, 0.05),
+    ("lorenz96", {"K": 22, "F": 40}, 0.5),
+    ("rossler", {"c": 1e3}, 1.0),
+])
+def test_flow_divergence_matches_oracle(name, params, dt):
+    spec = dk.FlowSpec(name, params, dt=dt, steps=2000)
+    x0 = dk.default_initial_state(name, spec.params, seed=2)
+    new, new_warnings = outcome(dk.integrate_rk4, spec.field_function(), x0, dt,
+                                spec.steps)
+    old, old_warnings = outcome(oracle_integrate_rk4, oracle_field(spec), x0, dt,
+                                spec.steps)
+    assert new[0] == "diverged"
+    assert new == old
+    assert new_warnings <= old_warnings
+
+
+@pytest.mark.parametrize("x0", [(2.0, 2.0), (1.5, 0.0), (math.nan, 0.0),
+                                (math.inf, 0.0), (50.0, 0.0)])
+def test_henon_divergence_matches_oracle(x0):
+    spec = dk.MapSpec("henon", {}, x0=x0, n=500)
+    new, new_warnings = outcome(lambda: dk.generate_map_trace(spec).values)
+    old, old_warnings = outcome(oracle_henon, spec)
+    assert new[0] == "diverged"
+    assert new == old
+    assert new_warnings <= old_warnings
+
+
+def test_flow_trace_calls_integrator_through_module_global(monkeypatch):
+    # benchmark tracing wraps systems.integrate_rk4 and reads the arguments
+    # by parameter name, so the lookup and the names are part of the contract
+    original = dk.systems.integrate_rk4
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(inspect.signature(original).bind(*args, **kwargs).arguments)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dk.systems, "integrate_rk4", counting)
+    spec = dk.FlowSpec("lorenz96", {"K": 5}, dt=0.01, steps=40, transient=10)
+    x0 = dk.default_initial_state("lorenz96", spec.params, seed=1)
+    dk.generate_flow_trace(spec, x0)
+    assert len(calls) == 1
+    assert list(calls[0]) == ["field", "x0", "dt", "steps"]
+    assert calls[0]["steps"] == 40
+    assert np.array_equal(calls[0]["x0"], x0)

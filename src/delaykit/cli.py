@@ -103,6 +103,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _DefaultsHelp(argparse.ArgumentDefaultsHelpFormatter):
+    """Names each flag's default in its help, except a None default, which
+    means "not given" and says nothing about the value used."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _parse(convert, text: str, what: str):
     """``convert(text)``, reporting a malformed value as a validation failure."""
     try:
@@ -138,9 +148,19 @@ FLOW_SAMPLING = {"dt": 1.0 / 64.0, "steps": 10000, "observed_index": 0}
 MAP_SAMPLING = {"n": 10000}
 
 
+def _system_defaults(param: str) -> str:
+    """The default of a system parameter, e.g. "0.15 for rossler, 1.4 for
+    henon" when several systems share its name."""
+    owners = {system: d[param] for system, d in {**FLOW_DEFAULTS, **MAP_DEFAULTS}.items()
+              if param in d}
+    if len(owners) == 1:
+        return str(*owners.values())
+    return ", ".join(f"{value} for {system}" for system, value in owners.items())
+
+
 def _add_generate(sub):
     p = sub.add_parser("generate", help="synthesize a benchmark trace",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_DefaultsHelp)
     p.add_argument("--system", required=True, choices=FLOWS + MAPS)
     # SUPPRESS leaves a flag unset when omitted, so a stray one can be told
     # from a default
@@ -155,15 +175,19 @@ def _add_generate(sub):
     p.add_argument("--observed-index", type=int, default=argparse.SUPPRESS,
                    help="state coordinate to observe (flows) "
                         f"(default: {FLOW_SAMPLING['observed_index']})")
-    p.add_argument("--sigma", type=float, help="lorenz63 sigma")
-    p.add_argument("--rho", type=float, help="lorenz63 rho")
-    p.add_argument("--beta", type=float, help="lorenz63 beta")
-    p.add_argument("--K", type=int, help="lorenz96 dimension")
-    p.add_argument("--F", type=float, help="lorenz96 forcing")
-    p.add_argument("--a", type=float, help="rossler/henon a")
-    p.add_argument("--b", type=float, help="rossler/henon b")
-    p.add_argument("--c", type=float, help="rossler c")
-    p.add_argument("--r", type=float, help="logistic r")
+    # parameter flags default to None so that an omitted one can be told
+    # from a given one; the help names each system's own default
+    for flag, kind, what in [("sigma", float, "lorenz63 sigma"),
+                             ("rho", float, "lorenz63 rho"),
+                             ("beta", float, "lorenz63 beta"),
+                             ("K", int, "lorenz96 dimension"),
+                             ("F", float, "lorenz96 forcing"),
+                             ("a", float, "rossler/henon a"),
+                             ("b", float, "rossler/henon b"),
+                             ("c", float, "rossler c"),
+                             ("r", float, "logistic r")]:
+        p.add_argument(f"--{flag}", type=kind,
+                       help=f"{what} (default: {_system_defaults(flag)})")
     p.add_argument("--x0", type=str,
                    help="comma-separated initial state; omit to draw from --seed")
     p.add_argument("--seed", type=int,
@@ -232,7 +256,7 @@ def run_generate(args) -> int:
 
 def _add_sweep(sub):
     p = sub.add_parser("sweep", help="grid sweep of information storage or forecast error",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_DefaultsHelp)
     p.add_argument("--mode", required=True, choices=("atau", "mase"))
     p.add_argument("-i", "--input", required=True, help="series file")
     p.add_argument("--m", required=True, help="dimension range a:b")
@@ -301,7 +325,7 @@ def run_sweep(args) -> int:
 
 def _add_select(sub):
     p = sub.add_parser("select-params", help="tau/m selection heuristics",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_DefaultsHelp)
     p.add_argument("--method", required=True,
                    choices=("first_min_mi", "first_zero_autocorr", "fnn",
                             "atau_optimal"))
@@ -383,7 +407,7 @@ def run_select_params(args) -> int:
 
 def _add_forecast(sub):
     p = sub.add_parser("forecast", help="rolling forecast of a series file",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_DefaultsHelp)
     p.add_argument("--method", required=True,
                    choices=("random_walk", "naive", "lma", "ar"))
     p.add_argument("-i", "--input", required=True, help="series file")
@@ -441,7 +465,7 @@ def run_forecast(args) -> int:
 
 def _add_wpe(sub):
     p = sub.add_parser("wpe", help="permutation-entropy predictability screen",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_DefaultsHelp)
     p.add_argument("-i", "--input", required=True, help="series file")
     p.add_argument("--ell", default="auto",
                    help="word length, or 'auto' for the sampling rule")
@@ -477,7 +501,7 @@ def run_wpe(args) -> int:
 
 def _add_topology(sub):
     p = sub.add_parser("topology", help="witness-complex homology analyses",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_DefaultsHelp)
     p.add_argument("--mode", required=True, choices=("barcode", "betti", "lifespan"))
     p.add_argument("--cloud", help="point-cloud CSV (rows of coordinates)")
     p.add_argument("--series", help="series file (reconstructed via --m/--tau)")

@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import solve_triangular
+from scipy.spatial import cKDTree
 
 from .errors import NoNeighborError, ValidationError
 from .metrics import MaseScore, h_mase
@@ -60,30 +63,58 @@ def forecast_naive(train) -> float:
     return float(x.mean())
 
 
-def _fit_ar(x: np.ndarray, order: int):
-    """Least-squares AR(order) fit with intercept.
-
-    Returns (coefficients, fallback) where coefficients[0] is the
-    intercept and coefficients[i] multiplies the value i steps back.
-    A rank-deficient design (a constant series, say) falls back to the
-    mean predictor and is flagged.
-    """
-    n = x.size
+def _check_ar(n: int, order: int) -> None:
     if order < 1:
         raise ValidationError("AR order must be >= 1")
     if n <= order:
         raise ValidationError(f"AR({order}) needs more than {order} samples")
-    rows = n - order
-    design = np.ones((rows, order + 1))
+
+
+def _ar_rows(x: np.ndarray, order: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``[1, x[t-1], ..., x[t-order], x[t]]`` of the AR design and
+    target for the targets ``start <= t < stop``."""
+    rows = np.ones((stop - start, order + 2))
     for lag in range(1, order + 1):
-        design[:, lag] = x[order - lag : n - lag]
-    target = x[order:]
-    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < order + 1:
-        fallback = np.zeros(order + 1)
-        fallback[0] = x.mean()
-        return fallback, True
-    return coef, False
+        rows[:, lag] = x[start - lag : stop - lag]
+    rows[:, -1] = x[start:stop]
+    return rows
+
+
+def _ar_fold(r: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """The triangular QR factor of ``[r; rows]``: folding rows into the
+    factor of ``[design | target]`` costs O(rows), not O(design)."""
+    return np.linalg.qr(rows if r is None else np.vstack([r, rows]), mode="r")
+
+
+def _ar_solve(r: np.ndarray, count: int, x: np.ndarray):
+    """Coefficients from the factor ``r`` of ``[design | target]`` over
+    ``count`` rows, or the mean of ``x`` with a True fallback flag when the
+    design's rank falls short by ``lstsq``'s own cutoff
+    (``eps * max(rows, columns) * s_max`` on its singular values)."""
+    p = r.shape[1] - 1
+    if r.shape[0] >= p:
+        tri = r[:p, :p]
+        s = np.linalg.svd(tri, compute_uv=False)
+        if s[-1] > np.finfo(np.float64).eps * max(count, p) * s[0]:
+            return solve_triangular(tri, r[:p, p]), False
+    fallback = np.zeros(p)
+    fallback[0] = x.mean()
+    return fallback, True
+
+
+def _fit_ar(x: np.ndarray, order: int):
+    """Least-squares AR(order) fit with intercept, solved by QR.
+
+    Returns (coefficients, fallback) where coefficients[0] is the
+    intercept and coefficients[i] multiplies the value i steps back. The
+    triangular factor of ``[design | target]`` gives the coefficients by
+    back substitution; its singular values decide the rank with the cutoff
+    ``np.linalg.lstsq`` uses. A rank-deficient design (a constant series,
+    say) falls back to the mean predictor and is flagged.
+    """
+    n = x.size
+    _check_ar(n, order)
+    return _ar_solve(_ar_fold(None, _ar_rows(x, order, order, n)), n - order, x)
 
 
 def _ar_step(coef: np.ndarray, recent: np.ndarray) -> float:
@@ -99,6 +130,116 @@ def forecast_ar(train, order: int = 8) -> float:
     return _ar_step(coef, x)
 
 
+def _scan_distances(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Euclidean distances of (q, k, m) vectors to their (q, m) queries, as
+    (q, k), by the formula of a full scan, so that ties and rounding are
+    those of ``np.sqrt(np.sum((points - query) ** 2, axis=1))``."""
+    q, k, m = vectors.shape
+    diff = (vectors - queries[:, None, :]).reshape(q * k, m)
+    return np.sqrt(np.sum(diff ** 2, axis=1)).reshape(q, k)
+
+
+def _nearest_rows(tree: cKDTree, points: np.ndarray, queries: np.ndarray,
+                  last: np.ndarray, k: int):
+    """For each query, the nearest row among ``points[: last + 1]`` (every
+    ``last`` is >= 0) and its distance, the smallest row winning ties.
+
+    The tree proposes the k nearest rows by its own distance; admissible
+    ones are re-ranked by the scan formula. A query is settled once its
+    k-th proposal lies farther than the best exact distance by a relative
+    margin far above rounding, so no unproposed row can be closer or tied;
+    unsettled queries ask again with k four times larger, up to every row.
+    Queries go in chunks of at most 2**19 candidate coordinates, so memory
+    stays bounded however far k grows.
+    """
+    total, m = points.shape
+    best = np.empty(queries.shape[0])
+    rows = np.empty(queries.shape[0], dtype=np.intp)
+    todo = np.arange(queries.shape[0])
+    while todo.size:
+        k = min(k, total)
+        chunk = max(1, 2**19 // (k * m))
+        unsettled = []
+        for at in range(0, todo.size, chunk):
+            part = todo[at : at + chunk]
+            tree_d, idx = tree.query(queries[part], k=k)
+            tree_d = tree_d.reshape(part.size, k)
+            idx = idx.reshape(part.size, k)
+            d = _scan_distances(points[idx], queries[part])
+            d[idx > last[part, None]] = np.inf
+            d_min = d.min(axis=1)
+            settled = (k == total) | (tree_d[:, -1] > d_min * (1.0 + 1e-9))
+            best[part[settled]] = d_min[settled]
+            rows[part[settled]] = np.where(d == d_min[:, None], idx,
+                                           total).min(axis=1)[settled]
+            unsettled.append(part[~settled])
+        todo = np.concatenate(unsettled)
+        k *= 4
+    return best, rows
+
+
+def _lma_blocks(x: np.ndarray, n: int, total: int, h: int, m: int, tau: int,
+                theiler: int) -> np.ndarray:
+    """Analogue forecasts of samples ``n .. total - 1`` in blocks of h.
+
+    The block at ``pos`` sees ``x[:pos]`` and its own earlier predictions,
+    exactly as a scan over the delay vectors of that prefix would: the
+    nearest admissible vector (anchor more than ``theiler`` before the
+    query's, image known) supplies its image, ties going to the earliest
+    anchor. One KD-tree over the prefix's delay vectors serves every
+    block; the first steps of all blocks form one batch, and so do the
+    s-th steps, which add the at most h - 1 vectors that hold predictions
+    (or whose image is one) by direct distance.
+    """
+    if m < 1 or tau < 1:
+        raise ValidationError("require m >= 1 and tau >= 1")
+    if theiler < 0:
+        raise ValidationError("theiler window must be >= 0")
+    span = (m - 1) * tau
+    if span >= n:
+        raise ValidationError(
+            f"train of length {n} cannot be reconstructed at (m={m}, tau={tau})"
+        )
+    # admissible anchors of the first query, span .. n - 2 - theiler, are
+    # the fewest of any query
+    if n - 2 - theiler < span:
+        raise NoNeighborError(
+            f"no admissible analogue at step 1 "
+            f"(theiler={theiler}, {n - span} reconstruction points)"
+        )
+    starts = np.arange(n, total, h)
+    lengths = np.minimum(h, total - starts)
+    # row b of work holds samples starts[b] - 1 - span onward: the span + 1
+    # known ones before the block, then the block's predictions
+    work = np.empty((starts.size, span + 1 + h))
+    work[:, : span + 1] = sliding_window_view(x, span + 1)[starts - (span + 1)]
+    # row i is anchored at sample span + i; every row's image is known
+    # before the last block starts
+    points = delay_matrix(x[: starts[-1] - 1], m, tau)
+    tree = cKDTree(points)
+    lags = tau * np.arange(m)
+    for s in range(h):
+        live = np.count_nonzero(lengths > s)
+        w = work[:live]
+        queries = w[:, span + s - lags]
+        # index rows: anchors up to pos - 2 and outside the Theiler window;
+        # never none, as the first query has the fewest. The query's own
+        # temporal neighbours, excluded or future, tend to be nearest.
+        last = starts[:live] - 2 - max(0, theiler - s) - span
+        dist, rows = _nearest_rows(tree, points, queries, last, 16 + 2 * theiler)
+        pred = x[rows + span + 1]
+        # anchors pos - 1 + j hold predictions or have one as their image
+        extra = s - theiler
+        if extra > 0:
+            cols = span + np.arange(extra)[:, None] - lags
+            d = _scan_distances(w[:, cols], queries)
+            j = np.argmin(d, axis=1)
+            closer = d[np.arange(live), j] < dist
+            pred = np.where(closer, w[np.arange(live), span + 1 + j], pred)
+        work[:live, span + 1 + s] = pred
+    return work[:, span + 1 :].ravel()[: total - n]
+
+
 def forecast_lma(train, m: int, tau: int, steps: int = 1,
                  theiler: int = 0) -> np.ndarray:
     """Nearest-neighbor analogue forecast in reconstruction space.
@@ -110,59 +251,39 @@ def forecast_lma(train, m: int, tau: int, steps: int = 1,
     the trajectory and repeat. Equidistant neighbors resolve to the
     smallest index so runs are deterministic.
 
+    Neighbors come from a KD-tree over the training delay vectors and are
+    re-ranked by the exact distance a full scan would compute, so the
+    result equals the scan's bit for bit.
+
     Raises
     ------
     NoNeighborError
         When every candidate is excluded.
     """
     x = as_values(train)
-    if m < 1 or tau < 1:
-        raise ValidationError("require m >= 1 and tau >= 1")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    if theiler < 0:
-        raise ValidationError("theiler window must be >= 0")
-    span = (m - 1) * tau
-    if span >= x.size:
-        raise ValidationError(
-            f"train of length {x.size} cannot be reconstructed at (m={m}, tau={tau})"
-        )
-    work = np.concatenate([x, np.empty(steps)])
-    n = x.size
-    out = np.empty(steps)
-    for s in range(steps):
-        end = n + s  # number of known samples
-        points = delay_matrix(work[:end], m, tau)
-        query_anchor = end - 1
-        query = points[-1]
-        dist = np.sqrt(np.sum((points - query) ** 2, axis=1))
-        anchors = np.arange(span, end)
-        # the final anchor has no forward image; the Theiler window
-        # additionally drops temporal neighbors of the query
-        admissible = query_anchor - anchors > theiler
-        if not np.any(admissible):
-            raise NoNeighborError(
-                f"no admissible analogue at step {s + 1} "
-                f"(theiler={theiler}, {points.shape[0]} reconstruction points)"
-            )
-        dist[~admissible] = np.inf
-        j = int(np.argmin(dist))
-        pred = work[anchors[j] + 1]
-        out[s] = pred
-        work[end] = pred
-    return out
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("train values must all be finite")
+    return _lma_blocks(x, x.size, x.size + steps, steps, m, tau, theiler)
 
 
 def _ar_blocks(order: int, refit_every: int, params: dict):
     """Block forecaster for the AR baseline: refits every ``refit_every``
-    blocks and counts mean-predictor fallbacks in ``params``."""
+    blocks, folding only the design rows added since the last refit into
+    the QR factor, and counts mean-predictor fallbacks in ``params``."""
+    r = None
+    folded = order  # targets below this are in r
     coef = None
     blocks = 0
 
     def forecast(train: np.ndarray, steps: int) -> np.ndarray:
-        nonlocal coef, blocks
+        nonlocal r, folded, coef, blocks
         if blocks % refit_every == 0:
-            coef, fellback = _fit_ar(train, order)
+            _check_ar(train.size, order)
+            r = _ar_fold(r, _ar_rows(train, order, folded, train.size))
+            folded = train.size
+            coef, fellback = _ar_solve(r, folded - order, train)
             if fellback:
                 params["fallbacks"] += 1
         blocks += 1
@@ -177,27 +298,44 @@ def _ar_blocks(order: int, refit_every: int, params: dict):
     return forecast
 
 
-def _block_forecaster(method, params: dict, m, tau, theiler: int, order: int,
-                      refit_every: int):
-    """Resolve ``method`` to ``f(train_values, steps) -> array`` and record
-    the settings it uses in ``params``."""
+def _per_block(forecaster, name: str):
+    """Run a block forecaster ``f(train_values, steps)`` over the rolling
+    protocol: ``run(x, n, h)`` predicts ``x[n:]`` block by block."""
+    def run(x: np.ndarray, n: int, h: int) -> np.ndarray:
+        predictions = []
+        for pos in range(n, x.size, h):
+            block = min(h, x.size - pos)
+            block_pred = np.asarray(forecaster(x[:pos], block), dtype=np.float64)
+            if block_pred.shape != (block,):
+                raise ValidationError(f"method {name!r} returned a wrong-length block")
+            predictions.append(block_pred)
+        return np.concatenate(predictions)
+
+    return run
+
+
+def _run_forecaster(method, name: str, params: dict, m, tau, theiler: int,
+                    order: int, refit_every: int):
+    """Resolve ``method`` to ``run(x, n, h) -> predictions of x[n:]`` and
+    record the settings it uses in ``params``."""
     if callable(method):
-        return method
+        return _per_block(method, name)
     if method == "random_walk":
-        return lambda train, steps: np.full(steps, forecast_random_walk(train))
+        return _per_block(
+            lambda train, steps: np.full(steps, forecast_random_walk(train)), name)
     if method == "naive":
-        return lambda train, steps: np.full(steps, forecast_naive(train))
+        return _per_block(
+            lambda train, steps: np.full(steps, forecast_naive(train)), name)
     if method == "lma":
         if m is None or tau is None:
             raise ValidationError("lma requires m and tau")
         params.update({"m": m, "tau": tau, "theiler": theiler})
-        return lambda train, steps: forecast_lma(train, m, tau, steps=steps,
-                                                 theiler=theiler)
+        return lambda x, n, h: _lma_blocks(x, n, x.size, h, m, tau, theiler)
     if method == "ar":
         if refit_every < 1:
             raise ValidationError("refit_every must be >= 1")
         params.update({"order": order, "refit_every": refit_every, "fallbacks": 0})
-        return _ar_blocks(order, refit_every, params)
+        return _per_block(_ar_blocks(order, refit_every, params), name)
     raise ValidationError(f"unknown forecast method {method!r}")
 
 
@@ -214,9 +352,12 @@ def rolling_evaluate(series, fraction: float, method, h: int = 1, *,
 
     ``method`` is one of "random_walk", "naive", "lma", "ar", or a
     callable ``f(train_values, steps) -> sequence`` (useful for injecting
-    oracles in tests). The AR baseline refits its coefficients every
-    ``refit_every`` blocks; fallbacks to the mean predictor are counted in
-    the run's params.
+    oracles in tests). LMA builds one KD-tree over the series' delay
+    vectors for the whole run and answers each step with the nearest
+    admissible vector, exactly as a scan of the prefix would. The AR
+    baseline refits its coefficients every ``refit_every`` blocks by
+    folding the new design rows into a QR factor; fallbacks to the mean
+    predictor are counted in the run's params.
     """
     if h < 1:
         raise ValidationError("horizon h must be >= 1")
@@ -224,21 +365,12 @@ def rolling_evaluate(series, fraction: float, method, h: int = 1, *,
     parts = split(full, fraction)
     x = full.values
     n = len(parts.train)
-    total = len(full)
 
     name = method if isinstance(method, str) else getattr(method, "__name__", "custom")
     params: dict = {"h": h, "fraction": fraction}
-    forecaster = _block_forecaster(method, params, m, tau, theiler, order,
-                                   refit_every)
-    predictions = []
-    for pos in range(n, total, h):
-        block = min(h, total - pos)
-        block_pred = np.asarray(forecaster(x[:pos], block), dtype=np.float64)
-        if block_pred.shape != (block,):
-            raise ValidationError(f"method {name!r} returned a wrong-length block")
-        predictions.append(block_pred)
-
-    pred = np.concatenate(predictions)
+    run = _run_forecaster(method, name, params, m, tau, theiler, order,
+                          refit_every)
+    pred = run(x, n, h)
     truth = x[n:]
     score = h_mase(pred, truth, parts.train, h)
     return ForecastRun(method=name, params=params, predictions=pred,

@@ -43,6 +43,12 @@ MAP_DEFAULTS = {
 }
 
 
+def _require_finite(name: str, params: dict) -> None:
+    bad = [key for key, value in params.items() if not np.isfinite(value)]
+    if bad:
+        raise ValidationError(f"{name} coefficients must be finite: {', '.join(bad)}")
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """Parameters for one flow trace: system, coefficients, and sampling."""
@@ -59,8 +65,9 @@ class FlowSpec:
             raise ValidationError(f"unknown flow {self.name!r}")
         merged = {**FLOW_DEFAULTS[self.name], **self.params}
         object.__setattr__(self, "params", merged)
-        if not self.dt > 0:
-            raise ValidationError("dt must be positive")
+        _require_finite(self.name, merged)
+        if not 0 < self.dt < np.inf:
+            raise ValidationError("dt must be positive and finite")
         if not (self.steps > self.transient >= 0):
             raise ValidationError("require steps > transient >= 0")
         if self.name == "lorenz96":
@@ -128,6 +135,7 @@ class MapSpec:
             raise ValidationError(f"unknown map {self.name!r}")
         merged = {**MAP_DEFAULTS[self.name], **self.params}
         object.__setattr__(self, "params", merged)
+        _require_finite(self.name, merged)
         x0 = tuple(float(v) for v in np.atleast_1d(self.x0))
         object.__setattr__(self, "x0", x0)
         if not (self.n > self.transient >= 0):

@@ -95,6 +95,22 @@ class TestGenerate:
         assert not out.exists()
         assert err == "error: henon takes no --dt\n"
 
+    def test_help_names_parameter_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "generate", "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        assert "default: None" not in text
+        for line in ["--sigma SIGMA lorenz63 sigma (default: 10.0)",
+                     "--rho RHO lorenz63 rho (default: 28.0)",
+                     "--beta BETA lorenz63 beta (default: 2.6666666666666665)",
+                     "--K K lorenz96 dimension (default: 22)",
+                     "--F F lorenz96 forcing (default: 5.0)",
+                     "--a A rossler/henon a (default: 0.15 for rossler, 1.4 for henon)",
+                     "--b B rossler/henon b (default: 0.2 for rossler, 0.3 for henon)",
+                     "--c C rossler c (default: 10.0)",
+                     "--r R logistic r (default: 3.65)"]:
+            assert line in text
+
     def test_dump_config(self, tmp_path, capsys):
         out = tmp_path / "s.txt"
         cfg = tmp_path / "cfg.txt"
@@ -227,6 +243,16 @@ class TestForecast:
         rows = data_lines(csv)
         assert rows[0] == "index,prediction,truth"
         assert len(rows) == 251
+
+    def test_no_admissible_analogue_is_computation_error(self, henon_file, capsys):
+        # a Theiler window as long as the training prefix excludes every vector
+        code, out, err = run_cli(capsys, "forecast", "--method", "lma",
+                                 "--m", "2", "--tau", "1", "--theiler", "2250",
+                                 "--split", "0.9", "-i", str(henon_file))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: no admissible analogue at step 1 "
+                       "(theiler=2250, 2249 reconstruction points)\n")
 
     def test_random_walk_band_on_stationary_series(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -380,6 +406,14 @@ MISUSE = {
                                   "--sigma", "3", "--seed", "1", "-o", "{out}"],
     "generate_other_map_param": ["generate", "--system", "henon", "--n", "20",
                                  "--c", "3", "--seed", "1", "-o", "{out}"],
+    "generate_dt_inf": ["generate", "--system", "lorenz63", "--dt", "inf",
+                        "--steps", "10", "--seed", "1", "-o", "{out}"],
+    "generate_map_param_inf": ["generate", "--system", "henon", "--a", "inf",
+                               "--n", "10", "--seed", "1", "-o", "{out}"],
+    "generate_flow_param_nan": ["generate", "--system", "lorenz63", "--sigma", "nan",
+                                "--steps", "10", "--seed", "1", "-o", "{out}"],
+    "generate_forcing_inf": ["generate", "--system", "lorenz96", "--F", "inf",
+                             "--steps", "10", "--seed", "1", "-o", "{out}"],
     "sweep_max_samples_zero": ["sweep", "--mode", "atau", "--m", "1:2", "--tau", "1",
                                "--max-samples", "0", "-i", "{series}", "-o", "{out}"],
     "sweep_max_samples_negative": ["sweep", "--mode", "atau", "--m", "1:2",

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import delaykit as dk
+from delaykit import forecast
 from delaykit.errors import NoNeighborError, ValidationError
 from delaykit.forecast import _ar_step, _fit_ar
+from delaykit.timeseries import delay_matrix
 
 
 class TestSimplePredictors:
@@ -70,6 +73,12 @@ class TestLMA:
         assert dk.forecast_lma(train, m=2, tau=1)[0] == 3.0
         with pytest.raises(NoNeighborError):
             dk.forecast_lma(train, m=2, tau=1, theiler=1)
+
+    def test_non_finite_train_rejected(self):
+        x = np.sin(0.3 * np.arange(200.0))
+        x[50] = np.nan
+        with pytest.raises(ValidationError):
+            dk.forecast_lma(x, m=2, tau=1)
 
     def test_prediction_is_a_training_value(self, logistic_10k):
         values = logistic_10k.values[:2000]
@@ -159,10 +168,58 @@ class TestRollingEvaluate:
         assert good.score < heuristic.score
 
 
+def scan_forecast_lma(train, m, tau, steps=1, theiler=0):
+    """Analogue forecast by a full scan of the delay vectors at every step:
+    the oracle that ``forecast_lma`` and rolling LMA must match bit for
+    bit."""
+    x = np.asarray(train, dtype=np.float64)
+    span = (m - 1) * tau
+    work = np.concatenate([x, np.empty(steps)])
+    n = x.size
+    out = np.empty(steps)
+    for s in range(steps):
+        end = n + s  # number of known samples
+        points = delay_matrix(work[:end], m, tau)
+        query_anchor = end - 1
+        query = points[-1]
+        dist = np.sqrt(np.sum((points - query) ** 2, axis=1))
+        anchors = np.arange(span, end)
+        admissible = query_anchor - anchors > theiler
+        if not np.any(admissible):
+            raise NoNeighborError(
+                f"no admissible analogue at step {s + 1} "
+                f"(theiler={theiler}, {points.shape[0]} reconstruction points)"
+            )
+        dist[~admissible] = np.inf
+        j = int(np.argmin(dist))
+        pred = work[anchors[j] + 1]
+        out[s] = pred
+        work[end] = pred
+    return out
+
+
+def lstsq_fit_ar(x, order):
+    """AR(order) fit with intercept by ``np.linalg.lstsq`` on the full
+    design: the oracle for the QR fit."""
+    n = x.size
+    rows = n - order
+    design = np.ones((rows, order + 1))
+    for lag in range(1, order + 1):
+        design[:, lag] = x[order - lag : n - lag]
+    target = x[order:]
+    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < order + 1:
+        fallback = np.zeros(order + 1)
+        fallback[0] = x.mean()
+        return fallback, True
+    return coef, False
+
+
 def rolling_oracle(series, fraction, method, h=1, *, m=None, tau=None,
                    theiler=0, order=8, refit_every=1):
     """The rolling protocol as a per-block if/elif chain over the built-in
-    methods; ``rolling_evaluate`` must reproduce it bit for bit."""
+    methods, with a full LMA scan and a from-scratch ``lstsq`` AR fit in
+    every block."""
     full = dk.ScalarSeries(series)
     parts = dk.split(full, fraction)
     x = full.values
@@ -186,11 +243,11 @@ def rolling_oracle(series, fraction, method, h=1, *, m=None, tau=None,
         elif method == "naive":
             block_pred = np.full(block, train_values.mean())
         elif method == "lma":
-            block_pred = dk.forecast_lma(train_values, m, tau, steps=block,
-                                         theiler=theiler)
+            block_pred = scan_forecast_lma(train_values, m, tau, steps=block,
+                                           theiler=theiler)
         elif method == "ar":
             if ar_coef is None or block_index % refit_every == 0:
-                ar_coef, fellback = _fit_ar(train_values, order)
+                ar_coef, fellback = lstsq_fit_ar(train_values, order)
                 if fellback:
                     params["fallbacks"] += 1
             recent = list(train_values[-order:])
@@ -214,6 +271,16 @@ def _noisy_oscillator(n=300, seed=8):
     return np.sin(0.4 * np.arange(n)) + 0.3 * rng.standard_normal(n)
 
 
+def _lattice(n=300, seed=9):
+    # small integers: many delay vectors lie at exactly equal distances
+    return np.random.default_rng(seed).integers(0, 3, n).astype(np.float64)
+
+
+def assert_ar_close(run, pred, score, pred_tol, mase_rtol):
+    assert np.max(np.abs(run.predictions - pred)) <= pred_tol
+    assert abs(run.score.value - score.value) <= mase_rtol * abs(score.value)
+
+
 class TestRollingOracle:
     @pytest.mark.parametrize("refit_every", [1, 3])
     @pytest.mark.parametrize("h", [1, 3])
@@ -224,9 +291,13 @@ class TestRollingOracle:
                   "refit_every": refit_every}
         run = dk.rolling_evaluate(x, 0.8, method, h=h, **kwargs)
         pred, score, params = rolling_oracle(x, 0.8, method, h=h, **kwargs)
-        assert run.predictions.tobytes() == pred.tobytes()
-        assert run.score.value == score.value
         assert run.params == params
+        if method == "ar":
+            # QR refits agree with lstsq to rounding, not bit for bit
+            assert_ar_close(run, pred, score, 1e-12, 1e-12)
+        else:
+            assert run.predictions.tobytes() == pred.tobytes()
+            assert run.score.value == score.value
 
     def test_ar_fallbacks_counted_like_oracle(self):
         # an alternating series makes every AR(4) design rank-deficient
@@ -235,5 +306,125 @@ class TestRollingOracle:
         pred, score, params = rolling_oracle(x, 0.8, "ar", h=3, order=4,
                                              refit_every=2)
         assert run.params["fallbacks"] == params["fallbacks"] > 0
+        assert_ar_close(run, pred, score, 1e-12, 1e-12)
+
+    def test_ar_on_ill_conditioned_lorenz96(self, lorenz96_20k):
+        # the AR(8) design of a smooth flow has condition number about 5e8
+        x = lorenz96_20k.values[:5000]
+        run = dk.rolling_evaluate(x, 0.9, "ar", h=1, order=8)
+        pred, score, params = rolling_oracle(x, 0.9, "ar", h=1, order=8)
+        assert run.params == params
+        assert_ar_close(run, pred, score, 1e-9, 1e-6)
+
+    @pytest.mark.parametrize("amplitude,fallback", [
+        (1e-15, True), (3e-14, True), (1e-12, False)])
+    def test_rank_cutoff_is_lstsq_cutoff(self, amplitude, fallback):
+        # An alternating series plus tiny noise: the AR(4) design's
+        # singular-value ratio is about amplitude / 2, so 3e-14 lies
+        # between eps * columns and lstsq's eps * rows cutoff.
+        rng = np.random.default_rng(0)
+        x = np.tile([1.0, -1.0], 500) + amplitude * rng.standard_normal(1000)
+        assert lstsq_fit_ar(x, 4)[1] is fallback
+        assert _fit_ar(x, 4)[1] is fallback
+
+    def test_forecast_ar_matches_lstsq(self, lorenz96_20k):
+        x = lorenz96_20k.values[:5000]
+        coef, fellback = lstsq_fit_ar(x, 8)
+        assert not fellback
+        assert dk.forecast_ar(x, order=8) == pytest.approx(
+            _ar_step(coef, x), abs=1e-9)
+
+
+@pytest.mark.parametrize("h", [1, 3, 7])
+@pytest.mark.parametrize("theiler", [0, 1, 25])
+@pytest.mark.parametrize("tau", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+@pytest.mark.parametrize("make", [_noisy_oscillator, _lattice])
+def test_lma_matches_scan(make, m, tau, theiler, h):
+    x = make()
+    kwargs = {"m": m, "tau": tau, "theiler": theiler}
+    run = dk.rolling_evaluate(x, 0.8, "lma", h=h, **kwargs)
+    pred, score, params = rolling_oracle(x, 0.8, "lma", h=h, **kwargs)
+    assert run.predictions.tobytes() == pred.tobytes()
+    assert run.score.value == score.value
+    assert run.params == params
+    train = x[:200]
+    assert (dk.forecast_lma(train, m, tau, steps=h, theiler=theiler).tobytes()
+            == scan_forecast_lma(train, m, tau, steps=h, theiler=theiler).tobytes())
+
+
+def test_prediction_vectors_lose_ties_to_earlier_anchors():
+    # At the third step the vector anchored at the last known sample (its
+    # image is the first prediction, 3) ties at distance 0 with the one
+    # anchored a step earlier (image 0); the earlier anchor wins.
+    train = np.array([5.0, 6.0, 1.0, 3.0, 0.0, 0.0])
+    expected = scan_forecast_lma(train, 1, 1, steps=3, theiler=1)
+    assert expected.tolist() == [3.0, 0.0, 0.0]
+    assert dk.forecast_lma(train, 1, 1, steps=3, theiler=1).tolist() == [3.0, 0.0, 0.0]
+
+
+class _CountingTree(cKDTree):
+    asked = []
+
+    def query(self, x, k=1, **kwargs):
+        type(self).asked.append((k, self.n))
+        return super().query(x, k=k, **kwargs)
+
+
+def test_lma_grows_candidates_to_every_row(monkeypatch):
+    # The first 80 samples lie far from the rest, and the Theiler window
+    # leaves only them admissible for the first queries: every nearer row
+    # is excluded, so the candidate count must grow to the whole index.
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal(400)
+    x[:80] += 1000.0
+    monkeypatch.setattr(_CountingTree, "asked", [])
+    monkeypatch.setattr(forecast, "cKDTree", _CountingTree)
+    kwargs = {"m": 2, "tau": 1, "theiler": 120}
+    for h in (1, 4):
+        run = dk.rolling_evaluate(x, 0.5, "lma", h=h, **kwargs)
+        pred, _, _ = rolling_oracle(x, 0.5, "lma", h=h, **kwargs)
         assert run.predictions.tobytes() == pred.tobytes()
-        assert run.score.value == score.value
+    assert any(k == rows > 256 for k, rows in _CountingTree.asked)
+
+
+@pytest.mark.parametrize("h", [1, 5])
+@pytest.mark.parametrize("method,kwargs", [
+    ("lma", {"m": 3, "tau": 2, "theiler": 0}),
+    ("lma", {"m": 2, "tau": 1, "theiler": 3}),
+    ("ar", {"order": 3}),
+    ("random_walk", {}),
+    ("naive", {}),
+])
+def test_predictions_never_read_the_future(method, kwargs, h):
+    x = _noisy_oscillator(400)
+    n = 320
+    base = dk.rolling_evaluate(x, 0.8, method, h=h, **kwargs).predictions
+    for pos in range(n, x.size, 17):
+        changed = x.copy()
+        changed[pos:] += np.random.default_rng(pos).normal(0.0, 50.0, x.size - pos)
+        run = dk.rolling_evaluate(changed, 0.8, method, h=h, **kwargs)
+        # blocks starting at or before pos saw only x[:pos]
+        seen = min(n + ((pos - n) // h + 1) * h, x.size) - n
+        assert run.predictions[:seen].tobytes() == base[:seen].tobytes()
+
+
+@pytest.mark.parametrize("train_length,m,tau,theiler,steps", [
+    (2, 2, 1, 0, 1),
+    (3, 2, 1, 1, 1),
+    (60, 3, 5, 49, 4),
+    (60, 1, 1, 59, 2),
+])
+def test_no_neighbor_error_like_scan(train_length, m, tau, theiler, steps):
+    train = _noisy_oscillator(train_length)
+    with pytest.raises(NoNeighborError) as expected:
+        scan_forecast_lma(train, m, tau, steps=steps, theiler=theiler)
+    with pytest.raises(NoNeighborError) as got:
+        dk.forecast_lma(train, m, tau, steps=steps, theiler=theiler)
+    assert str(got.value) == str(expected.value)
+    x = _noisy_oscillator(train_length + 5)
+    fraction = train_length / x.size
+    with pytest.raises(NoNeighborError) as rolled:
+        dk.rolling_evaluate(x, fraction, "lma", h=steps, m=m, tau=tau,
+                            theiler=theiler)
+    assert str(rolled.value) == str(expected.value)

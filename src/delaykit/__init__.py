@@ -31,30 +31,21 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
-    BinningScheme,
-    OrdinalPattern,
     SweepGrid,
-    TripleInfo,
     active_information_storage,
     atau_surface,
     autocorrelation,
     binned_mutual_information,
-    horizon_info_ratio,
     ksg_mutual_information,
-    ordinal_patterns,
     permutation_entropy,
     select_word_length,
-    shannon_entropy_binned,
     td_mutual_information_curve,
-    triple_information,
     weighted_permutation_entropy,
 )
 from .forecast import (
     ForecastRun,
     forecast_ar,
     forecast_lma,
-    forecast_naive,
-    forecast_random_walk,
     rolling_evaluate,
 )
 from .metrics import MaseScore, h_mase
@@ -83,7 +74,6 @@ from .topology import (
     build_complex,
     edge_lifespan_diagram,
     epsilon_barcode,
-    fuzzy_witness_sets,
     scaled_epsilon,
     select_landmarks,
 )

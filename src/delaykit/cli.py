@@ -94,6 +94,21 @@ class ExperimentConfig:
                 fh.write(f"{key}={self.params[key]}\n")
 
 
+# Parsed destinations that dispatch or name output files; every other one
+# is a parameter of the run.
+_NOT_PARAMS = {"command", "func", "dump_config", "output", "argmax_json",
+               "curve_csv", "json", "csv"}
+
+
+def _flag_config(args) -> ExperimentConfig:
+    """The configuration of a command whose parameters are its parsed
+    flags, dumped to ``--dump-config`` if given."""
+    config = ExperimentConfig(args.command, {
+        key: value for key, value in vars(args).items() if key not in _NOT_PARAMS})
+    config.dump(args.dump_config)
+    return config
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with the validation exit code."""
 
@@ -291,12 +306,7 @@ def run_sweep(args) -> int:
     if not 0.0 < args.split < 1.0:
         raise ValidationError("split must lie in (0, 1)")
     series = load_series(args.input)
-    config = ExperimentConfig("sweep", {
-        "mode": args.mode, "input": args.input, "m": args.m, "tau": args.tau,
-        "h": args.h, "k": args.k, "max_samples": args.max_samples,
-        "split": args.split, "theiler": args.theiler, "jobs": args.jobs,
-    })
-    config.dump(args.dump_config)
+    config = _flag_config(args)
 
     if args.mode == "atau":
         grid = atau_surface(series, m_values, tau_values, h=args.h, k=args.k,
@@ -352,37 +362,33 @@ def _add_select(sub):
 
 def run_select_params(args) -> int:
     series = load_series(args.input)
-    config = ExperimentConfig("select-params", {
-        "method": args.method, "input": args.input, "tau_max": args.tau_max,
-        "tau": args.tau, "m_max": args.m_max, "r_tol": args.r_tol,
-        "a_tol": args.a_tol, "threshold": args.threshold,
-        "m_range": args.m_range, "tau_range": args.tau_range,
-        "h": args.h, "k": args.k,
-    })
-    config.dump(args.dump_config)
+    config = _flag_config(args)
 
     curve_rows = None
     if args.method == "first_min_mi":
         choice = tau_first_min_mi(series, args.tau_max)
-        curve = td_mutual_information_curve(series, args.tau_max)
-        # rounding can leave the estimate a hair below zero; reports clamp
-        curve_rows = ["tau,mi_bits"] + [f"{t},{max(0.0, v)!r}" for t, v in curve]
+        if args.curve_csv:
+            curve = td_mutual_information_curve(series, args.tau_max)
+            # rounding can leave the estimate a hair below zero; reports clamp
+            curve_rows = ["tau,mi_bits"] + [f"{t},{max(0.0, v)!r}" for t, v in curve]
     elif args.method == "first_zero_autocorr":
         choice = tau_first_zero_autocorr(series, args.tau_max)
-        curve_rows = ["tau,autocorrelation"] + [
-            f"{t},{autocorrelation(series, t)!r}"
-            for t in range(args.tau_max + 1)
-        ]
+        if args.curve_csv:
+            curve_rows = ["tau,autocorrelation"] + [
+                f"{t},{autocorrelation(series, t)!r}"
+                for t in range(args.tau_max + 1)
+            ]
     elif args.method == "fnn":
         if args.tau is None:
             raise ValidationError("fnn requires --tau")
         fnn = FnnConfig(r_tol=args.r_tol, a_tol=args.a_tol,
                         fraction_threshold=args.threshold, m_max=args.m_max)
         choice = estimate_m_fnn(series, args.tau, fnn)
-        curve_rows = ["m,fnn_fraction"] + [
-            f"{m},{fnn_fraction(series, m, args.tau, fnn)!r}"
-            for m in range(1, choice.m + 1)
-        ]
+        if args.curve_csv:
+            curve_rows = ["m,fnn_fraction"] + [
+                f"{m},{fnn_fraction(series, m, args.tau, fnn)!r}"
+                for m in range(1, choice.m + 1)
+            ]
     else:
         choice = atau_optimal_params(series, _parse_range(args.m_range),
                                      _parse_range(args.tau_range), h=args.h,
@@ -395,7 +401,7 @@ def run_select_params(args) -> int:
                                 jobs=args.jobs)
             curve_rows = list(grid.to_csv_rows())
 
-    if args.curve_csv and curve_rows:
+    if curve_rows:
         _write_lines(args.curve_csv, config.header_lines(), curve_rows)
     print(json.dumps({"method": choice.method, "m": choice.m,
                       "tau": choice.tau, "score": choice.score}))
@@ -428,12 +434,7 @@ def _add_forecast(sub):
 
 def run_forecast(args) -> int:
     series = load_series(args.input)
-    config = ExperimentConfig("forecast", {
-        "method": args.method, "input": args.input, "split": args.split,
-        "h": args.h, "m": args.m, "tau": args.tau, "theiler": args.theiler,
-        "order": args.order, "refit_every": args.refit_every,
-    })
-    config.dump(args.dump_config)
+    config = _flag_config(args)
 
     run = rolling_evaluate(series, args.split, args.method, h=args.h,
                            m=args.m, tau=args.tau, theiler=args.theiler,
@@ -535,14 +536,7 @@ def _topology_cloud(args) -> np.ndarray:
 
 
 def run_topology(args) -> int:
-    config = ExperimentConfig("topology", {
-        "mode": args.mode, "cloud": args.cloud, "series": args.series,
-        "m": args.m, "m_range": args.m_range, "tau": args.tau,
-        "ell": args.ell, "landmarks": args.landmarks, "seed": args.seed,
-        "xi": args.xi, "xi_grid": args.xi_grid, "xi_min": args.xi_min,
-        "xi_max": args.xi_max,
-    })
-    config.dump(args.dump_config)
+    config = _flag_config(args)
 
     if args.mode == "lifespan":
         if not (args.series and args.m_range and args.tau is not None

@@ -15,7 +15,6 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
-    BinningScheme,
     atau_surface,
     autocorrelation,
     binned_mutual_information,
@@ -73,8 +72,7 @@ class ParamChoice:
             raise ValidationError("require m >= 1 and tau >= 1")
 
 
-def tau_first_min_mi(series, tau_max: int,
-                     scheme: BinningScheme | None = None) -> ParamChoice:
+def tau_first_min_mi(series, tau_max: int) -> ParamChoice:
     """Smallest tau that is an interior minimum of the lagged mutual
     information curve, scanning tau = 1..tau_max.
 
@@ -91,10 +89,8 @@ def tau_first_min_mi(series, tau_max: int,
     if tau_max < 3:
         raise ValidationError("tau_max must be >= 3")
     values = as_values(series)
-    if scheme is None:
-        scheme = BinningScheme.from_values(values, 16)
-    curve = td_mutual_information_curve(values, tau_max, scheme=scheme)
-    mi = np.array([binned_mutual_information(values, values, scheme=scheme)]
+    curve = td_mutual_information_curve(values, tau_max)
+    mi = np.array([binned_mutual_information(values, values)]
                   + [v for _, v in curve])
     tau = 1
     while tau <= tau_max:

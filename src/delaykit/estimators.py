@@ -1,9 +1,8 @@
 """Information-theoretic estimators on scalar series and point sets.
 
-Binned Shannon entropies and mutual information, the k-nearest-neighbor
-(KSG) mutual-information estimator, active information storage of delay
-reconstructions, ordinal-pattern entropies (PE / WPE), autocorrelation,
-and three-variable information measures.
+Binned mutual information, the k-nearest-neighbor (KSG) mutual-information
+estimator, active information storage of delay reconstructions,
+ordinal-pattern entropies (PE / WPE), and autocorrelation.
 
 All quantities are reported in bits. The KSG estimator works in nats
 internally and is converted once at the end.
@@ -29,87 +28,26 @@ from .errors import (
 from .timeseries import as_points, as_values, delay_matrix
 
 __all__ = [
-    "BinningScheme",
-    "OrdinalPattern",
-    "TripleInfo",
     "SweepGrid",
-    "shannon_entropy_binned",
     "binned_mutual_information",
     "td_mutual_information_curve",
     "ksg_mutual_information",
     "active_information_storage",
     "atau_surface",
-    "horizon_info_ratio",
     "autocorrelation",
-    "ordinal_patterns",
     "permutation_entropy",
     "weighted_permutation_entropy",
-    "triple_information",
     "select_word_length",
 ]
 
 _LN2 = math.log(2.0)
 
-# Default bin counts per axis; totals stay reasonable as dimension grows.
-DEFAULT_BINS_1D = 64
+# Default bin count per axis of a joint histogram.
 DEFAULT_BINS_2D = 16
-DEFAULT_BINS_3D = 8
 
 # A_tau sweep cells subsample to at most this many joint samples
 # (uniform stride); the estimator stays accurate on small subsets.
 DEFAULT_MAX_SAMPLES = 20000
-
-
-@dataclass(frozen=True)
-class BinningScheme:
-    """Equal-width binning of one variable; out-of-range values clamp."""
-
-    bins: int
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.bins < 2:
-            raise ValidationError("need at least 2 bins")
-        if not self.lo < self.hi:
-            raise ValidationError("require lo < hi")
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, bins: int) -> "BinningScheme":
-        lo = float(np.min(values))
-        hi = float(np.max(values))
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
-        return cls(bins=bins, lo=lo, hi=hi)
-
-    def indices(self, values: np.ndarray) -> np.ndarray:
-        scaled = (np.asarray(values, dtype=np.float64) - self.lo) / (self.hi - self.lo)
-        idx = np.floor(scaled * self.bins).astype(np.int64)
-        return np.clip(idx, 0, self.bins - 1)
-
-
-@dataclass(frozen=True)
-class OrdinalPattern:
-    """Value-order permutation of a window; ``ranks[k]`` is the time index
-    of the k-th smallest sample (ties go to the earlier sample)."""
-
-    ell: int
-    ranks: tuple
-
-    def __post_init__(self):
-        if self.ell < 2:
-            raise ValidationError("word length must be >= 2")
-        if sorted(self.ranks) != list(range(self.ell)):
-            raise ValidationError("ranks must be a permutation of 0..ell-1")
-
-
-@dataclass(frozen=True)
-class TripleInfo:
-    """Three-variable information measures, in bits."""
-
-    interaction: float
-    binding: float
-    total_correlation: float
 
 
 @dataclass
@@ -159,59 +97,60 @@ def _entropy_from_counts(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log2(p))) + 0.0  # avoid -0.0
 
 
-def shannon_entropy_binned(series, scheme: BinningScheme | None = None,
-                           bins: int = DEFAULT_BINS_1D) -> float:
-    """Shannon entropy of the binned value distribution, in bits.
+def _bin_indices(values: np.ndarray, bins: int) -> np.ndarray:
+    """Each value's equal-width bin over the observed [min, max]; a
+    constant series spans [v - 0.5, v + 0.5], and the maximum falls in
+    the last bin."""
+    if bins < 2:
+        raise ValidationError("need at least 2 bins")
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    # NaN and infinite values, and a constant too large to widen, fail this
+    if not -np.inf < lo < hi < np.inf:
+        raise ValidationError(f"cannot bin values in [{lo}, {hi}]")
+    idx = np.floor((values - lo) / (hi - lo) * bins).astype(np.int64)
+    return np.clip(idx, 0, bins - 1)
 
-    With no scheme, equal-width bins span the observed [min, max].
-    Empty bins contribute nothing; a constant series has zero entropy.
-    """
-    values = as_values(series)
-    if scheme is None:
-        scheme = BinningScheme.from_values(values, bins)
-    counts = np.bincount(scheme.indices(values), minlength=scheme.bins)
-    return _entropy_from_counts(counts)
 
-
-def binned_mutual_information(x, y, scheme: BinningScheme | None = None,
-                              bins: int = DEFAULT_BINS_2D) -> float:
-    """H[X] + H[Y] - H[X,Y] from a joint histogram, in bits.
-
-    Marginal entropies are taken from the joint table, so the result is
-    symmetric and nonnegative up to rounding. A shared ``scheme`` bins
-    both variables; otherwise each variable gets its own range.
-    """
-    xv, yv = as_values(x), as_values(y)
-    if xv.size != yv.size:
-        raise ValidationError("series must have equal lengths")
-    sx = scheme or BinningScheme.from_values(xv, bins)
-    sy = scheme or BinningScheme.from_values(yv, bins)
-    ix, iy = sx.indices(xv), sy.indices(yv)
-    joint = np.bincount(ix * sy.bins + iy, minlength=sx.bins * sy.bins)
-    joint = joint.reshape(sx.bins, sy.bins)
+def _binned_mi(ix: np.ndarray, iy: np.ndarray, bins: int) -> float:
+    """H[X] + H[Y] - H[X,Y] of two bin-index sequences, in bits; the
+    marginal entropies come from the joint table."""
+    joint = np.bincount(ix * bins + iy, minlength=bins * bins).reshape(bins, bins)
     h_x = _entropy_from_counts(joint.sum(axis=1))
     h_y = _entropy_from_counts(joint.sum(axis=0))
     h_xy = _entropy_from_counts(joint.ravel())
     return h_x + h_y - h_xy
 
 
+def binned_mutual_information(x, y, bins: int = DEFAULT_BINS_2D) -> float:
+    """H[X] + H[Y] - H[X,Y] from a joint histogram, in bits.
+
+    Each variable gets ``bins`` equal-width bins over its own observed
+    range. Marginal entropies are taken from the joint table, so the
+    result is symmetric and nonnegative up to rounding.
+    """
+    xv, yv = as_values(x), as_values(y)
+    if xv.size != yv.size:
+        raise ValidationError("series must have equal lengths")
+    return _binned_mi(_bin_indices(xv, bins), _bin_indices(yv, bins), bins)
+
+
 def td_mutual_information_curve(series, tau_max: int,
-                                scheme: BinningScheme | None = None,
                                 bins: int = DEFAULT_BINS_2D) -> list[tuple[int, float]]:
     """Binned mutual information between the series and its tau-lagged copy,
-    for tau = 1..tau_max, over the overlapping N - tau pairs."""
+    for tau = 1..tau_max, over the overlapping N - tau pairs.
+
+    Both copies share one binning over the whole series' range.
+    """
     values = as_values(series)
     if tau_max >= values.size:
         raise ValidationError("tau_max must be smaller than the series length")
     if tau_max < 1:
         raise ValidationError("tau_max must be >= 1")
-    if scheme is None:
-        scheme = BinningScheme.from_values(values, bins)
-    out = []
-    for tau in range(1, tau_max + 1):
-        mi = binned_mutual_information(values[tau:], values[:-tau], scheme=scheme)
-        out.append((tau, mi))
-    return out
+    idx = _bin_indices(values, bins)
+    return [(tau, _binned_mi(idx[tau:], idx[:-tau], bins))
+            for tau in range(1, tau_max + 1)]
 
 
 def _marginal_counts(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -352,29 +291,6 @@ def atau_surface(series, m_range, tau_range, h: int = 1, k: int = 4,
     return run_grid(cell, series, m_range, tau_range, jobs, meta)
 
 
-def horizon_info_ratio(series, m: int, tau: int, h_max: int, k: int = 4,
-                       bins: int = DEFAULT_BINS_1D,
-                       max_samples: int | None = None) -> list[tuple[int, float]]:
-    """R(h) = A_tau(h) / H[X_{j+h}] for h = 1..h_max, values unclamped.
-
-    The denominator is the binned entropy of the future observations; a
-    constant series makes it zero and the ratio undefined.
-    """
-    values = as_values(series)
-    out = []
-    for h in range(1, h_max + 1):
-        a = active_information_storage(values, m, tau, h=h, k=k,
-                                       max_samples=max_samples)
-        future = values[(m - 1) * tau + h :]
-        h_future = shannon_entropy_binned(future, bins=bins)
-        if h_future == 0.0:
-            raise DegenerateSeriesError(
-                "future observations have zero entropy; R(h) is undefined"
-            )
-        out.append((h, a / h_future))
-    return out
-
-
 def autocorrelation(series, tau: int) -> float:
     """Autocorrelation at lag ``tau`` using the full-series mean and
     variance; exactly 1 at lag zero."""
@@ -393,7 +309,9 @@ def autocorrelation(series, tau: int) -> float:
 
 
 def _ordinal_ranks(series, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every length-``ell`` window and its ranks (see ``ordinal_patterns``)."""
+    """Every length-``ell`` window and its ranks: each row lists the
+    window's time indices sorted by value, equal values keeping temporal
+    order, so the earlier sample gets the lower rank."""
     values = as_values(series)
     if ell < 2:
         raise ValidationError("word length must be >= 2")
@@ -413,16 +331,6 @@ def _pattern_labels(ranks: np.ndarray) -> np.ndarray:
                               "packed pattern code fits in 64 bits")
     codes = ranks @ ell ** np.arange(ell, dtype=np.int64)
     return np.unique(codes, return_inverse=True)[1]
-
-
-def ordinal_patterns(series, ell: int) -> list[OrdinalPattern]:
-    """Ordinal patterns of every length-``ell`` window, in temporal order.
-
-    Ranks are the window's time indices sorted by value; equal values keep
-    temporal order, so the earlier sample gets the lower rank.
-    """
-    _, ranks = _ordinal_ranks(series, ell)
-    return [OrdinalPattern(ell, tuple(int(r) for r in row)) for row in ranks]
 
 
 def permutation_entropy(series, ell: int, normalized: bool = True) -> float:
@@ -455,43 +363,6 @@ def weighted_permutation_entropy(series, ell: int, normalized: bool = True) -> f
     if normalized:
         h /= math.log2(math.factorial(ell))
     return h
-
-
-def triple_information(x, y, z, scheme: BinningScheme | None = None,
-                       bins: int = DEFAULT_BINS_3D) -> TripleInfo:
-    """Interaction, binding, and total-correlation measures of three
-    series from binned joint histograms, in bits.
-
-    Interaction information is the signed center of the three-set
-    information diagram (positive for three identical variables, negative
-    for XOR-style synergy); binding and total correlation are nonnegative.
-    """
-    xv, yv, zv = as_values(x), as_values(y), as_values(z)
-    if not (xv.size == yv.size == zv.size):
-        raise ValidationError("series must have equal lengths")
-    sx = scheme or BinningScheme.from_values(xv, bins)
-    sy = scheme or BinningScheme.from_values(yv, bins)
-    sz = scheme or BinningScheme.from_values(zv, bins)
-    ix, iy, iz = sx.indices(xv), sy.indices(yv), sz.indices(zv)
-    flat = (ix * sy.bins + iy) * sz.bins + iz
-    joint = np.bincount(flat, minlength=sx.bins * sy.bins * sz.bins)
-    joint = joint.reshape(sx.bins, sy.bins, sz.bins)
-
-    h_x = _entropy_from_counts(joint.sum(axis=(1, 2)))
-    h_y = _entropy_from_counts(joint.sum(axis=(0, 2)))
-    h_z = _entropy_from_counts(joint.sum(axis=(0, 1)))
-    h_xy = _entropy_from_counts(joint.sum(axis=2).ravel())
-    h_xz = _entropy_from_counts(joint.sum(axis=1).ravel())
-    h_yz = _entropy_from_counts(joint.sum(axis=0).ravel())
-    h_xyz = _entropy_from_counts(joint.ravel())
-
-    singles = h_x + h_y + h_z
-    pairs = h_xy + h_xz + h_yz
-    return TripleInfo(
-        interaction=singles - pairs + h_xyz,
-        binding=pairs - 2.0 * h_xyz,
-        total_correlation=singles - h_xyz,
-    )
 
 
 def select_word_length(n: int, lo: int = 2, hi: int = 8,

@@ -23,8 +23,6 @@ from .timeseries import ScalarSeries, as_values, delay_matrix, split
 
 __all__ = [
     "ForecastRun",
-    "forecast_random_walk",
-    "forecast_naive",
     "forecast_ar",
     "forecast_lma",
     "rolling_evaluate",
@@ -45,22 +43,6 @@ class ForecastRun:
     def __post_init__(self):
         if self.predictions.shape != self.truth.shape:
             raise ValidationError("predictions and truth must align")
-
-
-def forecast_random_walk(train) -> float:
-    """The last observed value."""
-    x = as_values(train)
-    if x.size < 1:
-        raise ValidationError("train must be nonempty")
-    return float(x[-1])
-
-
-def forecast_naive(train) -> float:
-    """The arithmetic mean of all prior observations."""
-    x = as_values(train)
-    if x.size < 1:
-        raise ValidationError("train must be nonempty")
-    return float(x.mean())
 
 
 def _check_ar(n: int, order: int) -> None:
@@ -126,6 +108,8 @@ def _ar_step(coef: np.ndarray, recent: np.ndarray) -> float:
 def forecast_ar(train, order: int = 8) -> float:
     """One-step prediction from a least-squares AR(order) fit with intercept."""
     x = as_values(train)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("train values must all be finite")
     coef, _ = _fit_ar(x, order)
     return _ar_step(coef, x)
 
@@ -321,11 +305,9 @@ def _run_forecaster(method, name: str, params: dict, m, tau, theiler: int,
     if callable(method):
         return _per_block(method, name)
     if method == "random_walk":
-        return _per_block(
-            lambda train, steps: np.full(steps, forecast_random_walk(train)), name)
+        return _per_block(lambda train, steps: np.full(steps, train[-1]), name)
     if method == "naive":
-        return _per_block(
-            lambda train, steps: np.full(steps, forecast_naive(train)), name)
+        return _per_block(lambda train, steps: np.full(steps, train.mean()), name)
     if method == "lma":
         if m is None or tau is None:
             raise ValidationError("lma requires m and tau")

@@ -169,8 +169,8 @@ def integrate_rk4(
         comparison also catches NaN and infinite components. Reports the
         step at which it happened.
     """
-    if not dt > 0:
-        raise ValidationError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValidationError("dt must be positive and finite")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     x = np.array(x0, dtype=np.float64, copy=True)

@@ -10,11 +10,10 @@ GF(2) arithmetic throughout.
 
 Each complex or filtration is built in one pass over the witnesses in
 fixed-size blocks, so no landmark-by-witness matrix is held for the whole
-cloud (except the one ``fuzzy_witness_sets`` returns). A single scale ORs
-each block's shared-witness test into the adjacency. A scale sweep instead
-records each landmark pair's birth scale once, an edge filtration, and
-reads the persistence pairs of the clique complexes off it, snapped to the
-sweep's grid.
+cloud. A single scale ORs each block's shared-witness test into the
+adjacency. A scale sweep instead records each landmark pair's birth scale
+once, an edge filtration, and reads the persistence pairs of the clique
+complexes off it, snapped to the sweep's grid.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "WitnessComplexSnapshot",
     "Barcode",
     "select_landmarks",
-    "fuzzy_witness_sets",
     "build_complex",
     "betti_numbers",
     "epsilon_barcode",
@@ -67,21 +65,6 @@ class WitnessComplexSnapshot:
     vertices: int
     edges: np.ndarray      # (E, 2) int, each row i < j
     triangles: np.ndarray  # (T, 3) int, each row i < j < k
-
-    @property
-    def edge_set(self) -> set:
-        return {tuple(e) for e in self.edges}
-
-    @property
-    def triangle_set(self) -> set:
-        return {tuple(t) for t in self.triangles}
-
-    def clique_property_holds(self) -> bool:
-        edges = self.edge_set
-        return all(
-            (t[0], t[1]) in edges and (t[0], t[2]) in edges and (t[1], t[2]) in edges
-            for t in self.triangles
-        )
 
 
 @dataclass(frozen=True)
@@ -190,16 +173,6 @@ def _adjacency(cloud: np.ndarray, landmarks: LandmarkSet, eps: float) -> np.ndar
         adj |= (member @ member.T) > 0.0
     np.fill_diagonal(adj, False)
     return adj
-
-
-def fuzzy_witness_sets(cloud: np.ndarray, landmarks: LandmarkSet,
-                       eps: float) -> np.ndarray:
-    """Boolean membership matrix: entry (l, w) is True when witness w lies
-    within ``eps`` of its nearest-landmark distance from landmark l.
-
-    Every witness belongs at least to its nearest landmark's set.
-    """
-    return np.concatenate(list(_memberships(cloud, landmarks, eps)), axis=1)
 
 
 def _membership_scales(dist: np.ndarray, nearest: np.ndarray) -> np.ndarray:

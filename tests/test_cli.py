@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import delaykit as dk
+from delaykit import cli
 from delaykit.cli import main
 
 
@@ -224,6 +225,52 @@ class TestSelectParams:
         rows = data_lines(curve)
         assert rows[0] == "tau,mi_bits"
         assert len(rows) == 21
+
+    def test_curves_built_only_for_curve_csv(self, henon_file, tmp_path, capsys,
+                                             monkeypatch):
+        calls = []
+        for name in ("fnn_fraction", "td_mutual_information_curve", "autocorrelation"):
+            def counting(*args, _original=getattr(cli, name), **kwargs):
+                calls.append(_original.__name__)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counting)
+        series = dk.load_series(henon_file)
+        fnn = dk.FnnConfig()
+        cases = {
+            "first_min_mi": (["--tau-max", "20"], ["tau,mi_bits"] + [
+                f"{t},{max(0.0, v)!r}"
+                for t, v in dk.td_mutual_information_curve(series, 20)]),
+            "first_zero_autocorr": (["--tau-max", "5"], ["tau,autocorrelation"] + [
+                f"{t},{dk.autocorrelation(series, t)!r}" for t in range(6)]),
+            "fnn": (["--tau", "1"], ["m,fnn_fraction"] + [
+                f"{m},{dk.fnn_fraction(series, m, 1, fnn)!r}"
+                for m in range(1, dk.estimate_m_fnn(series, 1, fnn).m + 1)]),
+        }
+        for method, (flags, rows) in cases.items():
+            argv = ["select-params", "--method", method, "-i", str(henon_file), *flags]
+            code, bare, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert calls == []
+            curve = tmp_path / f"{method}.csv"
+            code, out, _ = run_cli(capsys, *argv, "--curve-csv", str(curve))
+            assert code == 0
+            assert out == bare
+            assert calls
+            assert data_lines(curve) == rows
+            calls.clear()
+
+    def test_atau_records_max_samples_and_jobs(self, henon_file, tmp_path, capsys):
+        cfg, curve = tmp_path / "cfg.txt", tmp_path / "grid.csv"
+        code, _, _ = run_cli(capsys, "select-params", "--method", "atau_optimal",
+                             "-i", str(henon_file), "--m-range", "1:2",
+                             "--tau-range", "1:2", "--max-samples", "1000",
+                             "--jobs", "2", "--dump-config", str(cfg),
+                             "--curve-csv", str(curve))
+        assert code == 0
+        entries = dict(ln.split("=", 1) for ln in cfg.read_text().splitlines())
+        assert (entries["max_samples"], entries["jobs"]) == ("1000", "2")
+        header = [ln for ln in curve.read_text().splitlines() if ln.startswith("#")]
+        assert {"# max_samples=1000", "# jobs=2"} <= set(header)
 
 
 class TestForecast:

@@ -10,23 +10,34 @@ from delaykit.timeseries import delay_matrix
 
 
 class TestSimplePredictors:
+    # each block is predicted from the training prefix seen so far
     def test_random_walk(self):
-        assert dk.forecast_random_walk(np.array([1.0, 2.0, 3.0])) == 3.0
-        assert dk.forecast_random_walk(np.array([7.0])) == 7.0
+        run = dk.rolling_evaluate(np.array([1.0, 2.0, 3.0, 7.0, 5.0]), 0.6,
+                                  "random_walk")
+        assert run.predictions.tolist() == [3.0, 7.0]
+        run = dk.rolling_evaluate(np.array([1.0, 2.0, 3.0, 7.0, 5.0, 6.0]), 0.5,
+                                  "random_walk", h=2)
+        assert run.predictions.tolist() == [3.0, 3.0, 5.0]
 
     def test_random_walk_exact_on_constant(self):
-        constant = np.full(50, 4.2)
-        preds = [dk.forecast_random_walk(constant[: i]) for i in range(10, 50)]
-        assert all(p == 4.2 for p in preds)
+        series = np.concatenate([[0.0, 1.0], np.full(48, 4.2)])
+        run = dk.rolling_evaluate(series, 0.2, "random_walk")
+        assert run.predictions.size == 40
+        assert all(p == 4.2 for p in run.predictions)
 
     def test_naive(self):
-        assert dk.forecast_naive(np.array([1.0, 2.0, 3.0])) == 2.0
-        assert dk.forecast_naive(np.array([5.0, 5.0])) == 5.0
+        run = dk.rolling_evaluate(np.array([1.0, 2.0, 3.0, 6.0, 0.0]), 0.6, "naive")
+        assert run.predictions.tolist() == [2.0, 3.0]
+        run = dk.rolling_evaluate(np.array([5.0, 6.0, 7.0, 2.0, 9.0, 0.0]), 0.5,
+                                  "naive", h=2)
+        assert run.predictions.tolist() == [6.0, 6.0, 5.8]
 
     def test_naive_noise_concentrates(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(10000)
-        assert abs(dk.forecast_naive(x)) < 3.0 / np.sqrt(10000)
+        run = dk.rolling_evaluate(x, 0.99, "naive")
+        assert run.predictions[-1] == x[:-1].mean()
+        assert np.all(np.abs(run.predictions) < 3.0 / np.sqrt(9900))
 
 
 class TestAR:
@@ -46,6 +57,13 @@ class TestAR:
     def test_order_bounds(self):
         with pytest.raises(ValidationError):
             dk.forecast_ar(np.arange(3.0), order=3)
+
+    def test_non_finite_train_rejected(self):
+        x = np.sin(0.3 * np.arange(200.0))
+        for bad in (np.nan, np.inf):
+            x[50] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                dk.forecast_ar(x, order=4)
 
 
 class TestLMA:

@@ -17,6 +17,11 @@ class TestIntegrateRK4:
         assert traj.shape == (5, 2)
         assert np.array_equal(traj, np.tile([1.0, 2.0], (5, 1)))
 
+    def test_non_finite_dt_rejected(self):
+        for dt in (np.inf, np.nan, 0.0, -0.1):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                dk.integrate_rk4(lambda x: x, np.array([1.0]), dt, 2)
+
     def test_exponential_one_step(self):
         traj = dk.integrate_rk4(lambda x: x, np.array([1.0]), 0.1, 2)
         assert abs(traj[1, 0] - math.exp(0.1)) < 1e-7

@@ -15,18 +15,36 @@ from delaykit.topology import WitnessComplexSnapshot
 
 def snapshot_from_edges(vertices, edges, fill_cliques=True):
     """Build a snapshot directly from an edge list (clique-filled)."""
-    edge_set = {tuple(sorted(e)) for e in edges}
+    pairs = {tuple(sorted(e)) for e in edges}
     triangles = []
     if fill_cliques:
         for a, b, c in itertools.combinations(range(vertices), 3):
-            if {(a, b), (a, c), (b, c)} <= edge_set:
+            if {(a, b), (a, c), (b, c)} <= pairs:
                 triangles.append((a, b, c))
-    edges_arr = (np.array(sorted(edge_set), dtype=np.int64)
-                 if edge_set else np.empty((0, 2), dtype=np.int64))
+    edges_arr = (np.array(sorted(pairs), dtype=np.int64)
+                 if pairs else np.empty((0, 2), dtype=np.int64))
     tri_arr = (np.array(triangles, dtype=np.int64)
                if triangles else np.empty((0, 3), dtype=np.int64))
     return WitnessComplexSnapshot(epsilon=0.0, vertices=vertices,
                                   edges=edges_arr, triangles=tri_arr)
+
+
+def fuzzy_witness_sets(cloud, landmarks, eps):
+    """The whole landmark-by-witness membership matrix at one scale."""
+    return np.concatenate(list(topology._memberships(cloud, landmarks, eps)), axis=1)
+
+
+def edge_set(snapshot):
+    return {tuple(e) for e in snapshot.edges.tolist()}
+
+
+def triangle_set(snapshot):
+    return {tuple(t) for t in snapshot.triangles.tolist()}
+
+
+def clique_property_holds(snapshot):
+    edges = edge_set(snapshot)
+    return all({(a, b), (a, c), (b, c)} <= edges for a, b, c in triangle_set(snapshot))
 
 
 def dense_gf2_rank(matrix):
@@ -268,7 +286,7 @@ class TestFuzzyWitnessSets:
         rng = np.random.default_rng(1)
         cloud = rng.normal(size=(40, 3))
         lm = dk.select_landmarks(cloud, 8, "max_min")
-        member = dk.fuzzy_witness_sets(cloud, lm, 0.0)
+        member = fuzzy_witness_sets(cloud, lm, 0.0)
         assert np.array_equal(member.sum(axis=0), np.ones(40))
 
     def test_saturating_eps_all_members(self):
@@ -276,24 +294,24 @@ class TestFuzzyWitnessSets:
         cloud = rng.normal(size=(30, 2))
         lm = dk.select_landmarks(cloud, 5)
         diameter = dk.scaled_epsilon(1.0, cloud)
-        assert dk.fuzzy_witness_sets(cloud, lm, diameter).all()
+        assert fuzzy_witness_sets(cloud, lm, diameter).all()
 
     def test_two_landmark_sketch(self):
         # witness nearest l1; l2 within its nearest distance plus eps,
         # so the pair shares the witness and the edge appears
         cloud = np.array([[0.5, 0.0], [0.0, 0.0], [2.0, 0.0]])
         lm = dk.LandmarkSet(indices=(1, 2), strategy="equally_spaced")
-        member = dk.fuzzy_witness_sets(cloud, lm, 1.2)
+        member = fuzzy_witness_sets(cloud, lm, 1.2)
         assert member[0, 0] and member[1, 0]
         snap = dk.build_complex(cloud, lm, 1.2)
-        assert (0, 1) in snap.edge_set
+        assert (0, 1) in edge_set(snap)
         assert dk.build_complex(cloud, lm, 0.5).edges.shape[0] == 0
 
     def test_every_witness_has_a_home(self):
         rng = np.random.default_rng(3)
         cloud = rng.normal(size=(100, 2))
         lm = dk.select_landmarks(cloud, 12)
-        member = dk.fuzzy_witness_sets(cloud, lm, 0.0)
+        member = fuzzy_witness_sets(cloud, lm, 0.0)
         assert member.any(axis=0).all()
 
 
@@ -309,7 +327,7 @@ class TestBuildComplex:
         cloud = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8], [0.5, 0.3]])
         lm = dk.LandmarkSet(indices=(0, 1, 2), strategy="equally_spaced")
         snap = dk.build_complex(cloud, lm, 5.0)
-        assert snap.triangle_set == {(0, 1, 2)}
+        assert triangle_set(snap) == {(0, 1, 2)}
 
     def test_clique_property_on_random_complexes(self):
         rng = np.random.default_rng(5)
@@ -317,7 +335,7 @@ class TestBuildComplex:
             cloud = rng.normal(size=(60, 2))
             lm = dk.select_landmarks(cloud, 10)
             snap = dk.build_complex(cloud, lm, rng.uniform(0.05, 1.0))
-            assert snap.clique_property_holds()
+            assert clique_property_holds(snap)
 
     def test_edge_monotonicity_in_eps(self):
         rng = np.random.default_rng(6)
@@ -327,7 +345,7 @@ class TestBuildComplex:
         prev_b0 = 13
         for eps in (0.0, 0.1, 0.3, 0.8, 2.0):
             snap = dk.build_complex(cloud, lm, eps)
-            edges = snap.edge_set
+            edges = edge_set(snap)
             assert prev_edges <= edges
             b0, _ = dk.betti_numbers(snap)
             assert b0 <= prev_b0
@@ -456,7 +474,7 @@ class TestEdgeLifespan:
         for m in dims:
             cloud = delay_matrix(values, m, tau)
             eps = dk.scaled_epsilon(0.0054, cloud)
-            present[m] = dk.build_complex(cloud, lm, eps).edge_set
+            present[m] = edge_set(dk.build_complex(cloud, lm, eps))
         one_lived = [(i, j) for i in range(ell) for j in range(i + 1, ell)
                      if spans[i, j] == 1]
         assert len(one_lived) > 300  # a large short-lived population
@@ -529,7 +547,7 @@ class TestChunkedPassMatchesDenseOracle:
                 want = snapshot_from_adjacency(geom.adjacency(eps))
                 assert np.array_equal(snap.edges, want.edges)
                 assert np.array_equal(snap.triangles, want.triangles)
-                assert np.array_equal(dk.fuzzy_witness_sets(cloud, lm, eps),
+                assert np.array_equal(fuzzy_witness_sets(cloud, lm, eps),
                                       geom.membership(eps))
 
     def test_edge_lifespan_matrix(self, small_chunks, lorenz63_20k):

@@ -11,9 +11,10 @@ GF(2) arithmetic throughout.
 Each complex or filtration is built in one pass over the witnesses in
 fixed-size blocks, so no landmark-by-witness matrix is held for the whole
 cloud. A single scale ORs each block's shared-witness test into the
-adjacency. A scale sweep instead records each landmark pair's birth scale
-once, an edge filtration, and reads the persistence pairs of the clique
-complexes off it, snapped to the sweep's grid.
+adjacency. A scale sweep instead records once, for each landmark pair,
+the first grid level at which the pair connects, an edge filtration on
+the sweep's grid, and reads the persistence pairs of the clique complexes
+off it.
 """
 
 from __future__ import annotations
@@ -175,51 +176,43 @@ def _adjacency(cloud: np.ndarray, landmarks: LandmarkSet, eps: float) -> np.ndar
     return adj
 
 
-def _membership_scales(dist: np.ndarray, nearest: np.ndarray) -> np.ndarray:
-    """Elementwise smallest float eps >= 0 with ``dist <= nearest + eps``.
+def _membership_levels(dist: np.ndarray, nearest: np.ndarray,
+                       grid: np.ndarray) -> np.ndarray:
+    """Elementwise first grid index g with ``dist <= nearest + grid[g]``,
+    for memberships that hold at ``grid[-1]``.
 
-    This is the scale at which the single-scale predicate first admits a
-    witness to a landmark's set. The predicate is monotone in eps, so
-    thresholding these scales reproduces it at every float eps.
-    ``dist - nearest`` can miss that float by rounding in either
-    direction, so it only seeds the search: it is nudged up with
-    ``nextafter`` until the predicate holds, then bisected down over the
-    float lattice (non-negative floats order like their int64 bit
-    patterns) towards a bound at which the predicate fails.
+    This is the first grid scale at which the single-scale predicate
+    admits a witness to a landmark's set. ``dist - nearest`` can round
+    either way, so its ``searchsorted`` position only seeds the index,
+    which then steps up or down with the predicate itself.
     """
-    scale = dist - nearest
-    short = dist > nearest + scale
-    while short.any():
-        scale[short] = np.nextafter(scale[short], np.inf)
-        short = dist > nearest + scale
-    hi = scale.view(np.int64)
-    # eps at or below this bound gives nearest + eps <= nextafter(dist,
-    # -inf) < dist; a negative bound's bit pattern is negative, clipped to -1
-    lo = np.nextafter(np.nextafter(dist, -np.inf) - nearest, -np.inf)
-    lo = np.maximum(lo.view(np.int64), -1)
-    pending = np.flatnonzero(hi - lo > 1)
-    while pending.size:
-        mid = lo[pending] + (hi[pending] - lo[pending]) // 2
-        holds = dist[pending] <= nearest[pending] + mid.view(np.float64)
-        hi[pending[holds]] = mid[holds]
-        lo[pending[~holds]] = mid[~holds]
-        pending = pending[hi[pending] - lo[pending] > 1]
-    return scale
+    level = np.minimum(np.searchsorted(grid, dist - nearest), grid.size - 1)
+    up = np.flatnonzero(dist > nearest + grid[level])
+    while up.size:
+        level[up] += 1
+        up = up[dist[up] > nearest[up] + grid[level[up]]]
+    down = np.flatnonzero(level > 0)
+    while down.size:
+        down = down[dist[down] <= nearest[down] + grid[level[down] - 1]]
+        level[down] -= 1
+        down = down[level[down] > 0]
+    return level
 
 
-def _edge_births(cloud: np.ndarray, landmarks: LandmarkSet,
-                 eps_max: float) -> np.ndarray:
-    """Edge filtration: entry (i, j), i < j, is the smallest scale at which
-    landmarks i and j share a witness, min over witnesses w of
-    max(a_iw, a_jw) with a the membership scale. Entries above
-    ``eps_max``, the diagonal and the lower triangle are inf."""
+def _edge_levels(cloud: np.ndarray, landmarks: LandmarkSet,
+                 grid: np.ndarray) -> np.ndarray:
+    """Edge filtration on grid levels: entry (i, j), i < j, is the first
+    grid index at which landmarks i and j share a witness, min over
+    witnesses w of max(a_iw, a_jw) with a the membership level. Pairs that
+    never connect on the grid, the diagonal and the lower triangle hold
+    ``len(grid)``."""
     ell = len(landmarks)
-    births = np.full((ell, ell), np.inf)
-    flat = births.reshape(-1)
+    levels = np.full((ell, ell), grid.size, dtype=np.int64)
+    flat = levels.reshape(-1)
     for dist, nearest in _witness_blocks(cloud, landmarks):
-        # memberships at eps_max, grouped by witness, landmarks ascending
-        w, lm = np.nonzero((dist <= nearest[None, :] + eps_max).T)
-        scale = _membership_scales(dist[lm, w], nearest[w])
+        # memberships at the grid's end, grouped by witness, landmarks ascending
+        w, lm = np.nonzero((dist <= nearest[None, :] + grid[-1]).T)
+        level = _membership_levels(dist[lm, w], nearest[w], grid)
         counts = np.bincount(w, minlength=dist.shape[1])
         starts = np.cumsum(counts) - counts
         for k in np.unique(counts[counts > 1]).tolist():
@@ -229,10 +222,10 @@ def _edge_births(cloud: np.ndarray, landmarks: LandmarkSet,
             step = max(1, ell * _CHUNK // iu.size)
             for s in range(0, first.size, step):
                 rows = first[s:s + step, None] + np.arange(k)
-                pl, ps = lm[rows], scale[rows]
+                pl, pv = lm[rows], level[rows]
                 np.minimum.at(flat, pl[:, iu] * ell + pl[:, ju],
-                              np.maximum(ps[:, iu], ps[:, ju]))
-    return births
+                              np.maximum(pv[:, iu], pv[:, ju]))
+    return levels
 
 
 def _edges_from_adjacency(adj: np.ndarray) -> np.ndarray:
@@ -342,19 +335,14 @@ def betti_numbers(snapshot: WitnessComplexSnapshot) -> tuple[int, int]:
     return v - (edges.shape[0] - cycles.size), cycles.size - rank
 
 
-def _snapped_barcode(grid: list, births: np.ndarray, deaths: np.ndarray,
-                     dimension: int) -> Barcode:
-    """Persistence pairs with each end moved up to the first grid value at
-    or above it; a death past the grid's end leaves the interval open.
-    Snapping keeps the count at every grid value; pairs whose ends meet
-    are invisible on the grid and dropped."""
-    g = np.asarray(grid)
-    b = np.searchsorted(g, births).tolist()
-    d = np.searchsorted(g, deaths).tolist()
-    intervals = [(grid[x], None if y == len(grid) else grid[y])
-                 for x, y in zip(b, d) if x < y]
-    intervals.sort(key=lambda iv: (iv[0], np.inf if iv[1] is None else iv[1]))
-    return Barcode(dimension=dimension, intervals=tuple(intervals))
+def _level_barcode(grid: list, births: np.ndarray, deaths: np.ndarray,
+                   dimension: int) -> Barcode:
+    """Persistence pairs on grid levels as grid values; level ``len(grid)``
+    leaves an interval open. Pairs whose ends meet are invisible on the
+    grid and dropped."""
+    pairs = sorted(zip(births.tolist(), deaths.tolist()))
+    return Barcode(dimension=dimension, intervals=tuple(
+        (grid[b], None if d == len(grid) else grid[d]) for b, d in pairs if b < d))
 
 
 def epsilon_barcode(cloud: np.ndarray, landmarks: LandmarkSet,
@@ -362,14 +350,14 @@ def epsilon_barcode(cloud: np.ndarray, landmarks: LandmarkSet,
     """Persistence barcodes of the witness complexes over an ascending
     scale grid, for dimensions 0 and 1.
 
-    The edge filtration (each landmark pair's smallest connecting scale)
-    is computed once in one pass over the witnesses. Components come from
-    union-find over the edges in birth order; cycles from a cohomology
-    reduction of the cycle-opening edges, each triangle born with its
-    youngest edge, whose pairs are the homology persistence pairs. Each
-    persistence pair is then snapped to the grid (both ends up to the
-    first grid value at or above them), so ``count_at`` at every grid
-    value equals the Betti numbers of ``build_complex`` there.
+    The edge filtration is computed once, in one pass over the witnesses,
+    on grid levels: each landmark pair's first grid index at which the
+    pair shares a witness, by the single-scale predicate itself. Components
+    come from union-find over the edges in (level, i, j) order; cycles from
+    a cohomology reduction of the cycle-opening edges, each triangle born
+    with its youngest edge, whose pairs are the homology persistence pairs.
+    Levels map to grid values only at the end, so ``count_at`` at every
+    grid value equals the Betti numbers of ``build_complex`` there.
     """
     grid = [float(e) for e in eps_grid]
     if not grid:
@@ -378,29 +366,29 @@ def epsilon_barcode(cloud: np.ndarray, landmarks: LandmarkSet,
         raise ValidationError("eps_grid must be strictly ascending")
     for eps in grid:
         _check_epsilon(eps)
-    ell = len(landmarks)
-    births = _edge_births(cloud, landmarks, grid[-1])
-    i, j = np.nonzero(np.isfinite(births))
-    birth = births[i, j]
-    order = np.lexsort((j, i, birth))
+    ell, top = len(landmarks), len(grid)
+    levels = _edge_levels(cloud, landmarks, np.asarray(grid))
+    i, j = np.nonzero(levels < top)
+    level = levels[i, j]
+    order = np.lexsort((j, i, level))
     edges = np.column_stack([i[order], j[order]])
-    birth = birth[order]
+    level = level[order]
     merges = _merging_edges(ell, edges)
-    # every vertex is born at scale 0; each merging edge kills a component
-    h0_deaths = np.concatenate([birth[merges], np.full(ell - merges.sum(), np.inf)])
+    # every vertex is born at level 0; each merging edge kills a component
+    h0_deaths = np.concatenate([level[merges], np.full(ell - merges.sum(), top)])
 
     cycles = np.flatnonzero(~merges)
-    deaths = np.full(edges.shape[0], np.inf)
+    deaths = np.full(edges.shape[0], top)
     if cycles.size:
-        adj = np.isfinite(births)
+        adj = levels < top
         adj |= adj.T
         faces = _triangle_faces(ell, edges, _triangles_from_adjacency(adj, edges))
         # a triangle is born with its youngest edge
         faces = faces[np.argsort(faces.max(axis=1), kind="stable")]
         for e, t in _reduce_coboundaries(faces, edges.shape[0], cycles[::-1].tolist()):
-            deaths[e] = birth[faces[t].max()]
-    return (_snapped_barcode(grid, np.zeros(ell), h0_deaths, 0),
-            _snapped_barcode(grid, birth[cycles], deaths[cycles], 1))
+            deaths[e] = level[faces[t].max()]
+    return (_level_barcode(grid, np.zeros(ell, dtype=np.int64), h0_deaths, 0),
+            _level_barcode(grid, level[cycles], deaths[cycles], 1))
 
 
 def scaled_epsilon(xi: float, cloud: np.ndarray) -> float:

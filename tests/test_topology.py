@@ -121,6 +121,59 @@ class DenseWitnessGeometry:
         return adj
 
 
+def membership_scales(dist, nearest):
+    """Oracle: elementwise smallest float eps >= 0 with ``dist <= nearest +
+    eps``, the scale at which the single-scale predicate first admits a
+    witness to a landmark's set. ``dist - nearest`` can miss that float by
+    rounding in either direction, so it only seeds the search: it is nudged
+    up with ``nextafter`` until the predicate holds, then bisected down
+    over the float lattice (non-negative floats order like their int64 bit
+    patterns) towards a bound at which the predicate fails."""
+    scale = dist - nearest
+    short = dist > nearest + scale
+    while short.any():
+        scale[short] = np.nextafter(scale[short], np.inf)
+        short = dist > nearest + scale
+    hi = scale.view(np.int64)
+    # eps at or below this bound gives nearest + eps <= nextafter(dist,
+    # -inf) < dist; a negative bound's bit pattern is negative, clipped to -1
+    lo = np.nextafter(np.nextafter(dist, -np.inf) - nearest, -np.inf)
+    lo = np.maximum(lo.view(np.int64), -1)
+    pending = np.flatnonzero(hi - lo > 1)
+    while pending.size:
+        mid = lo[pending] + (hi[pending] - lo[pending]) // 2
+        holds = dist[pending] <= nearest[pending] + mid.view(np.float64)
+        hi[pending[holds]] = mid[holds]
+        lo[pending[~holds]] = mid[~holds]
+        pending = pending[hi[pending] - lo[pending] > 1]
+    return scale
+
+
+def float_edge_births(cloud, landmarks, eps_max):
+    """Oracle: the edge filtration on float scales that grid levels
+    replaced. Entry (i, j), i < j, is the smallest scale at which landmarks
+    i and j share a witness, min over witnesses w of max(a_iw, a_jw) with a
+    the membership scale. Entries above ``eps_max``, the diagonal and the
+    lower triangle are inf."""
+    geom = DenseWitnessGeometry(cloud, landmarks)
+    nearest = np.broadcast_to(geom.nearest, geom.dist.shape)
+    scales = membership_scales(geom.dist.ravel(), nearest.ravel())
+    a = np.where(geom.membership(eps_max), scales.reshape(geom.dist.shape), np.inf)
+    births = np.full((a.shape[0], a.shape[0]), np.inf)
+    for start in range(0, a.shape[1], 64):
+        block = a[:, start:start + 64]
+        births = np.minimum(births, np.maximum(block[:, None], block[None]).min(axis=2))
+    births[np.tril_indices(a.shape[0])] = np.inf
+    return births
+
+
+def assert_levels_threshold_to_the_dense_adjacency(cloud, lm, grid):
+    levels = topology._edge_levels(cloud, lm, np.asarray(grid))
+    geom = DenseWitnessGeometry(cloud, lm)
+    for g, eps in enumerate(grid):
+        assert np.array_equal(levels <= g, np.triu(geom.adjacency(eps), 1))
+
+
 def snapshot_from_adjacency(adj, eps=0.0):
     """Clique complex of an adjacency matrix, edges and triangles in
     lexicographic order."""
@@ -507,17 +560,18 @@ class TestChunkedPassMatchesDenseOracle:
                                                      lorenz63_traj_20k):
         cases = list(random_cases()) + list(lorenz_cases(lorenz63_traj_20k))
         for cloud, lm, grid in cases:
-            births = topology._edge_births(cloud, lm, grid[-1])
+            births = float_edge_births(cloud, lm, grid[-1])
             geom = DenseWitnessGeometry(cloud, lm)
             for eps in grid:
                 assert np.array_equal(births <= eps, np.triu(geom.adjacency(eps), 1))
+            assert_levels_threshold_to_the_dense_adjacency(cloud, lm, grid)
 
     def test_barcode_intervals_match_the_boundary_reduction(self, small_chunks,
                                                            lorenz63_traj_20k):
         cases = list(random_cases()) + list(lorenz_cases(lorenz63_traj_20k))
         for cloud, lm, grid in cases:
             want = boundary_reduction_barcode(
-                topology._edge_births(cloud, lm, grid[-1]), grid)
+                float_edge_births(cloud, lm, grid[-1]), grid)
             got = dk.epsilon_barcode(cloud, lm, grid)
             assert [list(bc.intervals) for bc in got] == want
 
@@ -577,11 +631,27 @@ class TestExactThresholds:
         # the subtraction misjudges the predicate at some of these scales
         eps = float_neighbours(naive).reshape(-1, naive.size)
         assert np.any((naive <= eps) != (dist <= nearest + eps))
-        scale = topology._membership_scales(dist, nearest)
+        scale = membership_scales(dist, nearest)
         for e in float_neighbours(scale).reshape(-1, scale.size):
             assert np.array_equal(scale <= e, dist <= nearest + e)
         for e in eps:
             assert np.array_equal(scale <= e, dist <= nearest + e)
+
+    def test_levels_follow_the_float_predicate(self):
+        rng = np.random.default_rng(20)
+        nearest = rng.uniform(0.1, 10.0, 500) * 10.0 ** rng.integers(-3, 4, 500)
+        dist = nearest + nearest * 10.0 ** rng.uniform(-15, 1, 500)
+        naive = dist - nearest
+        # every seed and its float neighbours are grid values, so the
+        # searchsorted seed lands next to the answer as often as on it
+        grid = np.unique(float_neighbours(naive))
+        grid = grid[grid <= np.quantile(naive, 0.9)]
+        keep = dist <= nearest + grid[-1]
+        dist, nearest = dist[keep], nearest[keep]
+        level = topology._membership_levels(dist, nearest, grid)
+        holds = dist[:, None] <= nearest[:, None] + grid[None, :]
+        assert np.array_equal(level, holds.argmax(axis=1))
+        assert np.any(level != np.searchsorted(grid, dist - nearest))
 
     def test_clouds_where_subtraction_disagrees(self):
         rng = np.random.default_rng(18)
@@ -598,9 +668,10 @@ class TestExactThresholds:
             if not bad:
                 continue
             found += 1
-            births = topology._edge_births(cloud, lm, max(bad))
+            births = float_edge_births(cloud, lm, max(bad))
             for e in bad:
                 assert np.array_equal(births <= e, np.triu(geom.adjacency(e), 1))
+            assert_levels_threshold_to_the_dense_adjacency(cloud, lm, bad)
             got = dk.epsilon_barcode(cloud, lm, bad)
             want = dense_barcode(cloud, lm, bad)
             for e in bad:
@@ -615,10 +686,11 @@ class TestExactThresholds:
             geom = DenseWitnessGeometry(cloud, lm)
             # exact tie values: every witness's membership scale
             grid = np.unique(geom.dist - geom.nearest[None, :]).tolist()
-            births = topology._edge_births(cloud, lm, grid[-1])
+            births = float_edge_births(cloud, lm, grid[-1])
             for e in np.unique(float_neighbours(np.array(grid), steps=1)):
                 if 0 <= e <= grid[-1]:
                     assert np.array_equal(births <= e, np.triu(geom.adjacency(e), 1))
+            assert_levels_threshold_to_the_dense_adjacency(cloud, lm, grid)
             got = dk.epsilon_barcode(cloud, lm, grid)
             want = dense_barcode(cloud, lm, grid)
             for e in grid:

@@ -10,11 +10,12 @@ GF(2) arithmetic throughout.
 
 Each complex or filtration is built in one pass over the witnesses in
 fixed-size blocks, so no landmark-by-witness matrix is held for the whole
-cloud. A single scale ORs each block's shared-witness test into the
-adjacency. A scale sweep instead records once, for each landmark pair,
-the first grid level at which the pair connects, an edge filtration on
-the sweep's grid, and reads the persistence pairs of the clique complexes
-off it.
+cloud. Distances are taken on coordinates centred on the landmark mean,
+so a translated cloud gives the same distances to rounding. A single
+scale ORs each block's shared-witness test into the adjacency. A scale
+sweep instead records once, for each landmark pair, the first grid level
+at which the pair connects, an edge filtration on the sweep's grid, and
+reads the persistence pairs of the clique complexes off it.
 """
 
 from __future__ import annotations
@@ -139,9 +140,13 @@ def _witness_blocks(cloud: np.ndarray, landmarks: LandmarkSet):
     nearest landmark."""
     cloud = as_points(cloud)
     lm = cloud[list(landmarks.indices)]
+    # distances are translation invariant; centring on the landmark mean
+    # keeps |l|^2 and |w|^2 near the cloud's own extent, not its offset
+    centre = lm.mean(axis=0)
+    lm = lm - centre
     lm_sq = np.sum(lm**2, axis=1)[:, None]
     for start in range(0, cloud.shape[0], _CHUNK):
-        block = cloud[start:start + _CHUNK]
+        block = cloud[start:start + _CHUNK] - centre
         # |l - w|^2 = |l|^2 + |w|^2 - 2 l.w via BLAS; cancellation can
         # leave tiny negatives, clipped before the root
         sq = lm_sq + np.sum(block**2, axis=1)[None, :] - 2.0 * (lm @ block.T)

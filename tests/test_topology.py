@@ -98,13 +98,16 @@ def brute_force_homology(snapshot):
 
 class DenseWitnessGeometry:
     """Oracle: the dense landmark-by-witness geometry the chunked pass
-    replaced. All distances are held at once, in the same arithmetic, and
-    membership and adjacency are rebuilt per scale."""
+    replaced. All distances are held at once, in the same arithmetic
+    (centred on the landmark mean), and membership and adjacency are
+    rebuilt per scale."""
 
     def __init__(self, cloud, landmarks):
         cloud = np.asarray(cloud, dtype=np.float64)
         cloud = cloud[:, None] if cloud.ndim == 1 else cloud
         lm = cloud[list(landmarks.indices)]
+        centre = lm.mean(axis=0)
+        lm, cloud = lm - centre, cloud - centre
         sq = (np.sum(lm**2, axis=1)[:, None]
               + np.sum(cloud**2, axis=1)[None, :]
               - 2.0 * (lm @ cloud.T))
@@ -733,6 +736,65 @@ class TestBarcodeProperties:
                     assert death is None or (death in scales and birth < death)
 
         run()
+
+
+# Witness distances after any translation of the cloud agree with direct
+# differences of the untranslated points within this many units of
+# 1 + max |coordinate|; the |l|^2 + |w|^2 - 2 l.w rounding reaches about
+# sqrt(machine epsilon) times the cloud's extent when two points nearly meet.
+DISTANCE_TOLERANCE = 1e-6
+
+
+def translated_distance_error(cloud, lm, offset):
+    """Largest gap between the witness-pass distances of ``cloud + offset``
+    and direct-difference distances ``|l - w|`` of the untranslated cloud,
+    in units of 1 + max |coordinate|."""
+    direct = np.linalg.norm(cloud[list(lm.indices)][:, None, :] - cloud[None, :, :],
+                            axis=2)
+    got = np.concatenate([dist for dist, _ in
+                          topology._witness_blocks(cloud + offset, lm)], axis=1)
+    return np.abs(got - direct).max() / (1.0 + np.abs(cloud).max())
+
+
+@st.composite
+def translated_clouds(draw):
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 3))
+    coords = st.floats(-10.0, 10.0, allow_nan=False)
+    cloud = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d)))
+    offset = st.floats(-1e7, 1e7, allow_nan=False)
+    return (cloud.reshape(n, d), dk.select_landmarks(cloud.reshape(n, d),
+                                                     draw(st.integers(1, n))),
+            np.array(draw(st.lists(offset, min_size=d, max_size=d))))
+
+
+class TestTranslationInvariance:
+    def test_distances_match_direct_differences(self, monkeypatch):
+        monkeypatch.setattr(topology, "_CHUNK", 7)
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(translated_clouds())
+        def run(case):
+            assert translated_distance_error(*case) <= DISTANCE_TOLERANCE
+
+        run()
+
+    def test_offset_of_ten_million(self, monkeypatch):
+        monkeypatch.setattr(topology, "_CHUNK", 7)
+        cloud = np.random.default_rng(21).uniform(-10.0, 10.0, size=(60, 3))
+        lm = dk.select_landmarks(cloud, 12, "max_min")
+        for offset in (1e7, -1e7, np.array([1e7, -3e6, 0.5])):
+            assert translated_distance_error(cloud, lm, offset) <= DISTANCE_TOLERANCE
+
+    def test_barcode_and_complex_ignore_translation(self, lorenz63_traj_20k):
+        cloud = lorenz63_traj_20k[:2000]
+        lm = dk.select_landmarks(cloud, 60, "max_min")
+        grid = bench_grid(cloud)
+        moved = cloud + 1e6
+        assert dk.epsilon_barcode(moved, lm, grid) == dk.epsilon_barcode(cloud, lm, grid)
+        for eps in grid[::20]:
+            assert np.array_equal(dk.build_complex(moved, lm, eps).edges,
+                                  dk.build_complex(cloud, lm, eps).edges)
 
 
 def test_build_complex_memory_is_bounded():

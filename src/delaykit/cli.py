@@ -311,13 +311,20 @@ def run_sweep(args) -> int:
     if args.mode == "atau":
         grid = atau_surface(series, m_values, tau_values, h=args.h, k=args.k,
                             max_samples=args.max_samples, jobs=args.jobs)
-        best = grid.argbest("max")
     else:
         cell = partial(_mase_cell, h=args.h, fraction=args.split,
                        theiler=args.theiler)
         grid = run_grid(cell, series, m_values, tau_values, args.jobs,
                         {"quantity": "h_mase", "h": args.h})
-        best = grid.argbest("min")
+    failed = grid.cell_errors
+    if failed:
+        (m, tau), reason = next(iter(failed.items()))
+        first = f"first at m={m} tau={tau}: {reason}"
+        if len(failed) == grid.values.size:
+            raise ValidationError(f"every cell of the grid failed; {first}")
+        print(f"warning: {len(failed)} of {grid.values.size} cells failed; {first}",
+              file=sys.stderr)
+    best = grid.argbest("max" if args.mode == "atau" else "min")
 
     _write_lines(args.output, config.header_lines(), grid.to_csv_rows())
     if args.argmax_json:

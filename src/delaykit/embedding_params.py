@@ -121,13 +121,15 @@ def tau_first_zero_autocorr(series, tau_max: int) -> ParamChoice:
     NoZeroCrossingError
         If R(tau) stays positive through ``tau_max``.
     """
+    values = as_values(series)
+    if tau_max >= values.size:
+        raise ValidationError("tau_max must be smaller than the series length")
     if tau_max < 1:
         raise ValidationError("tau_max must be >= 1")
-    n = len(series)
-    prev = autocorrelation(series, 0)
+    prev = autocorrelation(values, 0)
     for tau in range(1, tau_max + 1):
-        r = autocorrelation(series, tau)
-        if abs(r) <= 1.0 / np.sqrt(n - tau) or (prev > 0.0 > r):
+        r = autocorrelation(values, tau)
+        if abs(r) <= 1.0 / np.sqrt(values.size - tau) or (prev > 0.0 > r):
             return ParamChoice(m=1, tau=tau, method="first_zero_autocorr", score=r)
         prev = r
     raise NoZeroCrossingError(

@@ -182,6 +182,27 @@ class TestSweep:
         assert grids[0] == grids[1]
         assert [row.endswith(",") for row in grids[0][1:]] == [False, False, True, True]
 
+    def test_failed_cells_named_on_stderr(self, tmp_path, capsys):
+        series = tmp_path / "henon300.txt"
+        code, _, _ = run_cli(capsys, "generate", "--system", "henon", "--n", "300",
+                             "--seed", "3", "-o", str(series))
+        assert code == 0
+        out = tmp_path / "grid.csv"
+        argv = ["sweep", "--mode", "atau", "--m", "7:8", "--tau", "42:45",
+                "-i", str(series), "-o", str(out)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == ("warning: 3 of 8 cells failed; first at m=8 tau=43: series "
+                       "too short: need at least 304 samples, got 300\n")
+        assert [row.endswith(",") for row in data_lines(out)[1:]] == [False] * 5 + [True] * 3
+        # every cell failing is an error that carries the first cell's reason
+        out.unlink()
+        code, _, err = run_cli(capsys, *argv, "--k", "5000")
+        assert code == 1
+        assert err == ("error: every cell of the grid failed; first at m=7 tau=42: "
+                       "require 1 <= k < N\n")
+        assert not out.exists()
+
     def test_bad_range_rejected(self, henon_file, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--mode", "atau",
                              "--m", "3:1", "--tau", "1",
@@ -468,6 +489,11 @@ MISUSE = {
                                    "-i", "{series}", "-o", "{out}"],
     "select_max_samples_zero": ["select-params", "--method", "atau_optimal",
                                 "--max-samples", "0", "-i", "{series}"],
+    "select_autocorr_tau_max_at_length": ["select-params", "--method",
+                                          "first_zero_autocorr", "--tau-max", "300",
+                                          "--curve-csv", "{out}", "-i", "{series}"],
+    "sweep_every_cell_fails": ["sweep", "--mode", "atau", "--m", "1:2", "--tau", "1",
+                               "--k", "5000", "-i", "{series}", "-o", "{out}"],
     "select_jobs_zero": ["select-params", "--method", "atau_optimal",
                          "--jobs", "0", "-i", "{series}"],
     "forecast_h_zero": ["forecast", "--method", "naive", "--h", "0", "-i", "{series}"],

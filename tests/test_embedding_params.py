@@ -56,6 +56,14 @@ class TestTauFirstZeroAutocorr:
         with pytest.raises(NoZeroCrossingError):
             dk.tau_first_zero_autocorr(series, 10)
 
+    def test_tau_max_must_be_below_series_length(self):
+        # the zero at lag 3 is found before any out-of-range lag is reached
+        series = SINE_12[:40]
+        assert dk.tau_first_zero_autocorr(series, 39).tau == 3
+        for tau_max in (40, 5000):
+            with pytest.raises(ValidationError, match="smaller than the series length"):
+                dk.tau_first_zero_autocorr(series, tau_max)
+
 
 def brute_force_fnn(values, m, tau, r_tol=10.0, a_tol=2.0):
     """O(N^2) reference implementation of the false-neighbor fraction."""

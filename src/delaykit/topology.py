@@ -362,7 +362,9 @@ def epsilon_barcode(cloud: np.ndarray, landmarks: LandmarkSet,
     a cohomology reduction of the cycle-opening edges, each triangle born
     with its youngest edge, whose pairs are the homology persistence pairs.
     Levels map to grid values only at the end, so ``count_at`` at every
-    grid value equals the Betti numbers of ``build_complex`` there.
+    grid value equals the Betti numbers of ``build_complex`` there. Both
+    take distances centred on the landmark mean, so translating the cloud
+    changes them only by rounding.
     """
     grid = [float(e) for e in eps_grid]
     if not grid:

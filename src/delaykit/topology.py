@@ -140,8 +140,7 @@ def _witness_blocks(cloud: np.ndarray, landmarks: LandmarkSet):
     nearest landmark."""
     cloud = as_points(cloud)
     lm = cloud[list(landmarks.indices)]
-    # distances are translation invariant; centring on the landmark mean
-    # keeps |l|^2 and |w|^2 near the cloud's own extent, not its offset
+    # centring keeps |l|^2 and |w|^2 at the cloud's extent, not its offset
     centre = lm.mean(axis=0)
     lm = lm - centre
     lm_sq = np.sum(lm**2, axis=1)[:, None]
@@ -184,24 +183,18 @@ def _adjacency(cloud: np.ndarray, landmarks: LandmarkSet, eps: float) -> np.ndar
 def _membership_levels(dist: np.ndarray, nearest: np.ndarray,
                        grid: np.ndarray) -> np.ndarray:
     """Elementwise first grid index g with ``dist <= nearest + grid[g]``,
-    for memberships that hold at ``grid[-1]``.
-
-    This is the first grid scale at which the single-scale predicate
-    admits a witness to a landmark's set. ``dist - nearest`` can round
-    either way, so its ``searchsorted`` position only seeds the index,
-    which then steps up or down with the predicate itself.
-    """
+    for memberships that hold at ``grid[-1]``: the level at which the
+    single-scale predicate first admits the witness. ``dist - nearest``
+    can round either way, so its ``searchsorted`` position only seeds the
+    index, which then steps with the predicate itself."""
     level = np.minimum(np.searchsorted(grid, dist - nearest), grid.size - 1)
-    up = np.flatnonzero(dist > nearest + grid[level])
-    while up.size:
-        level[up] += 1
-        up = up[dist[up] > nearest[up] + grid[level[up]]]
-    down = np.flatnonzero(level > 0)
-    while down.size:
-        down = down[dist[down] <= nearest[down] + grid[level[down] - 1]]
-        level[down] -= 1
-        down = down[level[down] > 0]
-    return level
+    while True:
+        # up where the predicate fails, down where it holds a level lower
+        step = (dist > nearest + grid[level]).astype(np.int64)
+        step -= (level > 0) & (dist <= nearest + grid[level - 1])
+        if not step.any():
+            return level
+        level += step
 
 
 def _edge_levels(cloud: np.ndarray, landmarks: LandmarkSet,
@@ -355,16 +348,14 @@ def epsilon_barcode(cloud: np.ndarray, landmarks: LandmarkSet,
     """Persistence barcodes of the witness complexes over an ascending
     scale grid, for dimensions 0 and 1.
 
-    The edge filtration is computed once, in one pass over the witnesses,
-    on grid levels: each landmark pair's first grid index at which the
-    pair shares a witness, by the single-scale predicate itself. Components
-    come from union-find over the edges in (level, i, j) order; cycles from
-    a cohomology reduction of the cycle-opening edges, each triangle born
-    with its youngest edge, whose pairs are the homology persistence pairs.
-    Levels map to grid values only at the end, so ``count_at`` at every
-    grid value equals the Betti numbers of ``build_complex`` there. Both
-    take distances centred on the landmark mean, so translating the cloud
-    changes them only by rounding.
+    The edge filtration, each landmark pair's first grid index at which
+    it shares a witness by the single-scale predicate itself, is computed
+    once in one pass over the witnesses centred on the landmark mean.
+    Components come from union-find over the edges in (level, i, j) order;
+    cycles from a cohomology reduction of the cycle-opening edges, each
+    triangle born with its youngest edge. Levels become grid values only
+    at the end, so ``count_at`` at every grid value equals the Betti
+    numbers of ``build_complex`` there.
     """
     grid = [float(e) for e in eps_grid]
     if not grid:
@@ -387,9 +378,7 @@ def epsilon_barcode(cloud: np.ndarray, landmarks: LandmarkSet,
     cycles = np.flatnonzero(~merges)
     deaths = np.full(edges.shape[0], top)
     if cycles.size:
-        adj = levels < top
-        adj |= adj.T
-        faces = _triangle_faces(ell, edges, _triangles_from_adjacency(adj, edges))
+        faces = _triangle_faces(ell, edges, _triangles_from_adjacency(levels < top, edges))
         # a triangle is born with its youngest edge
         faces = faces[np.argsort(faces.max(axis=1), kind="stable")]
         for e, t in _reduce_coboundaries(faces, edges.shape[0], cycles[::-1].tolist()):

@@ -760,12 +760,10 @@ def translated_distance_error(cloud, lm, offset):
 def translated_clouds(draw):
     n = draw(st.integers(1, 24))
     d = draw(st.integers(1, 3))
-    coords = st.floats(-10.0, 10.0, allow_nan=False)
-    cloud = np.array(draw(st.lists(coords, min_size=n * d, max_size=n * d)))
-    offset = st.floats(-1e7, 1e7, allow_nan=False)
-    return (cloud.reshape(n, d), dk.select_landmarks(cloud.reshape(n, d),
-                                                     draw(st.integers(1, n))),
-            np.array(draw(st.lists(offset, min_size=d, max_size=d))))
+    coords = st.lists(st.floats(-10.0, 10.0), min_size=n * d, max_size=n * d)
+    cloud = np.array(draw(coords)).reshape(n, d)
+    offset = st.lists(st.floats(-1e7, 1e7), min_size=d, max_size=d)
+    return cloud, dk.select_landmarks(cloud, draw(st.integers(1, n))), np.array(draw(offset))
 
 
 class TestTranslationInvariance:

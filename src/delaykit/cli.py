@@ -39,8 +39,8 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
+    _autocorrelation_at,
     atau_surface,
-    autocorrelation,
     permutation_entropy,
     run_grid,
     select_word_length,
@@ -381,9 +381,9 @@ def run_select_params(args) -> int:
     elif args.method == "first_zero_autocorr":
         choice = tau_first_zero_autocorr(series, args.tau_max)
         if args.curve_csv:
+            autocorr = _autocorrelation_at(series.values)
             curve_rows = ["tau,autocorrelation"] + [
-                f"{t},{autocorrelation(series, t)!r}"
-                for t in range(args.tau_max + 1)
+                f"{t},{autocorr(t)!r}" for t in range(args.tau_max + 1)
             ]
     elif args.method == "fnn":
         if args.tau is None:

@@ -15,8 +15,8 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
+    _autocorrelation_at,
     atau_surface,
-    autocorrelation,
     binned_mutual_information,
     td_mutual_information_curve,
 )
@@ -126,9 +126,10 @@ def tau_first_zero_autocorr(series, tau_max: int) -> ParamChoice:
         raise ValidationError("tau_max must be smaller than the series length")
     if tau_max < 1:
         raise ValidationError("tau_max must be >= 1")
-    prev = autocorrelation(values, 0)
+    autocorr = _autocorrelation_at(values)
+    prev = autocorr(0)
     for tau in range(1, tau_max + 1):
-        r = autocorrelation(values, tau)
+        r = autocorr(tau)
         if abs(r) <= 1.0 / np.sqrt(values.size - tau) or (prev > 0.0 > r):
             return ParamChoice(m=1, tau=tau, method="first_zero_autocorr", score=r)
         prev = r
@@ -153,6 +154,8 @@ def fnn_fraction(series, m: int, tau: int,
     values = as_values(series)
     if m < 1 or tau < 1:
         raise ValidationError("require m >= 1 and tau >= 1")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("series values must all be finite")
     if values.size - m * tau < 2:
         raise ValidationError(
             f"series cannot support the false-neighbor test at (m+1={m + 1}, tau={tau})"

@@ -250,7 +250,7 @@ class TestSelectParams:
     def test_curves_built_only_for_curve_csv(self, henon_file, tmp_path, capsys,
                                              monkeypatch):
         calls = []
-        for name in ("fnn_fraction", "td_mutual_information_curve", "autocorrelation"):
+        for name in ("fnn_fraction", "td_mutual_information_curve", "_autocorrelation_at"):
             def counting(*args, _original=getattr(cli, name), **kwargs):
                 calls.append(_original.__name__)
                 return _original(*args, **kwargs)

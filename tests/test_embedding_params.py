@@ -56,6 +56,12 @@ class TestTauFirstZeroAutocorr:
         with pytest.raises(NoZeroCrossingError):
             dk.tau_first_zero_autocorr(series, 10)
 
+    def test_score_is_the_autocorrelation_at_the_chosen_lag(self):
+        series = ar1_series(0.97, 20000, seed=3)
+        choice = dk.tau_first_zero_autocorr(series, 400)
+        assert choice.tau > 10
+        assert choice.score == dk.autocorrelation(series, choice.tau)
+
     def test_tau_max_must_be_below_series_length(self):
         # the zero at lag 3 is found before any out-of-range lag is reached
         series = SINE_12[:40]

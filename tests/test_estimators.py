@@ -7,6 +7,7 @@ import pytest
 import delaykit as dk
 from delaykit.errors import CapacityError, DegenerateSeriesError, ValidationError
 from delaykit.estimators import (
+    _autocorrelation_at,
     _bin_indices,
     _entropy_from_counts,
     _ordinal_ranks,
@@ -333,6 +334,22 @@ class TestAutocorrelation:
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateSeriesError):
             dk.autocorrelation(np.full(10, 1.0), 1)
+        with pytest.raises(DegenerateSeriesError):
+            _autocorrelation_at(np.full(10, 1.0))
+
+    def test_shared_lag_function_is_exact_at_every_lag(self):
+        rng = np.random.default_rng(18)
+        values = np.cumsum(rng.standard_normal(700)) + 3.0
+        at = _autocorrelation_at(values)
+        n = values.size
+        for tau in range(n):
+            # the per-lag expression, recomputing mean and variance each time
+            mu = values.mean()
+            var = np.mean((values - mu) ** 2)
+            dev = values - mu
+            direct = 1.0 if tau == 0 else float(
+                np.sum(dev[tau:] * dev[:-tau]) / ((n - tau) * var))
+            assert at(tau) == direct == dk.autocorrelation(values, tau)
 
 
 class TestOrdinalPatterns:

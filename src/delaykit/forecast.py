@@ -305,7 +305,14 @@ def _run_forecaster(method, name: str, params: dict, m, tau, theiler: int,
     if callable(method):
         return _per_block(method, name)
     if method == "random_walk":
-        return _per_block(lambda train, steps: np.full(steps, train[-1]), name)
+        # each block repeats the last value before it; "naive" stays per
+        # block, since prefix means from a cumulative sum would not round
+        # as train.mean()'s pairwise sum does
+        def random_walk(x, n, h):
+            starts = np.arange(n, x.size, h)
+            return np.repeat(x[starts - 1], np.minimum(h, x.size - starts))
+
+        return random_walk
     if method == "naive":
         return _per_block(lambda train, steps: np.full(steps, train.mean()), name)
     if method == "lma":

@@ -4,6 +4,11 @@ Flows (Lorenz 63, Lorenz 96, Rossler) are integrated with the classical
 fourth-order Runge-Kutta scheme at a fixed step; maps (Henon, logistic) are
 iterated directly. A trace observes a single state coordinate after
 discarding a transient.
+
+The 3-D flows (Lorenz 63, Rossler) are integrated on Python floats, one
+whole step at a time; Lorenz 96 and user-supplied fields take a loop over
+numpy state arrays. Both loops do the same IEEE operations in the same
+order, so a trajectory is byte-identical whichever loop produced it.
 """
 
 from __future__ import annotations
@@ -87,28 +92,24 @@ class FlowSpec:
     def field_function(self) -> Callable[[np.ndarray], np.ndarray]:
         """The vector field: takes and returns a flat float64 state array."""
         p = self.params
-        # The 3-D fields compute on Python floats: the same IEEE arithmetic
-        # as float64 numpy scalars without their per-operation overhead.
-        # Coefficients become floats too: a float32 one times a Python float
-        # would stay float32.
+        # The 3-D fields are written once, on Python floats: the same IEEE
+        # arithmetic as float64 numpy scalars without their per-operation
+        # overhead. Coefficients become floats too: a float32 one times a
+        # Python float would stay float32.
         if self.name == "lorenz63":
             sigma, rho, beta = (float(p[k]) for k in ("sigma", "rho", "beta"))
 
-            def f(v):
-                x, y, z = v.tolist()
-                return np.array(
-                    [sigma * (y - x), x * (rho - z) - y, x * y - beta * z]
-                )
+            def xyz(x, y, z):
+                return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
 
-            return f
+            return _FlowField.on_floats(xyz)
         if self.name == "rossler":
             a, b, c = (float(p[k]) for k in ("a", "b", "c"))
 
-            def f(v):
-                x, y, z = v.tolist()
-                return np.array([-y - z, x + a * y, b + z * (x - c)])
+            def xyz(x, y, z):
+                return -y - z, x + a * y, b + z * (x - c)
 
-            return f
+            return _FlowField.on_floats(xyz)
         # lorenz96: coupling reaches k-2, so indices wrap modulo K
         forcing = p["F"]
         site, size = np.arange(self.dimension), self.dimension
@@ -117,7 +118,29 @@ class FlowSpec:
         def f(v):
             return (v[ahead] - v[back2]) * v[back1] - v + forcing
 
-        return f
+        return _FlowField(size, f)
+
+
+class _FlowField:
+    """A flow's vector field, callable on a flat float64 state array.
+
+    ``dimension`` is the state length that ``integrate_rk4`` checks ``x0``
+    against. A 3-D field also carries ``xyz``, the same field on Python
+    floats, ``(x, y, z) -> (dx, dy, dz)``, which ``integrate_rk4`` steps
+    directly; otherwise ``xyz`` is None.
+    """
+
+    __slots__ = ("dimension", "array", "xyz")
+
+    def __init__(self, dimension: int, array: Callable, xyz: Callable | None = None):
+        self.dimension, self.array, self.xyz = dimension, array, xyz
+
+    @classmethod
+    def on_floats(cls, xyz: Callable) -> "_FlowField":
+        return cls(3, lambda v: np.array(xyz(*v.tolist())), xyz)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return self.array(v)
 
 
 @dataclass(frozen=True)
@@ -162,8 +185,17 @@ def integrate_rk4(
     Returns a (steps, d) trajectory whose first row is ``x0``; each later
     row is one RK4 step from the previous. Deterministic for fixed inputs.
 
+    The Lorenz 63 and Rossler fields of ``FlowSpec.field_function`` are
+    stepped on Python floats; Lorenz 96 and any other callable take a loop
+    over float64 arrays. The trajectory is byte-identical either way: the
+    float loop does the array loop's operations in the same order.
+
     Raises
     ------
+    ValidationError
+        For a non-positive or non-finite ``dt``, ``steps < 1``, an ``x0``
+        that is not a flat vector, or one whose length is not the
+        dimension of a ``FlowSpec`` field.
     DivergenceError
         After any step whose state fails ``max|x_i| <= 1e12``; the one
         comparison also catches NaN and infinite components. Reports the
@@ -174,33 +206,63 @@ def integrate_rk4(
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     x = np.array(x0, dtype=np.float64, copy=True)
+    xyz = None
+    if isinstance(field, _FlowField):
+        if x.shape != (field.dimension,):
+            raise ValidationError(
+                f"x0 has shape {x.shape}, expected ({field.dimension},)"
+            )
+        field, xyz = field.array, field.xyz
     if x.ndim != 1:
         raise ValidationError("x0 must be a flat state vector")
     out = np.empty((steps, x.size), dtype=np.float64)
     out[0] = x
-    half = dt / 2.0
+    # The step constants keep the caller's dtype: a float32 dt gives a
+    # float32 dt / 6.0, as in the array loop. Against float64 states the
+    # array loop widens them to float64, as float() does; a dt whose dtype
+    # numpy does not widen to float64 (longdouble) keeps the array loop.
+    half, sixth = dt / 2.0, dt / 6.0
+    if xyz is not None and np.can_cast(np.asarray(dt).dtype, np.float64):
+        _rk4_xyz(xyz, out, float(half), float(dt), float(sixth))
+        return out
     for i in range(1, steps):
         k1 = field(x)
         k2 = field(x + half * k1)
         k3 = field(x + half * k2)
         k4 = field(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.abs(x).max() <= DIVERGENCE_LIMIT:  # False for NaN too
             raise DivergenceError(i)
         out[i] = x
     return out
 
 
+def _rk4_xyz(xyz, out: np.ndarray, half: float, dt: float, sixth: float) -> None:
+    """Fill rows 1.. of the (steps, 3) ``out`` from its row 0 with RK4 steps
+    of the float field ``xyz``: the array loop, one component at a time."""
+    flat = memoryview(out.reshape(-1))
+    x, y, z = out[0].tolist()
+    for i in range(1, len(out)):
+        a1, b1, c1 = xyz(x, y, z)
+        a2, b2, c2 = xyz(x + half * a1, y + half * b1, z + half * c1)
+        a3, b3, c3 = xyz(x + half * a2, y + half * b2, z + half * c2)
+        a4, b4, c4 = xyz(x + dt * a3, y + dt * b3, z + dt * c3)
+        x = x + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        y = y + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        z = z + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        # each comparison is False for NaN, as max() is in the array loop
+        if not (abs(x) <= DIVERGENCE_LIMIT and abs(y) <= DIVERGENCE_LIMIT
+                and abs(z) <= DIVERGENCE_LIMIT):
+            raise DivergenceError(i)
+        flat[3 * i], flat[3 * i + 1], flat[3 * i + 2] = x, y, z
+
+
 def generate_flow_trace(spec: FlowSpec, x0: np.ndarray) -> ScalarSeries:
     """Integrate a flow and observe one coordinate after the transient.
 
-    The result has ``spec.steps - spec.transient`` samples.
+    The result has ``spec.steps - spec.transient`` samples. An ``x0`` whose
+    shape is not ``(spec.dimension,)`` raises ``ValidationError``.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (spec.dimension,):
-        raise ValidationError(
-            f"x0 has shape {x0.shape}, expected ({spec.dimension},)"
-        )
     traj = integrate_rk4(spec.field_function(), x0, spec.dt, spec.steps)
     observed = traj[spec.transient :, spec.observed_index]
     return ScalarSeries(observed, sample_interval=spec.dt)

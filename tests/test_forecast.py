@@ -25,6 +25,17 @@ class TestSimplePredictors:
         assert run.predictions.size == 40
         assert all(p == 4.2 for p in run.predictions)
 
+    @pytest.mark.parametrize("h", [1, 2, 3, 7, 10])
+    def test_random_walk_matches_per_block_callable(self, h):
+        # 502 test values, so h = 3, 7 and 10 end on a short block
+        x = np.cumsum(np.random.default_rng(3).standard_normal(1003))
+        run = dk.rolling_evaluate(x, 0.5, "random_walk", h=h)
+        per_block = dk.rolling_evaluate(
+            x, 0.5, lambda train, steps: np.full(steps, train[-1]), h=h)
+        assert run.predictions.tobytes() == per_block.predictions.tobytes()
+        assert run.score.value == per_block.score.value
+        assert run.params == per_block.params
+
     def test_naive(self):
         run = dk.rolling_evaluate(np.array([1.0, 2.0, 3.0, 6.0, 0.0]), 0.6, "naive")
         assert run.predictions.tolist() == [2.0, 3.0]

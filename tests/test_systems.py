@@ -1,9 +1,12 @@
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delaykit as dk
 from delaykit.errors import DivergenceError, ValidationError
@@ -323,9 +326,14 @@ def test_henon_divergence_matches_oracle(x0):
     assert new_warnings <= old_warnings
 
 
-def test_flow_trace_calls_integrator_through_module_global(monkeypatch):
+@pytest.mark.parametrize("name,params", [("lorenz96", {"K": 5}),
+                                         ("lorenz63", {}), ("rossler", {})],
+                         ids=["lorenz96", "lorenz63", "rossler"])
+def test_flow_trace_calls_integrator_through_module_global(monkeypatch, name,
+                                                           params):
     # benchmark tracing wraps systems.integrate_rk4 and reads the arguments
     # by parameter name, so the lookup and the names are part of the contract
+    # for the flows stepped on floats as well as on arrays
     original = dk.systems.integrate_rk4
     calls = []
 
@@ -334,10 +342,123 @@ def test_flow_trace_calls_integrator_through_module_global(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(dk.systems, "integrate_rk4", counting)
-    spec = dk.FlowSpec("lorenz96", {"K": 5}, dt=0.01, steps=40, transient=10)
-    x0 = dk.default_initial_state("lorenz96", spec.params, seed=1)
+    spec = dk.FlowSpec(name, params, dt=0.01, steps=40, transient=10)
+    x0 = dk.default_initial_state(name, spec.params, seed=1)
     dk.generate_flow_trace(spec, x0)
     assert len(calls) == 1
     assert list(calls[0]) == ["field", "x0", "dt", "steps"]
     assert calls[0]["steps"] == 40
     assert np.array_equal(calls[0]["x0"], x0)
+
+
+# --------------------------------------------------------------------------
+# The float loop (Lorenz 63 and Rossler fields) against the array oracle.
+
+
+@pytest.mark.parametrize("dt", [np.float32(1 / 64), np.float32(0.07),
+                                np.float64(0.07), 1, np.longdouble(0.01)],
+                         ids=["f32-1/64", "f32-0.07", "f64-0.07", "int", "longdouble"])
+@pytest.mark.parametrize("name,params,x0", [
+    ("lorenz63", {}, [1.0, 1.0, 1.0]),
+    ("lorenz63", {"sigma": np.float32(10.0), "rho": np.float32(28.3)},
+     np.array([2, -1, 20])),
+    ("lorenz63", {"sigma": 10, "rho": 28, "beta": 3}, np.float32([1.5, 1.0, 9.0])),
+    ("rossler", {}, [10.0, 0.0, 0.0]),
+    ("rossler", {"a": np.float32(0.2), "b": 0, "c": 6}, np.array([1, 1, 0])),
+], ids=["l63", "l63-f32-coef-int-x0", "l63-int-coef-f32-x0", "rossler",
+        "rossler-mixed-coef-int-x0"])
+def test_step_constants_keep_caller_dtype(name, params, x0, dt):
+    # a float32 dt / 6.0 must round in float32, as the array loop does,
+    # before the float loop widens it; int dt diverges at the same step
+    spec = dk.FlowSpec(name, params, dt=dt, steps=1500)
+    new, new_warnings = outcome(dk.integrate_rk4, spec.field_function(), x0,
+                                spec.dt, spec.steps)
+    old, old_warnings = outcome(oracle_integrate_rk4, oracle_field(spec), x0,
+                                spec.dt, spec.steps)
+    assert new == old
+    assert new_warnings <= old_warnings
+    if not isinstance(dt, int):
+        assert new[0] != "diverged"
+
+
+@pytest.mark.parametrize("length", [2, 4, 7])
+@pytest.mark.parametrize("name,params", [("lorenz63", {}), ("rossler", {}),
+                                         ("lorenz96", {"K": 5})],
+                         ids=["lorenz63", "rossler", "lorenz96-K5"])
+def test_wrong_length_x0_is_validation_error(name, params, length):
+    spec = dk.FlowSpec(name, params, dt=0.01, steps=10)
+    expected = re.escape(f"x0 has shape ({length},), expected ({spec.dimension},)")
+    with pytest.raises(ValidationError, match=expected):
+        dk.integrate_rk4(spec.field_function(), np.ones(length), spec.dt, spec.steps)
+    with pytest.raises(ValidationError, match=expected):
+        dk.generate_flow_trace(spec, np.ones(length))
+
+
+@pytest.mark.parametrize("dt", [1 / 64, np.float32(0.07)])
+@pytest.mark.parametrize("name,params", [("lorenz63", {}), ("rossler", {}),
+                                         ("lorenz96", {"K": 7, "F": 8})],
+                         ids=["lorenz63", "rossler", "lorenz96-K7"])
+def test_plain_callable_matches_spec_field(name, params, dt):
+    # a plain callable has no float form, so it takes the array loop
+    spec = dk.FlowSpec(name, params, dt=dt, steps=2000)
+    x0 = dk.default_initial_state(name, spec.params, seed=7)
+    field = spec.field_function()
+    fast = dk.integrate_rk4(field, x0, dt, spec.steps)
+    plain = dk.integrate_rk4(lambda v: field(v), x0, dt, spec.steps)
+    assert fast.tobytes() == plain.tobytes()
+
+
+def _number(draw, low, high):
+    # a float in [low, high], drawn as a Python float, a float32 or, where
+    # it rounds to a positive integer, an int
+    value = draw(st.floats(low, high, allow_nan=False, allow_infinity=False))
+    kind = draw(st.sampled_from(["float", "float32", "int"]))
+    if kind == "int" and round(value) > 0:
+        return round(value)
+    return np.float32(value) if kind == "float32" else value
+
+
+TAME = {
+    "lorenz63": {"sigma": (5.0, 15.0), "rho": (0.5, 40.0), "beta": (0.5, 4.0)},
+    "rossler": {"a": (0.0, 0.3), "b": (0.1, 1.0), "c": (2.0, 12.0)},
+    "lorenz96": {"F": (0.0, 10.0)},
+}
+WILD = {
+    "lorenz63": {"sigma": (0.1, 60.0), "rho": (0.1, 3000.0), "beta": (0.1, 20.0)},
+    "rossler": {"a": (-1.0, 1.0), "b": (-1.0, 5.0), "c": (0.1, 1000.0)},
+    "lorenz96": {"F": (-50.0, 50.0)},
+}
+
+
+@st.composite
+def flow_cases(draw):
+    # tame settings mostly stay bounded over the steps drawn; wild ones
+    # mostly diverge, some to inf and NaN
+    name = draw(st.sampled_from(["lorenz63", "rossler", "lorenz96"]))
+    wild = draw(st.booleans())
+    ranges = (WILD if wild else TAME)[name]
+    params = {key: _number(draw, *r) for key, r in ranges.items()}
+    if name == "lorenz96":
+        params["K"] = draw(st.integers(4, 8))
+    dt = _number(draw, 1e-3, 1.5) if wild else _number(draw, 1e-3, 0.05)
+    spec = dk.FlowSpec(name, params, dt=dt, steps=draw(st.integers(1, 300)))
+    if wild:
+        scale = draw(st.sampled_from([1.0, 50.0, 1e6]))
+        component = st.floats(-scale, scale) | st.sampled_from([math.nan, math.inf])
+    else:
+        component = st.floats(-10.0, 10.0)
+    x0 = draw(st.lists(component, min_size=spec.dimension, max_size=spec.dimension))
+    return spec, x0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(flow_cases())
+def test_integrator_matches_oracle_property(case):
+    # the same bytes, or the same divergence step, and no new warnings
+    spec, x0 = case
+    new, new_warnings = outcome(dk.integrate_rk4, spec.field_function(), x0,
+                                spec.dt, spec.steps)
+    old, old_warnings = outcome(oracle_integrate_rk4, oracle_field(spec), x0,
+                                spec.dt, spec.steps)
+    assert new == old
+    assert new_warnings <= old_warnings

@@ -10,12 +10,16 @@ GF(2) arithmetic throughout.
 
 Each complex or filtration is built in one pass over the witnesses in
 fixed-size blocks, so no landmark-by-witness matrix is held for the whole
-cloud. Distances are taken on coordinates centred on the landmark mean,
-so a translated cloud gives the same distances to rounding. A single
-scale ORs each block's shared-witness test into the adjacency. A scale
-sweep instead records once, for each landmark pair, the first grid level
-at which the pair connects, an edge filtration on the sweep's grid, and
-reads the persistence pairs of the clique complexes off it.
+cloud; each pass fills the same two buffers for every block. Squared
+distances are taken on coordinates centred on the landmark mean, so a
+translated cloud gives the same distances to rounding. Only each witness's
+nearest distance is a square root: a test ``sqrt(sq) <= t`` becomes the
+exact test ``sq <= c``, c the largest float whose root is at most t. A
+single scale ORs each block's shared-witness test into the adjacency. A
+scale sweep instead records once, for each landmark pair, the first grid
+level at which the pair connects, an edge filtration on the sweep's grid,
+and reads the persistence pairs of the clique complexes off it. Clouds
+must be finite.
 """
 
 from __future__ import annotations
@@ -100,9 +104,10 @@ def select_landmarks(cloud: np.ndarray, ell: int, strategy: str = "equally_space
     floor(N/ell)-th point); max_min greedily adds the point farthest from
     the landmarks so far, seeded at index 0; random draws with the given
     seed. Everything is deterministic; distance ties resolve to the
-    smallest index.
+    smallest index. max_min needs ``ell`` distinct points (points closer
+    than about 1e-162 count as one, their squared distance being 0).
     """
-    cloud = as_points(cloud)
+    cloud = _finite_points(cloud)
     n = cloud.shape[0]
     if not 1 <= ell <= n:
         raise ValidationError(f"need 1 <= ell <= {n}, got {ell}")
@@ -111,12 +116,16 @@ def select_landmarks(cloud: np.ndarray, ell: int, strategy: str = "equally_space
         indices = tuple(i * stride for i in range(ell))
     elif strategy == "max_min":
         chosen = [0]
-        dist = np.sqrt(np.sum((cloud - cloud[0]) ** 2, axis=1))
+        dist = _distances_to(cloud, cloud[0])
         for _ in range(ell - 1):
             nxt = int(np.argmax(dist))
+            if dist[nxt] == 0.0:
+                # every point coincides with a landmark: chosen holds one
+                # point of each distinct value
+                raise ValidationError(f"max_min needs {ell} distinct points, "
+                                      f"the cloud has {len(chosen)}")
             chosen.append(nxt)
-            d_new = np.sqrt(np.sum((cloud - cloud[nxt]) ** 2, axis=1))
-            dist = np.minimum(dist, d_new)
+            np.minimum(dist, _distances_to(cloud, cloud[nxt]), out=dist)
         indices = tuple(chosen)
     elif strategy == "random":
         if seed is None:
@@ -128,29 +137,86 @@ def select_landmarks(cloud: np.ndarray, ell: int, strategy: str = "equally_space
     return LandmarkSet(indices=indices, strategy=strategy)
 
 
-# Witnesses per block of the landmark-witness pass. A block holds ell-by-
-# _CHUNK float64 distances and their temporaries, so memory is
-# O(ell * _CHUNK + ell^2) whatever the cloud size.
-_CHUNK = 4096
+def _finite_points(cloud) -> np.ndarray:
+    cloud = as_points(cloud)
+    if not np.all(np.isfinite(cloud)):
+        raise ValidationError("point cloud must hold only finite values")
+    return cloud
+
+
+def _distances_to(cloud: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Euclidean distances from every row of the cloud to ``point``, equal
+    bit for bit to ``np.sqrt(np.sum((cloud - point) ** 2, axis=1))``. Below
+    8 columns numpy sums a row left to right, as the column loop does; the
+    column loop avoids a reduction along the short axis."""
+    if not 0 < cloud.shape[1] < 8:
+        return np.sqrt(np.sum((cloud - point) ** 2, axis=1))
+    sq = (cloud[:, 0] - point[0]) ** 2
+    for k in range(1, cloud.shape[1]):
+        sq += (cloud[:, k] - point[k]) ** 2
+    return np.sqrt(sq, out=sq)
+
+
+# Witnesses per block of the landmark-witness pass. A pass fills two
+# ell-by-_CHUNK float64 buffers for every block, so memory is
+# O(ell * _CHUNK + ell^2) whatever the cloud size; at ell = 200 a buffer
+# is 1.6 MB, which stays in cache across the steps of a block.
+_CHUNK = 1024
 
 
 def _witness_blocks(cloud: np.ndarray, landmarks: LandmarkSet):
-    """Yield (dist, nearest) for consecutive blocks of witnesses: the
-    ell-by-c landmark-witness distances and each witness's distance to its
-    nearest landmark."""
-    cloud = as_points(cloud)
+    """Yield (sq, nearest) for consecutive blocks of witnesses: the ell-by-c
+    squared landmark-witness distances and each witness's distance to its
+    nearest landmark, ``sqrt(max(min sq, 0))``. ``sq`` is a view of a buffer
+    that the next block overwrites."""
+    cloud = _finite_points(cloud)
     lm = cloud[list(landmarks.indices)]
     # centring keeps |l|^2 and |w|^2 at the cloud's extent, not its offset
     centre = lm.mean(axis=0)
     lm = lm - centre
     lm_sq = np.sum(lm**2, axis=1)[:, None]
-    for start in range(0, cloud.shape[0], _CHUNK):
-        block = cloud[start:start + _CHUNK] - centre
-        # |l - w|^2 = |l|^2 + |w|^2 - 2 l.w via BLAS; cancellation can
-        # leave tiny negatives, clipped before the root
-        sq = lm_sq + np.sum(block**2, axis=1)[None, :] - 2.0 * (lm @ block.T)
-        dist = np.sqrt(np.clip(sq, 0.0, None))
-        yield dist, dist.min(axis=0)
+    n, ell = cloud.shape[0], lm.shape[0]
+    size = min(_CHUNK, n)
+    block_buf = np.empty((size, cloud.shape[1]))
+    w_sq_buf = np.empty(size)
+    # one allocation for both: glibc keeps a freed block of a few MB on
+    # its heap, so the next pass reuses it without page faults
+    sq_buf, dot_buf = np.empty((2, ell * size))
+    for start in range(0, n, size):
+        c = min(size, n - start)
+        block = np.subtract(cloud[start:start + c], centre, out=block_buf[:c])
+        # |l - w|^2 = (|l|^2 + |w|^2) - 2 l.w via BLAS, in that order;
+        # cancellation can leave tiny negatives, which stay
+        w_sq = np.sum(block**2, axis=1, out=w_sq_buf[:c])
+        dot = np.matmul(lm, block.T, out=dot_buf[:ell * c].reshape(ell, c))
+        dot *= 2.0
+        sq = sq_buf[:ell * c].reshape(ell, c)
+        # fill, then add along rows: faster than numpy's outer broadcast
+        np.copyto(sq, lm_sq)
+        sq += w_sq
+        sq -= dot
+        nearest = sq.min(axis=0)
+        yield sq, np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
+
+
+def _root_bound(t: np.ndarray) -> np.ndarray:
+    """Elementwise largest float c with ``sqrt(max(c, 0)) <= t``, for t >= 0
+    (inf included): since sqrt and max are monotone, ``sq <= c`` holds
+    exactly when ``sqrt(max(sq, 0)) <= t``. ``t * t`` lands within a few
+    floats of c and seeds it, which then steps with the predicate itself.
+    NaN gives NaN, which no comparison admits."""
+    # t * t and the float above the largest finite one overflow to inf
+    with np.errstate(over="ignore"):
+        c = t * t
+        while True:
+            # down where the predicate fails, up where it holds a float higher
+            above = np.nextafter(c, np.inf)
+            fails = np.sqrt(np.maximum(c, 0.0)) > t
+            holds_above = (c < np.inf) & (np.sqrt(np.maximum(above, 0.0)) <= t)
+            if not (fails.any() or holds_above.any()):
+                return c
+            c = np.where(fails, np.nextafter(c, -np.inf),
+                         np.where(holds_above, above, c))
 
 
 def _check_epsilon(eps: float) -> None:
@@ -165,8 +231,8 @@ def _memberships(cloud: np.ndarray, landmarks: LandmarkSet, eps: float):
     time: entry (l, w) is True when witness w lies within ``eps`` of its
     nearest-landmark distance from landmark l."""
     _check_epsilon(eps)
-    for dist, nearest in _witness_blocks(cloud, landmarks):
-        yield dist <= nearest[None, :] + eps
+    for sq, nearest in _witness_blocks(cloud, landmarks):
+        yield sq <= _root_bound(nearest + eps)[None, :]
 
 
 def _adjacency(cloud: np.ndarray, landmarks: LandmarkSet, eps: float) -> np.ndarray:
@@ -207,11 +273,12 @@ def _edge_levels(cloud: np.ndarray, landmarks: LandmarkSet,
     ell = len(landmarks)
     levels = np.full((ell, ell), grid.size, dtype=np.int64)
     flat = levels.reshape(-1)
-    for dist, nearest in _witness_blocks(cloud, landmarks):
+    for sq, nearest in _witness_blocks(cloud, landmarks):
         # memberships at the grid's end, grouped by witness, landmarks ascending
-        w, lm = np.nonzero((dist <= nearest[None, :] + grid[-1]).T)
-        level = _membership_levels(dist[lm, w], nearest[w], grid)
-        counts = np.bincount(w, minlength=dist.shape[1])
+        w, lm = np.nonzero((sq <= _root_bound(nearest + grid[-1])[None, :]).T)
+        dist = np.sqrt(np.maximum(sq[lm, w], 0.0))
+        level = _membership_levels(dist, nearest[w], grid)
+        counts = np.bincount(w, minlength=sq.shape[1])
         starts = np.cumsum(counts) - counts
         for k in np.unique(counts[counts > 1]).tolist():
             first = starts[counts == k]
@@ -396,7 +463,9 @@ def scaled_epsilon(xi: float, cloud: np.ndarray) -> float:
     cloud = as_points(cloud)
     if cloud.size == 0:
         raise ValidationError("cloud must be nonempty")
-    extents = cloud.max(axis=0) - cloud.min(axis=0)
+    # column by column: a reduction along the long axis of a tall, narrow
+    # cloud is about 10x faster than cloud.max(axis=0)
+    extents = np.array([col.max() - col.min() for col in cloud.T])
     return xi * float(np.sqrt(np.sum(extents**2)))
 
 
@@ -412,6 +481,8 @@ def edge_lifespan_diagram(series, m_range, tau: int, xi: float,
     maximal lifespan in dimensions; 0 means the edge never appears.
     """
     values = as_values(series)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("series must hold only finite values")
     m_values = sorted(int(m) for m in m_range)
     if not m_values or m_values[0] < 1:
         raise ValidationError("m_range must contain dimensions >= 1")

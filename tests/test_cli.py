@@ -451,7 +451,9 @@ def small_files(tmp_path):
     dk.save_series(dk.ScalarSeries(x), series)
     cloud = tmp_path / "c.csv"
     cloud.write_text("0,0\n1,0\nnan,1\n0,1\n")
-    return {"series": str(series), "cloud": str(cloud),
+    dup = tmp_path / "dup.csv"
+    dup.write_text("0,0\n1,1\n0,0\n1,1\n")
+    return {"series": str(series), "cloud": str(cloud), "dup": str(dup),
             "out": str(tmp_path / "out.txt")}
 
 
@@ -511,6 +513,9 @@ MISUSE = {
                       "--ell", "5", "--seed", "3", "-o", "{out}"],
     "cloud_nan_row": ["topology", "--mode", "betti", "--cloud", "{cloud}",
                       "--xi", "0.01", "--ell", "2"],
+    "max_min_too_few_distinct_points": ["topology", "--mode", "barcode",
+                                        "--cloud", "{dup}", "--ell", "3",
+                                        "--landmarks", "max_min", "-o", "{out}"],
     "lifespan_ell_zero": ["topology", "--mode", "lifespan", "--series", "{series}",
                           "--m-range", "1:2", "--tau", "1", "--xi", "0.01",
                           "--ell", "0", "-o", "{out}"],

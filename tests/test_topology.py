@@ -336,6 +336,59 @@ class TestSelectLandmarks:
         with pytest.raises(ValidationError):
             dk.select_landmarks(np.zeros((5, 2)), 2, "random")
 
+    def test_max_min_matches_the_summed_formula(self):
+        rng = np.random.default_rng(22)
+        for d in range(1, 11):
+            lattice = rng.integers(-3, 4, size=(300, d)).astype(np.float64)
+            scaled = rng.normal(size=(300, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+            for cloud in (lattice, lattice * 0.1 + 7.0, scaled):
+                ell = min(40, np.unique(cloud, axis=0).shape[0])
+                want = oracle_max_min(cloud, ell)
+                assert dk.select_landmarks(cloud, ell, "max_min").indices == want
+
+    def test_max_min_names_both_counts_when_points_repeat(self):
+        cloud = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        assert dk.select_landmarks(cloud, 2, "max_min").indices == (0, 1)
+        with pytest.raises(ValidationError,
+                           match="max_min needs 3 distinct points, the cloud has 2"):
+            dk.select_landmarks(cloud, 3, "max_min")
+        # points without coordinates all coincide
+        assert dk.select_landmarks(np.zeros((4, 0)), 1, "max_min").indices == (0,)
+        with pytest.raises(ValidationError, match="the cloud has 1"):
+            dk.select_landmarks(np.zeros((4, 0)), 2, "max_min")
+
+
+def oracle_max_min(cloud, ell):
+    """Oracle: greedy max-min selection with distances summed by ``np.sum``
+    along each row, as before the column loop."""
+    chosen = [0]
+    dist = np.sqrt(np.sum((cloud - cloud[0]) ** 2, axis=1))
+    for _ in range(ell - 1):
+        nxt = int(np.argmax(dist))
+        chosen.append(nxt)
+        dist = np.minimum(dist, np.sqrt(np.sum((cloud - cloud[nxt]) ** 2, axis=1)))
+    return tuple(chosen)
+
+
+class TestNonFiniteClouds:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_entry_point_rejects(self, bad):
+        cloud = np.random.default_rng(23).normal(size=(30, 2))
+        lm = dk.select_landmarks(cloud, 5)
+        cloud[17, 1] = bad
+        message = "point cloud must hold only finite values"
+        for strategy in ("equally_spaced", "max_min", "random"):
+            with pytest.raises(ValidationError, match=message):
+                dk.select_landmarks(cloud, 5, strategy, seed=1)
+        with pytest.raises(ValidationError, match=message):
+            dk.build_complex(cloud, lm, 0.1)
+        with pytest.raises(ValidationError, match=message):
+            dk.epsilon_barcode(cloud, lm, [0.1, 0.2])
+        values = np.sin(0.2 * np.arange(200.0))
+        values[150] = bad
+        with pytest.raises(ValidationError, match="series must hold only finite"):
+            dk.edge_lifespan_diagram(values, range(1, 3), tau=2, xi=0.1, ell=5)
+
 
 class TestFuzzyWitnessSets:
     def test_zero_eps_unique_membership(self):
@@ -624,6 +677,54 @@ def float_neighbours(values, steps=2):
     return np.concatenate(out)
 
 
+def root_holds(c, t):
+    """The membership predicate on a squared distance c at threshold t."""
+    return np.sqrt(np.maximum(c, 0.0)) <= t
+
+
+def step_floats(x, k):
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return x
+
+
+thresholds = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1.3407807929942596e154,
+                     1.7976931348623157e308, np.inf]),
+    st.floats(5e-324, 2.2250738585072014e-308),  # subnormal: t * t underflows
+    st.floats(2.2250738585072014e-308, 1e150),
+    st.floats(1e150, 1.7976931348623157e308),    # huge: t * t overflows
+)
+
+
+class TestRootBound:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(thresholds, st.integers(-3, 3),
+                              st.floats(allow_nan=False)), min_size=1, max_size=8))
+    def test_largest_square_whose_root_stays_within(self, cases):
+        t = np.array([case[0] for case in cases])
+        bound = topology._root_bound(t)
+        assert np.all(root_holds(bound, t))
+        with np.errstate(over="ignore"):
+            above = np.nextafter(bound, np.inf)
+            squares = t * t
+            # squares near t * t and arbitrary floats, negatives and inf included
+            near = np.array([step_floats(sq, k) for sq, (_, k, _) in zip(squares, cases)])
+        assert np.all((bound == np.inf) | ~root_holds(above, t))
+        for c in (near, np.array([case[2] for case in cases]), bound, above,
+                  np.nextafter(bound, -np.inf)):
+            assert np.array_equal(c <= bound, root_holds(c, t))
+
+    def test_known_bounds(self):
+        t = np.array([np.nan, 0.0, 5e-324, 1.0, 1e300, np.inf])
+        bound = topology._root_bound(t)
+        assert np.isnan(bound[0])
+        # sqrt(1 + 2**-52) rounds down to 1; every positive float's root
+        # exceeds a subnormal; the largest float's root is about 1.3e154
+        assert bound[1:].tolist() == [0.0, 0.0, np.nextafter(1.0, 2.0),
+                                      np.finfo(float).max, np.inf]
+
+
 class TestExactThresholds:
     def test_scales_follow_the_float_predicate(self):
         rng = np.random.default_rng(17)
@@ -751,7 +852,8 @@ def translated_distance_error(cloud, lm, offset):
     in units of 1 + max |coordinate|."""
     direct = np.linalg.norm(cloud[list(lm.indices)][:, None, :] - cloud[None, :, :],
                             axis=2)
-    got = np.concatenate([dist for dist, _ in
+    # the blocks are squared distances in a reused buffer: root each in turn
+    got = np.concatenate([np.sqrt(np.maximum(sq, 0.0)) for sq, _ in
                           topology._witness_blocks(cloud + offset, lm)], axis=1)
     return np.abs(got - direct).max() / (1.0 + np.abs(cloud).max())
 
@@ -796,7 +898,9 @@ class TestTranslationInvariance:
 
 
 def test_build_complex_memory_is_bounded():
-    # the dense geometry would hold 13 B per landmark-witness pair: 520 MB
+    # the dense geometry would hold 13 B per landmark-witness pair: 520 MB.
+    # A pass holds two 200-by-_CHUNK float64 block buffers (3.1 MiB at
+    # _CHUNK = 1024) and peaks at 4.3 MiB.
     cloud = np.random.default_rng(19).uniform(size=(200_000, 2))
     lm = dk.select_landmarks(cloud, 200)
     eps = dk.scaled_epsilon(0.01, cloud)
@@ -807,4 +911,5 @@ def test_build_complex_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert snap.edges.shape[0] > 0
-    assert peak < 64 * 2**20
+    assert peak < 8 * 2**20
+

@@ -99,6 +99,9 @@ class ExperimentConfig:
 _NOT_PARAMS = {"command", "func", "dump_config", "output", "argmax_json",
                "curve_csv", "json", "csv"}
 
+_JOBS_HELP = ("1 = this process, with one cell per core on threads; "
+              "N > 1 = N worker processes")
+
 
 def _flag_config(args) -> ExperimentConfig:
     """The configuration of a command whose parameters are its parsed
@@ -284,7 +287,7 @@ def _add_sweep(sub):
                    help="train fraction for mase mode")
     p.add_argument("--theiler", type=int, default=0,
                    help="temporal exclusion for mase mode")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("-o", "--output", required=True, help="grid CSV path")
     p.add_argument("--argmax-json", metavar="PATH",
                    help="write the best cell (max for atau, min for mase)")
@@ -360,7 +363,7 @@ def _add_select(sub):
     p.add_argument("--h", type=int, default=1)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--max-samples", type=int, default=20000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--curve-csv", metavar="PATH",
                    help="also write the full selection curve or grid")
     p.add_argument("--dump-config", metavar="PATH")

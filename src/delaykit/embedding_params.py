@@ -206,6 +206,8 @@ def atau_optimal_params(series, m_range, tau_range, h: int = 1, k: int = 4,
 
     Exact ties on a plateau resolve to the smallest m, then the smallest
     tau, since lower dimensions cost less and amplify less noise.
+    ``jobs=1`` runs the cells in this process, one cell per usable core
+    on threads; ``jobs=N > 1`` runs them in N worker processes.
     """
     grid = atau_surface(series, m_range, tau_range, h=h, k=k,
                         max_samples=max_samples, jobs=jobs)

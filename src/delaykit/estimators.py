@@ -11,7 +11,9 @@ internally and is converted once at the end.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -160,6 +162,25 @@ def td_mutual_information_curve(series, tau_max: int,
 # 32 to 10 ms at N = 1,200 and from 1.42 to 0.50 s at N = 20,000.
 _BALL_TREE_LEAFSIZE = 128
 
+# Set in the threads or processes of a grid pool of more than one worker.
+# Those already spread the cells over the cores, so their tree queries run
+# on one thread each; every other KSG call splits its queries over all cores.
+_cell_worker = threading.local()
+
+
+def _mark_cell_worker():
+    _cell_worker.active = True
+
+
+def _query_workers() -> int:
+    return 1 if getattr(_cell_worker, "active", False) else -1
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def _sorted_counts(values: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Points j with |values[j] - values[i]| <= radii[i], self included,
@@ -205,7 +226,7 @@ def _marginal_counts(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
         return _sorted_counts(points[:, 0], radii) - 1
     tree = cKDTree(points, leafsize=_BALL_TREE_LEAFSIZE, balanced_tree=False)
     counts = tree.query_ball_point(points, radii, p=np.inf,
-                                   workers=-1, return_length=True)
+                                   workers=_query_workers(), return_length=True)
     return counts - 1
 
 
@@ -238,7 +259,8 @@ def ksg_mutual_information(x_points, y_points, k: int = 4) -> float:
     # checked here, before any tree: scipy's own complaint is no toolkit error
     if not np.all(np.isfinite(joint)):
         raise ValidationError("KSG point sets must hold only finite values")
-    _, idx = cKDTree(joint).query(joint, k=k + 1, p=np.inf, workers=-1)
+    _, idx = cKDTree(joint).query(joint, k=k + 1, p=np.inf,
+                                  workers=_query_workers())
     nbrs = idx[:, 1:]
     rho_x = np.max(np.abs(xp[:, None, :] - xp[nbrs]), axis=(1, 2))
     rho_y = np.max(np.abs(yp[:, None, :] - yp[nbrs]), axis=(1, 2))
@@ -291,11 +313,15 @@ def run_grid(cell_fn, series, m_range, tau_range, jobs: int,
              metadata: dict) -> SweepGrid:
     """Evaluate ``cell_fn(values, m, tau)`` at every cell of an (m, tau) grid.
 
-    Cells are independent. With ``jobs > 1`` they run in worker
-    processes, so ``cell_fn`` must pickle by name: a module-level
-    function or a ``functools.partial`` of one. A cell that raises a
-    toolkit error is flagged missing (NaN) with its message in
-    ``cell_errors``; the rest of the grid is still returned.
+    Cells are independent. ``jobs=1`` runs them in this process, one
+    cell per usable core on threads; ``jobs=N > 1`` runs them in N
+    worker processes, so ``cell_fn`` must then pickle by name: a
+    module-level function or a ``functools.partial`` of one. Inside a
+    pool of more than one worker, KSG tree queries run on one thread.
+    A cell that raises a toolkit error is flagged missing (NaN) with its
+    message in ``cell_errors``; the rest of the grid is still returned.
+    Any other error stops the grid: cells not yet started are dropped
+    and the error is raised.
     """
     values = as_values(series)
     m_values = tuple(int(m) for m in m_range)
@@ -306,12 +332,17 @@ def run_grid(cell_fn, series, m_range, tau_range, jobs: int,
         raise ValidationError("jobs must be >= 1")
     cells = [(m, tau) for m in m_values for tau in tau_values]
     task = partial(_grid_cell, cell_fn, values)
-    workers = min(jobs, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, *zip(*cells), chunksize=1))
+    if jobs > 1 and len(cells) > 1:
+        pool_class, workers = ProcessPoolExecutor, min(jobs, len(cells))
     else:
-        results = [task(m, tau) for m, tau in cells]
+        pool_class, workers = ThreadPoolExecutor, min(_usable_cores(), len(cells))
+    # a single worker has no other cell to share the cores with
+    pool = pool_class(max_workers=workers,
+                      initializer=_mark_cell_worker if workers > 1 else None)
+    try:
+        results = list(pool.map(task, *zip(*cells), chunksize=1))
+    finally:
+        pool.shutdown(cancel_futures=True)
     grid = np.array([value for value, _ in results], dtype=np.float64)
     errors = {cell: err for cell, (_, err) in zip(cells, results) if err is not None}
     return SweepGrid(m_values, tau_values,
@@ -327,7 +358,8 @@ def _grid_cell(cell_fn, values, m, tau):
 
 
 def _atau_cell(values, m, tau, h, k, max_samples):
-    # workers unpickle this cell by name; it looks the estimator up per call
+    # process workers unpickle this cell by name and thread workers share
+    # it; either way it looks the estimator up through the module per call
     return active_information_storage(values, m, tau, h=h, k=k,
                                       max_samples=max_samples)
 
@@ -339,6 +371,8 @@ def atau_surface(series, m_range, tau_range, h: int = 1, k: int = 4,
 
     Cells are independent; invalid cells are flagged missing (NaN) with
     the error recorded, and the rest of the grid is still returned.
+    ``jobs=1`` runs the cells in this process, one cell per usable core
+    on threads; ``jobs=N > 1`` runs them in N worker processes.
     """
     if max_samples is not None and max_samples < 1:
         raise ValidationError("max_samples must be >= 1")

@@ -1,15 +1,22 @@
 import math
+import threading
+import time
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from conftest import make_map_trace
+from scipy.spatial import cKDTree
 
 import delaykit as dk
+from delaykit import cli, estimators
 from delaykit.errors import CapacityError, DegenerateSeriesError, ValidationError
 from delaykit.estimators import (
     _autocorrelation_at,
     _bin_indices,
     _entropy_from_counts,
+    _grid_cell,
     _ordinal_ranks,
     _pattern_labels,
 )
@@ -292,6 +299,223 @@ class TestAtauSurface:
         values2 = np.array([[2.0, 2.0], [1.0, 2.0]])
         grid2 = dk.SweepGrid((3, 4), (5, 6), values2)
         assert grid2.argbest("max")[:2] == (3, 5)
+
+
+def serial_run_grid(cell_fn, series, m_range, tau_range, metadata):
+    """The grid runner's former ``jobs=1`` path: every cell in order, in
+    the calling thread."""
+    values = as_values(series)
+    m_values = tuple(int(m) for m in m_range)
+    tau_values = tuple(int(t) for t in tau_range)
+    cells = [(m, tau) for m in m_values for tau in tau_values]
+    results = [_grid_cell(cell_fn, values, m, tau) for m, tau in cells]
+    grid = np.array([value for value, _ in results], dtype=np.float64)
+    errors = {cell: err for cell, (_, err) in zip(cells, results) if err is not None}
+    return dk.SweepGrid(m_values, tau_values,
+                        grid.reshape(len(m_values), len(tau_values)),
+                        metadata=metadata, cell_errors=errors)
+
+
+def assert_same_grid(grid, oracle):
+    assert (grid.m_values, grid.tau_values) == (oracle.m_values, oracle.tau_values)
+    assert grid.values.tobytes() == oracle.values.tobytes()
+    assert grid.cell_errors == oracle.cell_errors
+    assert grid.metadata == oracle.metadata
+
+
+def reverse_finishing_cell(values, m, tau):
+    """Cells of the 2x3 grid m 1:2, tau 1:3 sleep less the later they
+    come, so a pool wide enough finishes them in reverse order."""
+    time.sleep(0.08 * (6 - (3 * (m - 1) + tau - 1)))
+    return 10.0 * m + tau
+
+
+def failing_first_cell(values, m, tau, error):
+    if (m, tau) == (1, 1):
+        raise error("cell failed")
+    time.sleep(0.2)
+    return 0.0
+
+
+class WorkersRecordingTree(cKDTree):
+    """A ``cKDTree`` that appends each query's ``workers=`` to the file
+    ``log``, so that forked pool workers report too."""
+
+    log = None
+
+    def _record(self, kind, kwargs):
+        with open(self.log, "a", encoding="utf-8") as fh:
+            fh.write(f"{kind}:{kwargs.get('workers', 1)}\n")
+
+    def query(self, *args, **kwargs):
+        self._record("knn", kwargs)
+        return super().query(*args, **kwargs)
+
+    def query_ball_point(self, *args, **kwargs):
+        self._record("ball", kwargs)
+        return super().query_ball_point(*args, **kwargs)
+
+
+@pytest.fixture
+def workers_log(monkeypatch, tmp_path):
+    """Records the ``workers=`` of every KSG tree query; returns a reader
+    of the recorded ``kind:workers`` entries."""
+    log = tmp_path / "workers.log"
+    log.touch()
+    monkeypatch.setattr(WorkersRecordingTree, "log", str(log))
+    monkeypatch.setattr(estimators, "cKDTree", WorkersRecordingTree)
+
+    def read():
+        entries = log.read_text().split()
+        log.write_text("")
+        return entries
+
+    return read
+
+
+class TestRunGridPools:
+    """``run_grid`` runs ``jobs=1`` on one thread per usable core and
+    ``jobs > 1`` on processes; both must equal the serial loop."""
+
+    ATAU_M, ATAU_TAU = [1, 2, 1600], [1, 2]
+
+    @pytest.fixture(scope="class")
+    def atau_oracle(self):
+        x = np.random.default_rng(25).normal(size=1500)
+        cell = partial(estimators._atau_cell, h=1, k=4,
+                       max_samples=estimators.DEFAULT_MAX_SAMPLES)
+        meta = {"h": 1, "k": 4, "max_samples": estimators.DEFAULT_MAX_SAMPLES,
+                "quantity": "atau"}
+        oracle = serial_run_grid(cell, x, self.ATAU_M, self.ATAU_TAU, meta)
+        # m=1600 cannot be reconstructed, so failing cells are compared too
+        assert set(oracle.cell_errors) == {(1600, 1), (1600, 2)}
+        return x, oracle
+
+    @pytest.fixture(scope="class")
+    def mase_oracle(self):
+        x = make_map_trace("henon", seed=3, n=1500, transient=500)
+        cell = partial(cli._mase_cell, h=2, fraction=0.9, theiler=0)
+        meta = {"quantity": "h_mase", "h": 2}
+        oracle = serial_run_grid(cell, x, [1, 2, 1400], [1, 3], meta)
+        assert set(oracle.cell_errors) == {(1400, 1), (1400, 3)}
+        return x, cell, meta, oracle
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_atau_threads_match_serial(self, monkeypatch, atau_oracle, cores):
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: cores)
+        x, oracle = atau_oracle
+        assert_same_grid(dk.atau_surface(x, self.ATAU_M, self.ATAU_TAU, jobs=1), oracle)
+
+    def test_atau_processes_match_serial(self, atau_oracle):
+        x, oracle = atau_oracle
+        assert_same_grid(dk.atau_surface(x, self.ATAU_M, self.ATAU_TAU, jobs=2), oracle)
+
+    @pytest.mark.parametrize("cores, jobs", [(1, 1), (2, 1), (3, 1), (2, 2)])
+    def test_mase_grid_matches_serial(self, monkeypatch, mase_oracle, cores, jobs):
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: cores)
+        x, cell, meta, oracle = mase_oracle
+        grid = estimators.run_grid(cell, x, [1, 2, 1400], [1, 3], jobs, dict(meta))
+        assert_same_grid(grid, oracle)
+
+    @pytest.mark.parametrize("cores, cells, threads", [(1, 6, 1), (2, 6, 2),
+                                                       (3, 6, 3), (8, 2, 2)])
+    def test_one_thread_per_usable_core(self, monkeypatch, cores, cells, threads):
+        sizes = []
+
+        class RecordingPool(estimators.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", RecordingPool)
+        grid = estimators.run_grid(lambda values, m, tau: float(m), np.arange(5.0),
+                                   range(1, cells + 1), [1], 1, {})
+        assert sizes == [threads]
+        assert grid.values.ravel().tolist() == list(range(1, cells + 1))
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_results_placed_by_position(self, monkeypatch, jobs):
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: 6)
+        finished = []
+
+        def recording_cell(values, m, tau):
+            value = reverse_finishing_cell(values, m, tau)
+            finished.append((m, tau))
+            return value
+
+        # processes cannot report back through a closure
+        cell = recording_cell if jobs == 1 else reverse_finishing_cell
+        grid = estimators.run_grid(cell, np.arange(5.0), [1, 2], [1, 2, 3], jobs, {})
+        assert grid.values.tolist() == [[11.0, 12.0, 13.0], [21.0, 22.0, 23.0]]
+        if jobs == 1:
+            assert finished == [(2, 3), (2, 2), (2, 1), (1, 3), (1, 2), (1, 1)]
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_escaping_error_stops_the_grid(self, monkeypatch, jobs, error):
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: 2)
+        cell = partial(failing_first_cell, error=error)
+        start = time.perf_counter()
+        with pytest.raises(error, match="cell failed"):
+            estimators.run_grid(cell, np.arange(5.0), range(1, 7), range(1, 6), jobs, {})
+        # the 29 sleeping cells would take 2.9 s on two workers
+        assert time.perf_counter() - start < 1.5
+
+    def test_interrupt_while_submitting_drops_pending_cells(self, monkeypatch):
+        class InterruptedPool(estimators.ThreadPoolExecutor):
+            """Queues every cell, then takes an interrupt before any result
+            is read."""
+
+            def map(self, fn, *iterables, **kwargs):
+                for args in zip(*iterables):
+                    self.submit(fn, *args)
+                raise KeyboardInterrupt
+
+        started = []
+
+        def cell(values, m, tau):
+            started.append((m, tau))
+            time.sleep(0.2)
+            return 0.0
+
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", InterruptedPool)
+        with pytest.raises(KeyboardInterrupt):
+            estimators.run_grid(cell, np.arange(5.0), range(1, 7), range(1, 6), 1, {})
+        # the cells already running finish; the other queued ones never start
+        assert len(started) <= 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grid_cells_query_on_one_thread(self, monkeypatch, workers_log, jobs):
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: 2)
+        x = np.random.default_rng(3).normal(size=600)
+        dk.atau_surface(x, [2, 3], [1, 2], jobs=jobs)
+        entries = workers_log()
+        # one kNN and one multi-coordinate x-count per cell
+        assert sorted(entries) == ["ball:1"] * 4 + ["knn:1"] * 4
+
+    def test_standalone_calls_query_on_every_core(self, monkeypatch, workers_log):
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: 2)
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(500, 3)), rng.normal(size=500)
+        threads = threading.active_count()
+        dk.ksg_mutual_information(x, y)
+        assert sorted(workers_log()) == ["ball:-1", "knn:-1"]
+        # a grid run in between leaves the calling thread unmarked
+        dk.atau_surface(y, [2, 3], [1, 2], jobs=1)
+        assert set(workers_log()) == {"ball:1", "knn:1"}
+        dk.active_information_storage(y, 3, 2)
+        assert sorted(workers_log()) == ["ball:-1", "knn:-1"]
+        # and its pool's threads are gone
+        assert threading.active_count() == threads
+
+    def test_single_cell_grid_queries_on_every_core(self, monkeypatch, workers_log):
+        # a one-worker pool shares the cores with no other cell
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: 2)
+        x = np.random.default_rng(5).normal(size=500)
+        dk.atau_surface(x, [3], [2], jobs=2)
+        assert sorted(workers_log()) == ["ball:-1", "knn:-1"]
 
 
 class TestHorizonInfoRatio:

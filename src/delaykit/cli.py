@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .embedding_params import (
     FnnConfig,
+    _atau_choice,
     atau_optimal_params,
     estimate_m_fnn,
     fnn_fraction,
@@ -99,8 +100,7 @@ class ExperimentConfig:
 _NOT_PARAMS = {"command", "func", "dump_config", "output", "argmax_json",
                "curve_csv", "json", "csv"}
 
-_JOBS_HELP = ("1 = this process, with one cell per core on threads; "
-              "N > 1 = N worker processes")
+_JOBS_HELP = "grid cells run on threads: 1 = one per usable core; N > 1 = N threads"
 
 
 def _flag_config(args) -> ExperimentConfig:
@@ -371,6 +371,8 @@ def _add_select(sub):
 
 
 def run_select_params(args) -> int:
+    if args.method == "atau_optimal":
+        m_values, tau_values = map(_parse_range, (args.m_range, args.tau_range))
     series = load_series(args.input)
     config = _flag_config(args)
 
@@ -400,16 +402,13 @@ def run_select_params(args) -> int:
                 for m in range(1, choice.m + 1)
             ]
     else:
-        choice = atau_optimal_params(series, _parse_range(args.m_range),
-                                     _parse_range(args.tau_range), h=args.h,
-                                     k=args.k, max_samples=args.max_samples,
-                                     jobs=args.jobs)
+        atau = dict(h=args.h, k=args.k, max_samples=args.max_samples, jobs=args.jobs)
         if args.curve_csv:
-            grid = atau_surface(series, _parse_range(args.m_range),
-                                _parse_range(args.tau_range), h=args.h,
-                                k=args.k, max_samples=args.max_samples,
-                                jobs=args.jobs)
+            grid = atau_surface(series, m_values, tau_values, **atau)
+            choice = _atau_choice(grid)
             curve_rows = list(grid.to_csv_rows())
+        else:
+            choice = atau_optimal_params(series, m_values, tau_values, **atau)
 
     if curve_rows:
         _write_lines(args.curve_csv, config.header_lines(), curve_rows)

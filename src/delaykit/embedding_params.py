@@ -206,10 +206,14 @@ def atau_optimal_params(series, m_range, tau_range, h: int = 1, k: int = 4,
 
     Exact ties on a plateau resolve to the smallest m, then the smallest
     tau, since lower dimensions cost less and amplify less noise.
-    ``jobs=1`` runs the cells in this process, one cell per usable core
-    on threads; ``jobs=N > 1`` runs them in N worker processes.
+    The cells run on threads: one per usable core at ``jobs=1``, N
+    threads at ``jobs=N > 1``.
     """
-    grid = atau_surface(series, m_range, tau_range, h=h, k=k,
-                        max_samples=max_samples, jobs=jobs)
+    return _atau_choice(atau_surface(series, m_range, tau_range, h=h, k=k,
+                                     max_samples=max_samples, jobs=jobs))
+
+
+def _atau_choice(grid) -> ParamChoice:
+    """The A_tau-optimal choice of an ``atau_surface`` grid."""
     m, tau, score = grid.argbest("max")
     return ParamChoice(m=m, tau=tau, method="atau_optimal", score=score)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -162,9 +162,9 @@ def td_mutual_information_curve(series, tau_max: int,
 # 32 to 10 ms at N = 1,200 and from 1.42 to 0.50 s at N = 20,000.
 _BALL_TREE_LEAFSIZE = 128
 
-# Set in the threads or processes of a grid pool of more than one worker.
-# Those already spread the cells over the cores, so their tree queries run
-# on one thread each; every other KSG call splits its queries over all cores.
+# Set in the threads of a grid pool of more than one worker. Those already
+# spread the cells over the cores, so their tree queries run on one thread
+# each; every other KSG call splits its queries over all cores.
 _cell_worker = threading.local()
 
 
@@ -313,11 +313,9 @@ def run_grid(cell_fn, series, m_range, tau_range, jobs: int,
              metadata: dict) -> SweepGrid:
     """Evaluate ``cell_fn(values, m, tau)`` at every cell of an (m, tau) grid.
 
-    Cells are independent. ``jobs=1`` runs them in this process, one
-    cell per usable core on threads; ``jobs=N > 1`` runs them in N
-    worker processes, so ``cell_fn`` must then pickle by name: a
-    module-level function or a ``functools.partial`` of one. Inside a
-    pool of more than one worker, KSG tree queries run on one thread.
+    Cells are independent and run on threads of this process: one per
+    usable core at ``jobs=1``, N threads at ``jobs=N > 1``. Inside a
+    pool of more than one thread, KSG tree queries run on one thread.
     A cell that raises a toolkit error is flagged missing (NaN) with its
     message in ``cell_errors``; the rest of the grid is still returned.
     Any other error stops the grid: cells not yet started are dropped
@@ -332,13 +330,10 @@ def run_grid(cell_fn, series, m_range, tau_range, jobs: int,
         raise ValidationError("jobs must be >= 1")
     cells = [(m, tau) for m in m_values for tau in tau_values]
     task = partial(_grid_cell, cell_fn, values)
-    if jobs > 1 and len(cells) > 1:
-        pool_class, workers = ProcessPoolExecutor, min(jobs, len(cells))
-    else:
-        pool_class, workers = ThreadPoolExecutor, min(_usable_cores(), len(cells))
+    workers = min(jobs if jobs > 1 else _usable_cores(), len(cells))
     # a single worker has no other cell to share the cores with
-    pool = pool_class(max_workers=workers,
-                      initializer=_mark_cell_worker if workers > 1 else None)
+    pool = ThreadPoolExecutor(max_workers=workers,
+                              initializer=_mark_cell_worker if workers > 1 else None)
     try:
         results = list(pool.map(task, *zip(*cells), chunksize=1))
     finally:
@@ -358,8 +353,8 @@ def _grid_cell(cell_fn, values, m, tau):
 
 
 def _atau_cell(values, m, tau, h, k, max_samples):
-    # process workers unpickle this cell by name and thread workers share
-    # it; either way it looks the estimator up through the module per call
+    # looks the estimator up through the module on every call, so a
+    # replaced ``active_information_storage`` is the one the cells run
     return active_information_storage(values, m, tau, h=h, k=k,
                                       max_samples=max_samples)
 
@@ -371,8 +366,8 @@ def atau_surface(series, m_range, tau_range, h: int = 1, k: int = 4,
 
     Cells are independent; invalid cells are flagged missing (NaN) with
     the error recorded, and the rest of the grid is still returned.
-    ``jobs=1`` runs the cells in this process, one cell per usable core
-    on threads; ``jobs=N > 1`` runs them in N worker processes.
+    The cells run on threads: one per usable core at ``jobs=1``, N
+    threads at ``jobs=N > 1``.
     """
     if max_samples is not None and max_samples < 1:
         raise ValidationError("max_samples must be >= 1")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import delaykit as dk
-from delaykit import cli
+from delaykit import cli, estimators
 from delaykit.cli import main
 
 
@@ -279,6 +279,43 @@ class TestSelectParams:
             assert calls
             assert data_lines(curve) == rows
             calls.clear()
+
+    def test_atau_curve_csv_runs_one_sweep(self, henon_file, tmp_path, capsys,
+                                           monkeypatch):
+        runs = []
+        run_grid = estimators.run_grid
+
+        def counting(*args, **kwargs):
+            runs.append(args[2:4])
+            return run_grid(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "run_grid", counting)
+        argv = ["select-params", "--method", "atau_optimal", "-i", str(henon_file),
+                "--m-range", "1:3", "--tau-range", "1:2", "--max-samples", "1000"]
+        code, bare, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert runs == [([1, 2, 3], [1, 2])]
+        curve = tmp_path / "grid.csv"
+        code, out, _ = run_cli(capsys, *argv, "--curve-csv", str(curve))
+        assert code == 0
+        assert runs == [([1, 2, 3], [1, 2])] * 2
+        assert out == bare
+        grid = dk.atau_surface(dk.load_series(henon_file), [1, 2, 3], [1, 2],
+                               max_samples=1000)
+        assert data_lines(curve) == list(grid.to_csv_rows())
+
+    def test_atau_ranges_checked_before_config_dump(self, henon_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        code, _, err = run_cli(capsys, "select-params", "--method", "atau_optimal",
+                               "-i", str(henon_file), "--m-range", "3:1",
+                               "--dump-config", str(cfg))
+        assert code == 1
+        assert "3:1" in err
+        assert not cfg.exists()
+        # other methods do not read the ranges
+        code, _, _ = run_cli(capsys, "select-params", "--method", "fnn", "--tau", "1",
+                             "-i", str(henon_file), "--m-range", "3:1")
+        assert code == 0
 
     def test_atau_records_max_samples_and_jobs(self, henon_file, tmp_path, capsys):
         cfg, curve = tmp_path / "cfg.txt", tmp_path / "grid.csv"

@@ -1,4 +1,5 @@
 import math
+import pickle
 import threading
 import time
 from functools import partial
@@ -338,14 +339,13 @@ def failing_first_cell(values, m, tau, error):
 
 
 class WorkersRecordingTree(cKDTree):
-    """A ``cKDTree`` that appends each query's ``workers=`` to the file
-    ``log``, so that forked pool workers report too."""
+    """A ``cKDTree`` that appends each query's ``workers=`` to the list
+    ``log``, from whichever thread queries."""
 
     log = None
 
     def _record(self, kind, kwargs):
-        with open(self.log, "a", encoding="utf-8") as fh:
-            fh.write(f"{kind}:{kwargs.get('workers', 1)}\n")
+        self.log.append(f"{kind}:{kwargs.get('workers', 1)}")
 
     def query(self, *args, **kwargs):
         self._record("knn", kwargs)
@@ -357,17 +357,16 @@ class WorkersRecordingTree(cKDTree):
 
 
 @pytest.fixture
-def workers_log(monkeypatch, tmp_path):
+def workers_log(monkeypatch):
     """Records the ``workers=`` of every KSG tree query; returns a reader
     of the recorded ``kind:workers`` entries."""
-    log = tmp_path / "workers.log"
-    log.touch()
-    monkeypatch.setattr(WorkersRecordingTree, "log", str(log))
+    log = []
+    monkeypatch.setattr(WorkersRecordingTree, "log", log)
     monkeypatch.setattr(estimators, "cKDTree", WorkersRecordingTree)
 
     def read():
-        entries = log.read_text().split()
-        log.write_text("")
+        entries = log.copy()
+        log.clear()
         return entries
 
     return read
@@ -375,7 +374,7 @@ def workers_log(monkeypatch, tmp_path):
 
 class TestRunGridPools:
     """``run_grid`` runs ``jobs=1`` on one thread per usable core and
-    ``jobs > 1`` on processes; both must equal the serial loop."""
+    ``jobs=N > 1`` on N threads; both must equal the serial loop."""
 
     ATAU_M, ATAU_TAU = [1, 2, 1600], [1, 2]
 
@@ -406,20 +405,24 @@ class TestRunGridPools:
         x, oracle = atau_oracle
         assert_same_grid(dk.atau_surface(x, self.ATAU_M, self.ATAU_TAU, jobs=1), oracle)
 
-    def test_atau_processes_match_serial(self, atau_oracle):
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_atau_jobs_threads_match_serial(self, monkeypatch, atau_oracle, jobs):
+        # N threads whatever the core count
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: 1)
         x, oracle = atau_oracle
-        assert_same_grid(dk.atau_surface(x, self.ATAU_M, self.ATAU_TAU, jobs=2), oracle)
+        assert_same_grid(dk.atau_surface(x, self.ATAU_M, self.ATAU_TAU, jobs=jobs),
+                         oracle)
 
-    @pytest.mark.parametrize("cores, jobs", [(1, 1), (2, 1), (3, 1), (2, 2)])
+    @pytest.mark.parametrize("cores, jobs", [(1, 1), (2, 1), (3, 1), (2, 2), (1, 3)])
     def test_mase_grid_matches_serial(self, monkeypatch, mase_oracle, cores, jobs):
         monkeypatch.setattr(estimators, "_usable_cores", lambda: cores)
         x, cell, meta, oracle = mase_oracle
         grid = estimators.run_grid(cell, x, [1, 2, 1400], [1, 3], jobs, dict(meta))
         assert_same_grid(grid, oracle)
 
-    @pytest.mark.parametrize("cores, cells, threads", [(1, 6, 1), (2, 6, 2),
-                                                       (3, 6, 3), (8, 2, 2)])
-    def test_one_thread_per_usable_core(self, monkeypatch, cores, cells, threads):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of every grid pool, in order."""
         sizes = []
 
         class RecordingPool(estimators.ThreadPoolExecutor):
@@ -427,12 +430,46 @@ class TestRunGridPools:
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(estimators, "_usable_cores", lambda: cores)
         monkeypatch.setattr(estimators, "ThreadPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("cores, cells, threads", [(1, 6, 1), (2, 6, 2),
+                                                       (3, 6, 3), (8, 2, 2)])
+    def test_one_thread_per_usable_core(self, monkeypatch, pool_sizes, cores,
+                                        cells, threads):
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: cores)
         grid = estimators.run_grid(lambda values, m, tau: float(m), np.arange(5.0),
                                    range(1, cells + 1), [1], 1, {})
-        assert sizes == [threads]
+        assert pool_sizes == [threads]
         assert grid.values.ravel().tolist() == list(range(1, cells + 1))
+
+    @pytest.mark.parametrize("cores, jobs, cells, threads", [(1, 2, 6, 2), (2, 3, 6, 3),
+                                                             (8, 4, 2, 2), (2, 5, 1, 1)])
+    def test_jobs_threads_whatever_the_cores(self, monkeypatch, pool_sizes, cores,
+                                             jobs, cells, threads):
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: cores)
+        grid = estimators.run_grid(lambda values, m, tau: float(m), np.arange(5.0),
+                                   range(1, cells + 1), [1], jobs, {})
+        assert pool_sizes == [threads]
+        assert grid.values.ravel().tolist() == list(range(1, cells + 1))
+
+    def test_closure_cell_runs_at_jobs_2(self):
+        x = np.random.default_rng(7).normal(size=50)
+        scale = 3.0
+
+        def cell(values, m, tau):
+            if m == 3:
+                raise ValidationError(f"no cell at tau={tau}")
+            return scale * float(values[m * tau])
+
+        # a local function does not pickle, so no process pool could run it
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(cell)
+        meta = {"quantity": "closure"}
+        grid = estimators.run_grid(cell, x, [1, 2, 3], [1, 2], 2, dict(meta))
+        oracle = serial_run_grid(cell, x, [1, 2, 3], [1, 2], meta)
+        assert set(oracle.cell_errors) == {(3, 1), (3, 2)}
+        assert_same_grid(grid, oracle)
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_results_placed_by_position(self, monkeypatch, jobs):
@@ -444,12 +481,14 @@ class TestRunGridPools:
             finished.append((m, tau))
             return value
 
-        # processes cannot report back through a closure
-        cell = recording_cell if jobs == 1 else reverse_finishing_cell
-        grid = estimators.run_grid(cell, np.arange(5.0), [1, 2], [1, 2, 3], jobs, {})
+        grid = estimators.run_grid(recording_cell, np.arange(5.0), [1, 2], [1, 2, 3],
+                                   jobs, {})
         assert grid.values.tolist() == [[11.0, 12.0, 13.0], [21.0, 22.0, 23.0]]
-        if jobs == 1:
-            assert finished == [(2, 3), (2, 2), (2, 1), (1, 3), (1, 2), (1, 1)]
+        # six threads finish every cell in reverse; three threads finish the
+        # first row in reverse, then the second row all at once
+        first = {1: [(2, 3), (2, 2), (2, 1), (1, 3), (1, 2), (1, 1)],
+                 3: [(1, 3), (1, 2), (1, 1)]}[jobs]
+        assert finished[:len(first)] == first
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     @pytest.mark.parametrize("jobs", [1, 2])

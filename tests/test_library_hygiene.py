@@ -1,4 +1,5 @@
-"""Library modules never print: only the CLI writes to stdout or stderr."""
+"""Library modules never print: only the CLI writes to stdout or stderr.
+No module starts processes: grids run their cells on threads."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,8 @@ import delaykit
 
 PACKAGE = Path(delaykit.__file__).parent
 CLI_MODULES = {"cli.py", "__main__.py"}
-LIBRARY_MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in CLI_MODULES)
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+LIBRARY_MODULES = [name for name in MODULES if name not in CLI_MODULES]
 
 
 def console_uses(source: str) -> list[str]:
@@ -43,3 +45,38 @@ def test_guard_catches_console_writes():
               "sys.stdout.write('y')\n")
     assert console_uses(source) == ["2: from sys import stderr", "3: print",
                                     "4: sys.stdout"]
+
+
+def process_uses(source: str) -> list[str]:
+    """Each import of ``multiprocessing`` or one of its submodules, and
+    each import or attribute use of ``ProcessPoolExecutor``, as
+    ``line: what``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names
+                      if a.name.partition(".")[0] == "multiprocessing"]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").partition(".")[0] == "multiprocessing":
+                found.append(f"{node.lineno}: from {node.module}")
+            found += [f"{node.lineno}: import {a.name}" for a in node.names
+                      if a.name == "ProcessPoolExecutor"]
+        elif isinstance(node, ast.Attribute) and node.attr == "ProcessPoolExecutor":
+            found.append(f"{node.lineno}: .ProcessPoolExecutor")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_starts_processes(module):
+    assert process_uses((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_guard_catches_process_pools():
+    source = ("import os, multiprocessing.pool\nfrom multiprocessing import Pool\n"
+              "from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor\n"
+              "import concurrent.futures as cf\ncf.ProcessPoolExecutor()\n"
+              "import multiprocessing_helpers\n")
+    assert process_uses(source) == ["1: import multiprocessing.pool",
+                                    "2: from multiprocessing",
+                                    "3: import ProcessPoolExecutor",
+                                    "5: .ProcessPoolExecutor"]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 
 from .errors import NoNeighborError, ValidationError
@@ -45,11 +44,10 @@ class ForecastRun:
             raise ValidationError("predictions and truth must align")
 
 
-def _check_ar(n: int, order: int) -> None:
-    if order < 1:
-        raise ValidationError("AR order must be >= 1")
-    if n <= order:
-        raise ValidationError(f"AR({order}) needs more than {order} samples")
+# Each batched LAPACK call of the AR solver stacks at most this many floats
+# (76 one-row refits of an order-8 fit); one refit that needs more goes
+# alone.
+_BATCH_FLOATS = 2**16
 
 
 def _ar_rows(x: np.ndarray, order: int, start: int, stop: int) -> np.ndarray:
@@ -62,56 +60,98 @@ def _ar_rows(x: np.ndarray, order: int, start: int, stop: int) -> np.ndarray:
     return rows
 
 
-def _ar_fold(r: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
-    """The triangular QR factor of ``[r; rows]``: folding rows into the
-    factor of ``[design | target]`` costs O(rows), not O(design)."""
-    return np.linalg.qr(rows if r is None else np.vstack([r, rows]), mode="r")
+def _fit_ar(x: np.ndarray, positions: np.ndarray, order: int):
+    """Least-squares AR(order) fits with intercept to the prefixes
+    ``x[:pos]``, one per ascending ``pos`` in ``positions``, solved by QR.
 
+    Returns (coefficients, fallbacks): row k of the (K, order + 1)
+    coefficients belongs to ``positions[k]``, its entry 0 being the
+    intercept and entry i multiplying the value i steps back. Each fit's
+    triangular factor of ``[design | target]`` folds the rows added since
+    the previous fit into that fit's factor, and gives the coefficients by
+    back substitution. A design whose rank falls short by ``lstsq``'s
+    cutoff (``eps * max(rows, columns) * s_max`` on its singular values),
+    such as that of a constant series or one with fewer rows than
+    coefficients, falls back to the mean of its prefix and is flagged in
+    the (K,) mask.
 
-def _ar_solve(r: np.ndarray, count: int, x: np.ndarray):
-    """Coefficients from the factor ``r`` of ``[design | target]`` over
-    ``count`` rows, or the mean of ``x`` with a True fallback flag when the
-    design's rank falls short by ``lstsq``'s own cutoff
-    (``eps * max(rows, columns) * s_max`` on its singular values)."""
-    p = r.shape[1] - 1
-    if r.shape[0] >= p:
-        tri = r[:p, :p]
-        s = np.linalg.svd(tri, compute_uv=False)
-        if s[-1] > np.finfo(np.float64).eps * max(count, p) * s[0]:
-            return solve_triangular(tri, r[:p, p]), False
-    fallback = np.zeros(p)
-    fallback[0] = x.mean()
-    return fallback, True
-
-
-def _fit_ar(x: np.ndarray, order: int):
-    """Least-squares AR(order) fit with intercept, solved by QR.
-
-    Returns (coefficients, fallback) where coefficients[0] is the
-    intercept and coefficients[i] multiplies the value i steps back. The
-    triangular factor of ``[design | target]`` gives the coefficients by
-    back substitution; its singular values decide the rank with the cutoff
-    ``np.linalg.lstsq`` uses. A rank-deficient design (a constant series,
-    say) falls back to the mean predictor and is flagged.
+    Fits go in batches of at most ``_BATCH_FLOATS`` stacked floats: one QR
+    call factors ``[previous factor; new rows; zero padding]`` for every
+    fit of the batch, one SVD call checks their ranks and one solve covers
+    the full-rank ones.
     """
-    n = x.size
-    _check_ar(n, order)
-    return _ar_solve(_ar_fold(None, _ar_rows(x, order, order, n)), n - order, x)
+    if order < 1:
+        raise ValidationError("AR order must be >= 1")
+    if positions[0] <= order:
+        raise ValidationError(f"AR({order}) needs more than {order} samples")
+    if not np.all(np.isfinite(x[: positions[-1]])):
+        raise ValidationError("train values must all be finite")
+    p = order + 1
+    cols = p + 1
+    counts = positions - order
+    coef = np.zeros((positions.size, p))
+    fallbacks = np.ones(positions.size, dtype=bool)
+    cutoff = np.finfo(np.float64).eps * np.maximum(counts, p)
+    r = np.empty((0, cols))
+    done = order  # the factor r holds the rows of targets below this
+    # fewer rows than coefficients cannot have full rank: no factor needed
+    k = np.searchsorted(counts, p)
+    most = max(1, _BATCH_FLOATS // cols**2)
+    while k < positions.size:
+        height = np.maximum(cols, len(r) + positions[k : k + most] - done)
+        floats = np.arange(1, height.size + 1) * height * cols
+        b = max(1, int(np.searchsorted(floats, _BATCH_FLOATS, side="right")))
+        batch = slice(k, k + b)
+        rows = _ar_rows(x, order, done, positions[k + b - 1])
+        taken = np.arange(len(rows)) < (positions[batch] - done)[:, None]
+        stack = np.zeros((b, height[b - 1], cols))
+        stack[:, : len(r)] = r
+        stack[:, len(r) : len(r) + len(rows)] = np.where(taken[..., None], rows, 0.0)
+        factors = np.linalg.qr(stack, mode="r")
+        tri = factors[:, :p, :p]
+        s = np.linalg.svd(tri, compute_uv=False)
+        full = s[:, -1] > cutoff[batch] * s[:, 0]
+        if full.any():
+            coef[k + np.flatnonzero(full)] = np.linalg.solve(
+                tri[full], factors[full, :p, p:])[..., 0]
+        fallbacks[batch] = ~full
+        r = factors[-1]
+        done = positions[k + b - 1]
+        k += b
+    coef[fallbacks, 0] = [x[:pos].mean() for pos in positions[fallbacks]]
+    return coef, fallbacks
 
 
-def _ar_step(coef: np.ndarray, recent: np.ndarray) -> float:
-    # recent[-1] is the newest sample
-    order = coef.size - 1
-    return float(coef[0] + np.dot(coef[1:], recent[::-1][:order]))
+def _ar_blocks(x: np.ndarray, n: int, total: int, h: int, order: int,
+               refit_every: int):
+    """AR forecasts of samples ``n .. total - 1`` in blocks of h, and the
+    number of fits that fell back to the mean.
+
+    The block at ``pos`` iterates the AR fit to ``x[:pos]`` of the last
+    refit at or before it, refits falling on every ``refit_every``-th
+    block. All fits come from one ``_fit_ar`` call; the s-th steps of all
+    blocks are one vectorised step.
+    """
+    starts = np.arange(n, total, h)
+    coef, fallbacks = _fit_ar(x, starts[::refit_every], order)
+    coef = coef[np.arange(starts.size) // refit_every]
+    lagged = coef[:, :0:-1]  # the oldest sample's coefficient first
+    lengths = np.minimum(h, total - starts)
+    # row b of work holds the order samples before block b, then the
+    # block's predictions
+    work = np.empty((starts.size, order + h))
+    work[:, :order] = sliding_window_view(x[: starts[-1]], order)[starts - order]
+    for s in range(h):
+        live = np.count_nonzero(lengths > s)
+        work[:live, order + s] = coef[:live, 0] + np.einsum(
+            "ij,ij->i", lagged[:live], work[:live, s : s + order])
+    return work[:, order:].ravel()[: total - n], int(np.count_nonzero(fallbacks))
 
 
 def forecast_ar(train, order: int = 8) -> float:
     """One-step prediction from a least-squares AR(order) fit with intercept."""
     x = as_values(train)
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("train values must all be finite")
-    coef, _ = _fit_ar(x, order)
-    return _ar_step(coef, x)
+    return float(_ar_blocks(x, x.size, x.size + 1, 1, order, 1)[0][0])
 
 
 def _scan_distances(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -252,36 +292,6 @@ def forecast_lma(train, m: int, tau: int, steps: int = 1,
     return _lma_blocks(x, x.size, x.size + steps, steps, m, tau, theiler)
 
 
-def _ar_blocks(order: int, refit_every: int, params: dict):
-    """Block forecaster for the AR baseline: refits every ``refit_every``
-    blocks, folding only the design rows added since the last refit into
-    the QR factor, and counts mean-predictor fallbacks in ``params``."""
-    r = None
-    folded = order  # targets below this are in r
-    coef = None
-    blocks = 0
-
-    def forecast(train: np.ndarray, steps: int) -> np.ndarray:
-        nonlocal r, folded, coef, blocks
-        if blocks % refit_every == 0:
-            _check_ar(train.size, order)
-            r = _ar_fold(r, _ar_rows(train, order, folded, train.size))
-            folded = train.size
-            coef, fellback = _ar_solve(r, folded - order, train)
-            if fellback:
-                params["fallbacks"] += 1
-        blocks += 1
-        recent = list(train[-order:])
-        out = np.empty(steps)
-        for i in range(steps):
-            nxt = _ar_step(coef, np.asarray(recent))
-            out[i] = nxt
-            recent = (recent + [nxt])[-order:]
-        return out
-
-    return forecast
-
-
 def _per_block(forecaster, name: str):
     """Run a block forecaster ``f(train_values, steps)`` over the rolling
     protocol: ``run(x, n, h)`` predicts ``x[n:]`` block by block."""
@@ -324,7 +334,13 @@ def _run_forecaster(method, name: str, params: dict, m, tau, theiler: int,
         if refit_every < 1:
             raise ValidationError("refit_every must be >= 1")
         params.update({"order": order, "refit_every": refit_every, "fallbacks": 0})
-        return _per_block(_ar_blocks(order, refit_every, params), name)
+
+        def ar(x, n, h):
+            pred, params["fallbacks"] = _ar_blocks(x, n, x.size, h, order,
+                                                   refit_every)
+            return pred
+
+        return ar
     raise ValidationError(f"unknown forecast method {method!r}")
 
 
@@ -344,9 +360,12 @@ def rolling_evaluate(series, fraction: float, method, h: int = 1, *,
     oracles in tests). LMA builds one KD-tree over the series' delay
     vectors for the whole run and answers each step with the nearest
     admissible vector, exactly as a scan of the prefix would. The AR
-    baseline refits its coefficients every ``refit_every`` blocks by
-    folding the new design rows into a QR factor; fallbacks to the mean
-    predictor are counted in the run's params.
+    baseline refits its coefficients to the prefix every ``refit_every``
+    blocks. The refits are computed together, in batches: one QR call
+    folds each refit's new design rows into the previous factor, one SVD
+    call checks their ranks with ``lstsq``'s cutoff and one solve gives
+    the full-rank coefficients. Fallbacks to the mean predictor are counted
+    in the run's params.
     """
     if h < 1:
         raise ValidationError("horizon h must be >= 1")

@@ -47,6 +47,14 @@ class TestGenerate:
         assert code == 0
         assert len(data_lines(out)) == 50000
 
+    def test_henon_seed_that_used_to_diverge(self, tmp_path, capsys):
+        # the first draw of seed 231 leaves the basin and diverged at step 10
+        out = tmp_path / "h.txt"
+        code, _, err = run_cli(capsys, "generate", "--system", "henon",
+                               "--n", "500", "--seed", "231", "-o", str(out))
+        assert code == 0, err
+        assert len(data_lines(out)) == 500
+
     def test_invalid_dimension_exits_one_without_file(self, tmp_path, capsys):
         out = tmp_path / "bad.txt"
         code, _, err = run_cli(capsys, "generate", "--system", "lorenz96",
@@ -490,8 +498,11 @@ def small_files(tmp_path):
     cloud.write_text("0,0\n1,0\nnan,1\n0,1\n")
     dup = tmp_path / "dup.csv"
     dup.write_text("0,0\n1,1\n0,0\n1,1\n")
+    long = tmp_path / "long.txt"
+    t = np.arange(5000)
+    dk.save_series(dk.ScalarSeries(np.sin(0.05 * t) + 0.1 * np.cos(0.31 * t)), long)
     return {"series": str(series), "cloud": str(cloud), "dup": str(dup),
-            "out": str(tmp_path / "out.txt")}
+            "long": str(long), "out": str(tmp_path / "out.txt")}
 
 
 MISUSE = {
@@ -558,6 +569,14 @@ MISUSE = {
                           "--ell", "0", "-o", "{out}"],
     "ar_order_negative": ["forecast", "--method", "ar", "--order", "-1",
                           "-i", "{series}"],
+    "ar_refit_every_zero": ["forecast", "--method", "ar", "--split", "0.7",
+                            "--refit-every", "0", "-i", "{long}"],
+    "ar_order_zero": ["forecast", "--method", "ar", "--split", "0.7",
+                      "--order", "0", "-i", "{long}"],
+    "ar_order_beyond_train": ["forecast", "--method", "ar", "--split", "0.7",
+                              "--order", "4000", "-i", "{long}"],
+    "ar_split_below_order": ["forecast", "--method", "ar", "--split", "0.001",
+                             "-i", "{long}"],
     "word_length_overflow": ["wpe", "--ell", "16", "-i", "{series}"],
     "betti_xi_nan": ["topology", "--mode", "betti", "--series", "{series}",
                      "--m", "2", "--tau", "1", "--xi", "nan", "--ell", "5"],

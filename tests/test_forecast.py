@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 
 import delaykit as dk
 from delaykit import forecast
 from delaykit.errors import NoNeighborError, ValidationError
-from delaykit.forecast import _ar_step, _fit_ar
+from delaykit.forecast import _fit_ar
 from delaykit.timeseries import delay_matrix
 
 
@@ -75,6 +78,18 @@ class TestAR:
             x[50] = bad
             with pytest.raises(ValidationError, match="finite"):
                 dk.forecast_ar(x, order=4)
+
+    def test_solver_checks_raw_arrays(self):
+        x = np.sin(0.3 * np.arange(200.0))
+        x[50] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            _fit_ar(x, np.array([200]), 4)
+        # only the prefixes fitted are read
+        assert not _fit_ar(x, np.array([40, 50]), 2)[1].any()
+        with pytest.raises(ValidationError, match="order"):
+            _fit_ar(x[:40], np.array([40]), 0)
+        with pytest.raises(ValidationError, match="more than 40 samples"):
+            _fit_ar(x[:40], np.array([40]), 40)
 
 
 class TestLMA:
@@ -227,6 +242,12 @@ def scan_forecast_lma(train, m, tau, steps=1, theiler=0):
     return out
 
 
+def ar_step(coef, recent):
+    # recent[-1] is the newest sample
+    order = coef.size - 1
+    return float(coef[0] + np.dot(coef[1:], recent[::-1][:order]))
+
+
 def lstsq_fit_ar(x, order):
     """AR(order) fit with intercept by ``np.linalg.lstsq`` on the full
     design: the oracle for the QR fit."""
@@ -282,7 +303,7 @@ def rolling_oracle(series, fraction, method, h=1, *, m=None, tau=None,
             recent = list(train_values[-order:])
             block_pred = np.empty(block)
             for i in range(block):
-                nxt = _ar_step(ar_coef, np.asarray(recent))
+                nxt = ar_step(ar_coef, np.asarray(recent))
                 block_pred[i] = nxt
                 recent = (recent + [nxt])[-order:]
         else:
@@ -354,14 +375,137 @@ class TestRollingOracle:
         rng = np.random.default_rng(0)
         x = np.tile([1.0, -1.0], 500) + amplitude * rng.standard_normal(1000)
         assert lstsq_fit_ar(x, 4)[1] is fallback
-        assert _fit_ar(x, 4)[1] is fallback
+        assert _fit_ar(x, np.array([x.size]), 4)[1].tolist() == [fallback]
 
     def test_forecast_ar_matches_lstsq(self, lorenz96_20k):
         x = lorenz96_20k.values[:5000]
         coef, fellback = lstsq_fit_ar(x, 8)
         assert not fellback
         assert dk.forecast_ar(x, order=8) == pytest.approx(
-            _ar_step(coef, x), abs=1e-9)
+            ar_step(coef, x), abs=1e-9)
+
+
+def fold_ar_run(x, n, h, order, refit_every):
+    """The rolling AR baseline as one QR fold per refit, the sequential
+    path the batched solver replaced: each refit folds the design rows
+    added since the last one into the triangular factor of ``[design |
+    target]``, checks its rank by SVD with ``lstsq``'s cutoff and solves by
+    back substitution. Returns (predictions, fallbacks)."""
+    p = order + 1
+    r = None
+    folded = order
+    predictions = []
+    fallbacks = 0
+    for block, pos in enumerate(range(n, x.size, h)):
+        if block % refit_every == 0:
+            t = np.arange(folded, pos)
+            rows = np.column_stack([np.ones(t.size)]
+                                   + [x[t - lag] for lag in range(1, p)] + [x[t]])
+            r = np.linalg.qr(rows if r is None else np.vstack([r, rows]), mode="r")
+            folded = pos
+            coef = np.zeros(p)
+            coef[0] = x[:pos].mean()
+            fellback = True
+            if r.shape[0] >= p:
+                tri = r[:p, :p]
+                s = np.linalg.svd(tri, compute_uv=False)
+                if s[-1] > np.finfo(np.float64).eps * max(pos - order, p) * s[0]:
+                    coef = solve_triangular(tri, r[:p, p])
+                    fellback = False
+            fallbacks += fellback
+        recent = list(x[pos - order : pos])
+        for _ in range(min(h, x.size - pos)):
+            nxt = ar_step(coef, np.asarray(recent))
+            predictions.append(nxt)
+            recent = (recent + [nxt])[-order:]
+    return np.array(predictions), fallbacks
+
+
+def _flipping_alternation(n=300, seed=0, amplitude=1e-13):
+    # The AR design's singular-value ratio is about amplitude / 2, while
+    # lstsq's cutoff grows with the row count: early refits keep full rank
+    # and later ones fall back.
+    rng = np.random.default_rng(seed)
+    return np.resize([1.0, -1.0], n) + amplitude * rng.standard_normal(n)
+
+
+@st.composite
+def ar_cases(draw):
+    kind = draw(st.sampled_from(["oscillator", "lattice", "alternation"]))
+    n = draw(st.integers(60, 360))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "oscillator":
+        x = _noisy_oscillator(n, seed)
+    elif kind == "lattice":
+        x = _lattice(n, seed)
+    else:
+        x = _flipping_alternation(n, seed, 10.0 ** draw(st.floats(-14, -12)))
+    return (x, draw(st.sampled_from([0.2, 0.5, 0.8, 0.95])),
+            draw(st.integers(1, 6)), draw(st.integers(1, 5)),
+            draw(st.integers(1, 4)))
+
+
+class TestBatchedAR:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(ar_cases())
+    def test_matches_lstsq_and_fold(self, case):
+        x, fraction, order, h, refit_every = case
+        run = dk.rolling_evaluate(x, fraction, "ar", h=h, order=order,
+                                  refit_every=refit_every)
+        pred, _, params = rolling_oracle(x, fraction, "ar", h=h, order=order,
+                                         refit_every=refit_every)
+        assert run.params == params
+        assert np.max(np.abs(run.predictions - pred)) <= 1e-12
+        fold_pred, fold_fallbacks = fold_ar_run(x, run.train_length, h, order,
+                                                refit_every)
+        assert fold_fallbacks == params["fallbacks"]
+        assert np.max(np.abs(fold_pred - pred)) <= 1e-12
+
+    def test_fallbacks_flip_mid_run(self):
+        x = _flipping_alternation()
+        run = dk.rolling_evaluate(x, 0.3, "ar", h=2, order=4)
+        _, _, params = rolling_oracle(x, 0.3, "ar", h=2, order=4)
+        assert 0 < run.params["fallbacks"] == params["fallbacks"] < 105
+
+    @pytest.mark.parametrize("budget", [1, 400, 2000])
+    @pytest.mark.parametrize("make", [_noisy_oscillator, _flipping_alternation])
+    def test_batch_boundaries(self, monkeypatch, make, budget):
+        x = make()
+        kwargs = {"h": 3, "order": 4, "refit_every": 2}
+        default = dk.rolling_evaluate(x, 0.3, "ar", **kwargs)
+        qr_stacks = []
+        qr = np.linalg.qr
+
+        def spy(a, mode="reduced"):
+            qr_stacks.append(a.shape[0] if a.ndim == 3 else 1)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        monkeypatch.setattr(forecast, "_BATCH_FLOATS", budget)
+        run = dk.rolling_evaluate(x, 0.3, "ar", **kwargs)
+        pred, _, params = rolling_oracle(x, 0.3, "ar", **kwargs)
+        assert run.params == params == default.params
+        assert np.max(np.abs(run.predictions - pred)) <= 1e-12
+        assert np.max(np.abs(run.predictions - default.predictions)) <= 1e-12
+        # 35 refits; a budget of 400 floats takes them two at a time after
+        # the first, whose 86 rows go alone
+        assert sum(qr_stacks) == 35
+        if budget == 1:
+            assert qr_stacks == [1] * 35
+        elif budget == 400:
+            assert qr_stacks == [1] + [2] * 17
+
+    def test_high_order_completes(self):
+        # Designs of fewer rows than columns fall back without a factor;
+        # once they have enough rows each refit goes alone, as it exceeds
+        # the batch budget.
+        x = _noisy_oscillator(1000)
+        kwargs = {"h": 5, "order": 300, "refit_every": 2}
+        run = dk.rolling_evaluate(x, 0.5, "ar", **kwargs)
+        pred, _, params = rolling_oracle(x, 0.5, "ar", **kwargs)
+        assert run.params == params
+        assert 0 < params["fallbacks"] < 50
+        assert np.max(np.abs(run.predictions - pred)) <= 1e-9
 
 
 @pytest.mark.parametrize("h", [1, 3, 7])

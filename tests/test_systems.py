@@ -155,6 +155,28 @@ def test_seeded_initial_states_replayable():
         assert not np.array_equal(a, c)
 
 
+# the seeds below 4,000 whose first Henon draw diverges within 11 steps
+HENON_ESCAPING_SEEDS = [231, 785, 1823, 1885, 1916, 2963, 3110]
+
+
+@pytest.mark.parametrize("seed", HENON_ESCAPING_SEEDS)
+def test_henon_escaping_draw_is_redrawn(seed):
+    first = 0.1 * np.random.default_rng(seed).standard_normal(2)
+    with pytest.raises(DivergenceError):
+        dk.generate_map_trace(dk.MapSpec("henon", {}, x0=tuple(first), n=500))
+    x0 = dk.default_initial_state("henon", {}, seed)
+    assert not np.array_equal(x0, first)
+    trace = dk.generate_map_trace(dk.MapSpec("henon", {}, x0=tuple(x0), n=20000))
+    assert np.max(np.abs(trace.values)) < 2.0
+
+
+def test_henon_bounded_draws_keep_their_first_draw():
+    for seed in sorted(set(range(300)) - set(HENON_ESCAPING_SEEDS)):
+        first = 0.1 * np.random.default_rng(seed).standard_normal(2)
+        x0 = dk.default_initial_state("henon", {"a": 1.4, "b": 0.3}, seed)
+        assert x0.tobytes() == first.tobytes()
+
+
 # --------------------------------------------------------------------------
 # Oracles: the per-step loops that the fast paths replaced, kept verbatim.
 # Every trace and every divergence step must match them bit for bit.

@@ -73,7 +73,7 @@ def _fit_ar(x: np.ndarray, positions: np.ndarray, order: int):
     cutoff (``eps * max(rows, columns) * s_max`` on its singular values),
     such as that of a constant series or one with fewer rows than
     coefficients, falls back to the mean of its prefix and is flagged in
-    the (K,) mask.
+    the (K,) mask; a last prefix that short raises ``ValidationError``.
 
     Fits go in batches of at most ``_BATCH_FLOATS`` stacked floats: one QR
     call factors ``[previous factor; new rows; zero padding]`` for every
@@ -84,6 +84,9 @@ def _fit_ar(x: np.ndarray, positions: np.ndarray, order: int):
         raise ValidationError("AR order must be >= 1")
     if positions[0] <= order:
         raise ValidationError(f"AR({order}) needs more than {order} samples")
+    if positions[-1] <= 2 * order:
+        raise ValidationError(f"AR({order}) needs {order + 1} design rows, a prefix "
+                              f"of {2 * order + 1} samples; the last fit has {positions[-1]}")
     if not np.all(np.isfinite(x[: positions[-1]])):
         raise ValidationError("train values must all be finite")
     p = order + 1

@@ -5,15 +5,17 @@ fourth-order Runge-Kutta scheme at a fixed step; maps (Henon, logistic) are
 iterated directly. A trace observes a single state coordinate after
 discarding a transient.
 
-The 3-D flows (Lorenz 63, Rossler) are integrated on Python floats, one
-whole step at a time; Lorenz 96 and user-supplied fields take a loop over
-numpy state arrays. Both loops do the same IEEE operations in the same
-order, so a trajectory is byte-identical whichever loop produced it.
+The built-in flows are stepped on Python floats by straight-line RK4 code
+compiled once per field shape; wide Lorenz 96 fields and user-supplied ones
+take a loop over numpy state arrays. Both do the same IEEE operations in
+the same order, so a trajectory is byte-identical whichever produced it.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -91,28 +93,17 @@ class FlowSpec:
 
     def field_function(self) -> Callable[[np.ndarray], np.ndarray]:
         """The vector field: takes and returns a flat float64 state array."""
-        p = self.params
-        # The 3-D fields are written once, on Python floats: the same IEEE
-        # arithmetic as float64 numpy scalars without their per-operation
-        # overhead. Coefficients become floats too: a float32 one times a
-        # Python float would stay float32.
-        if self.name == "lorenz63":
-            sigma, rho, beta = (float(p[k]) for k in ("sigma", "rho", "beta"))
-
-            def xyz(x, y, z):
-                return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
-
-            return _FlowField.on_floats(xyz)
-        if self.name == "rossler":
-            a, b, c = (float(p[k]) for k in ("a", "b", "c"))
-
-            def xyz(x, y, z):
-                return -y - z, x + a * y, b + z * (x - c)
-
-            return _FlowField.on_floats(xyz)
-        # lorenz96: coupling reaches k-2, so indices wrap modulo K
+        p, size = self.params, self.dimension
+        if size <= _FLOAT_MAX_DIMENSION:
+            names, components = self._float_shape()
+            on_floats, rk4 = _float_kernels(names, components)
+            # a float32 coefficient times a Python float would stay float32
+            coefficients = tuple(float(p[key]) for key in names)
+            return _FlowField(size, partial(on_floats, coefficients),
+                              partial(rk4, coefficients))
+        # lorenz96 past the float limit; coupling wraps indices modulo K
         forcing = p["F"]
-        site, size = np.arange(self.dimension), self.dimension
+        site = np.arange(size)
         ahead, back1, back2 = (site + 1) % size, (site - 1) % size, (site - 2) % size
 
         def f(v):
@@ -120,24 +111,74 @@ class FlowSpec:
 
         return _FlowField(size, f)
 
+    def _float_shape(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The coefficient names and the field, one expression per state
+        component, in which ``{j}`` stands for component j."""
+        names = tuple(key for key in FLOW_DEFAULTS[self.name] if key != "K")
+        if self.name == "lorenz63":
+            return names, ("sigma * ({1} - {0})", "{0} * (rho - {2}) - {1}",
+                           "{0} * {1} - beta * {2}")
+        if self.name == "rossler":
+            return names, ("-{1} - {2}", "{0} + a * {1}", "b + {2} * ({0} - c)")
+        size = self.dimension  # indices wrap modulo K, as in the array form
+        return names, tuple("({%d} - {%d}) * {%d} - {%d} + F"
+                            % ((i + 1) % size, (i - 2) % size, (i - 1) % size, i)
+                            for i in range(size))
+
+
+# The widest state stepped on floats: a float step costs about 0.35 us per
+# component, an array step about 20 us up to K = 64 (BENCH_14.json).
+_FLOAT_MAX_DIMENSION = 48
+
+
+def _float_source(coefficients: tuple[str, ...], components: tuple[str, ...]) -> str:
+    """Source of ``field(coef, v)``, the field of a state array on floats,
+    and ``rk4(coef, out, half, dt, sixth)``, which fills rows 1.. of ``out``
+    from row 0 with the array loop's float operations, in the same order."""
+    d = len(components)
+    xs, ys = [f"x{j}" for j in range(d)], [f"y{j}" for j in range(d)]
+    state, coef = ", ".join(xs), ", ".join(coefficients)
+    step = []
+    for stage, scale in enumerate(("half", "half", "dt", None), start=1):
+        step += [f"k{stage}_{j} = {c.format(*(ys if stage > 1 else xs))}"
+                 for j, c in enumerate(components)]
+        step += [f"y{j} = x{j} + {scale} * k{stage}_{j}" for j in range(d) if scale]
+    step += [f"x{j} = x{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
+             for j in range(d)]
+    # each comparison is False for NaN, as max() is in the array loop
+    checks = " and ".join(f"abs(x{j}) <= DIVERGENCE_LIMIT" for j in range(d))
+    step += [f"if not ({checks}):", "    raise DivergenceError(i)",
+             f"pack(out, {8 * d} * i, {state})"]
+    field = ", ".join(c.format(*xs) for c in components)
+    return (f"def field(coef, v):\n    {coef}, = coef\n    {state}, = v.tolist()\n"
+            f"    return np.array([{field}])\n"
+            f"def rk4(coef, out, half, dt, sixth):\n    {coef}, = coef\n"
+            f"    {state}, = out[0].tolist()\n    for i in range(1, len(out)):\n"
+            + "".join(f"        {line}\n" for line in step))
+
+
+@cache
+def _float_kernels(coefficients: tuple[str, ...], components: tuple[str, ...]):
+    """``_float_source`` compiled once per shape: per 3-D flow and per K."""
+    namespace = {"np": np, "DivergenceError": DivergenceError, "DIVERGENCE_LIMIT":
+                 DIVERGENCE_LIMIT, "pack": struct.Struct(f"{len(components)}d").pack_into}
+    exec(compile(_float_source(coefficients, components), "<rk4>", "exec"), namespace)
+    return namespace["field"], namespace["rk4"]
+
 
 class _FlowField:
     """A flow's vector field, callable on a flat float64 state array.
 
     ``dimension`` is the state length that ``integrate_rk4`` checks ``x0``
-    against. A 3-D field also carries ``xyz``, the same field on Python
-    floats, ``(x, y, z) -> (dx, dy, dz)``, which ``integrate_rk4`` steps
-    directly; otherwise ``xyz`` is None.
+    against. A field of at most ``_FLOAT_MAX_DIMENSION`` components is
+    compiled float code with a ``stepper(out, half, dt, sixth)`` that
+    ``integrate_rk4`` runs in place of the array loop; else it is None.
     """
 
-    __slots__ = ("dimension", "array", "xyz")
+    __slots__ = ("dimension", "array", "stepper")
 
-    def __init__(self, dimension: int, array: Callable, xyz: Callable | None = None):
-        self.dimension, self.array, self.xyz = dimension, array, xyz
-
-    @classmethod
-    def on_floats(cls, xyz: Callable) -> "_FlowField":
-        return cls(3, lambda v: np.array(xyz(*v.tolist())), xyz)
+    def __init__(self, dimension: int, array: Callable, stepper: Callable | None = None):
+        self.dimension, self.array, self.stepper = dimension, array, stepper
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.array(v)
@@ -185,10 +226,10 @@ def integrate_rk4(
     Returns a (steps, d) trajectory whose first row is ``x0``; each later
     row is one RK4 step from the previous. Deterministic for fixed inputs.
 
-    The Lorenz 63 and Rossler fields of ``FlowSpec.field_function`` are
-    stepped on Python floats; Lorenz 96 and any other callable take a loop
-    over float64 arrays. The trajectory is byte-identical either way: the
-    float loop does the array loop's operations in the same order.
+    ``FlowSpec`` fields of at most ``_FLOAT_MAX_DIMENSION`` components run
+    their compiled loop on Python floats; wider ones and other callables
+    take a loop over float64 arrays. The trajectory is byte-identical either
+    way: the float loop does the array loop's operations in the same order.
 
     Raises
     ------
@@ -206,13 +247,13 @@ def integrate_rk4(
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     x = np.array(x0, dtype=np.float64, copy=True)
-    xyz = None
+    stepper = None
     if isinstance(field, _FlowField):
         if x.shape != (field.dimension,):
             raise ValidationError(
                 f"x0 has shape {x.shape}, expected ({field.dimension},)"
             )
-        field, xyz = field.array, field.xyz
+        field, stepper = field.array, field.stepper
     if x.ndim != 1:
         raise ValidationError("x0 must be a flat state vector")
     out = np.empty((steps, x.size), dtype=np.float64)
@@ -222,8 +263,8 @@ def integrate_rk4(
     # array loop widens them to float64, as float() does; a dt whose dtype
     # numpy does not widen to float64 (longdouble) keeps the array loop.
     half, sixth = dt / 2.0, dt / 6.0
-    if xyz is not None and np.can_cast(np.asarray(dt).dtype, np.float64):
-        _rk4_xyz(xyz, out, float(half), float(dt), float(sixth))
+    if stepper is not None and np.can_cast(np.asarray(dt).dtype, np.float64):
+        stepper(out, float(half), float(dt), float(sixth))
         return out
     for i in range(1, steps):
         k1 = field(x)
@@ -235,26 +276,6 @@ def integrate_rk4(
             raise DivergenceError(i)
         out[i] = x
     return out
-
-
-def _rk4_xyz(xyz, out: np.ndarray, half: float, dt: float, sixth: float) -> None:
-    """Fill rows 1.. of the (steps, 3) ``out`` from its row 0 with RK4 steps
-    of the float field ``xyz``: the array loop, one component at a time."""
-    flat = memoryview(out.reshape(-1))
-    x, y, z = out[0].tolist()
-    for i in range(1, len(out)):
-        a1, b1, c1 = xyz(x, y, z)
-        a2, b2, c2 = xyz(x + half * a1, y + half * b1, z + half * c1)
-        a3, b3, c3 = xyz(x + half * a2, y + half * b2, z + half * c2)
-        a4, b4, c4 = xyz(x + dt * a3, y + dt * b3, z + dt * c3)
-        x = x + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        y = y + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        z = z + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        # each comparison is False for NaN, as max() is in the array loop
-        if not (abs(x) <= DIVERGENCE_LIMIT and abs(y) <= DIVERGENCE_LIMIT
-                and abs(z) <= DIVERGENCE_LIMIT):
-            raise DivergenceError(i)
-        flat[3 * i], flat[3 * i + 1], flat[3 * i + 2] = x, y, z
 
 
 def generate_flow_trace(spec: FlowSpec, x0: np.ndarray) -> ScalarSeries:
@@ -314,7 +335,8 @@ def default_initial_state(name: str, params: dict, seed: int) -> np.ndarray:
     """Draw a reproducible initial condition for the named system.
 
     Ensemble runs perturb a generic on-basin base point with a seeded
-    generator so every experiment can be replayed exactly. A Henon draw
+    generator so every experiment can be replayed exactly. Lorenz 96
+    ``params`` are completed and checked as by ``FlowSpec``. A Henon draw
     whose orbit escapes to infinity (seeds 231, 785 and 1823 among them)
     is replaced by the generator's next draw; every other seed keeps its
     first draw.
@@ -323,8 +345,8 @@ def default_initial_state(name: str, params: dict, seed: int) -> np.ndarray:
     if name == "lorenz63":
         return np.array([1.0, 1.0, 1.0]) + rng.standard_normal(3)
     if name == "lorenz96":
-        k = int(params["K"])
-        return params["F"] + 0.1 * rng.standard_normal(k)
+        p = FlowSpec(name, params).params
+        return p["F"] + 0.1 * rng.standard_normal(int(p["K"]))
     if name == "rossler":
         return np.array([10.0, 0.0, 0.0]) + 0.5 * rng.standard_normal(3)
     if name == "henon":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -46,6 +47,26 @@ class TestGenerate:
                              "--seed", "7", "-o", str(out))
         assert code == 0
         assert len(data_lines(out)) == 50000
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["lorenz96", "--K", "22", "--F", "5", "--dt", "0.015625", "--steps", "60000",
+          "--transient", "10000", "--seed", "7"],
+         "f81cafe607ed39b420b8c81f3a7c53ebbc920f89697c706c104859d69b5ae4fd"),
+        (["lorenz63", "--steps", "20000", "--transient", "1000", "--seed", "3"],
+         "c52b82e0f069938c58f5b77d7c85b1ef42e78e8098d8fe7742d6fcd72b2da5c5"),
+        (["rossler", "--dt", "0.0625", "--steps", "20000", "--transient", "1000",
+          "--seed", "4", "--observed-index", "2"],
+         "26840ae5634507f2755b7414c7b94257610aa5ea453c6b7c8422bdd8b6037ac1"),
+    ], ids=["lorenz96-readme", "lorenz63", "rossler"])
+    def test_flow_files_are_pinned(self, tmp_path, capsys, argv, digest):
+        # Whole files, header included, recorded from the integrators that
+        # came before the generated float steppers (the array loop for
+        # Lorenz 96, a hand-written float loop for the 3-D flows): a change
+        # to any trajectory or to the file writer fails here.
+        out = tmp_path / "flow.txt"
+        code, _, err = run_cli(capsys, "generate", "--system", *argv, "-o", str(out))
+        assert code == 0, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_henon_seed_that_used_to_diverge(self, tmp_path, capsys):
         # the first draw of seed 231 leaves the basin and diverged at step 10
@@ -575,6 +596,8 @@ MISUSE = {
                       "--order", "0", "-i", "{long}"],
     "ar_order_beyond_train": ["forecast", "--method", "ar", "--split", "0.7",
                               "--order", "4000", "-i", "{long}"],
+    "ar_order_no_refit_fits": ["forecast", "--method", "ar", "--order", "200",
+                               "-i", "{series}"],
     "ar_split_below_order": ["forecast", "--method", "ar", "--split", "0.001",
                              "-i", "{long}"],
     "word_length_overflow": ["wpe", "--ell", "16", "-i", "{series}"],

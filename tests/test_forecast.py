@@ -72,6 +72,18 @@ class TestAR:
         with pytest.raises(ValidationError):
             dk.forecast_ar(np.arange(3.0), order=3)
 
+    def test_order_no_fit_can_take_rejected(self):
+        # 2 * order samples give order design rows, one short of the
+        # order + 1 coefficients; every refit would fall back to the mean
+        x = np.sin(0.3 * np.arange(500.0))
+        with pytest.raises(ValidationError, match="design rows"):
+            dk.forecast_ar(x[:16], order=8)
+        assert np.isfinite(dk.forecast_ar(x[:17], order=8))
+        with pytest.raises(ValidationError, match="the last fit has 499"):
+            dk.rolling_evaluate(x, 0.9, "ar", order=250)
+        with pytest.raises(ValidationError, match="design rows"):
+            _fit_ar(x, np.array([300, 400]), 200)
+
     def test_non_finite_train_rejected(self):
         x = np.sin(0.3 * np.arange(200.0))
         for bad in (np.nan, np.inf):

@@ -1,5 +1,7 @@
 """Library modules never print: only the CLI writes to stdout or stderr.
-No module starts processes: grids run their cells on threads."""
+No module starts processes: grids run their cells on threads. Only the flow
+stepper generator compiles code, and the code it generates obeys the same
+rules."""
 
 import ast
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import delaykit
+from delaykit import systems
 
 PACKAGE = Path(delaykit.__file__).parent
 CLI_MODULES = {"cli.py", "__main__.py"}
@@ -80,3 +83,50 @@ def test_guard_catches_process_pools():
                                     "2: from multiprocessing",
                                     "3: import ProcessPoolExecutor",
                                     "5: .ProcessPoolExecutor"]
+
+
+def code_generation_uses(source: str) -> list[str]:
+    """Each call of the ``exec``, ``eval`` or ``compile`` builtins, as
+    ``function: name`` with the innermost enclosing function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("exec", "eval", "compile")):
+                found.append(f"{where}: {child.func.id}")
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_flow_generator_compiles_code():
+    uses = {module: code_generation_uses((PACKAGE / module).read_text(encoding="utf-8"))
+            for module in MODULES}
+    assert {module: found for module, found in uses.items() if found} == {
+        "systems.py": ["_float_kernels: exec", "_float_kernels: compile"]}
+
+
+def test_guard_catches_code_generation():
+    source = ("exec('1')\ndef f():\n    def g():\n        compile('', '', 'exec')\n"
+              "    eval('2')\nimport re\nre.compile('x')\n")
+    assert code_generation_uses(source) == ["<module>: exec", "g: compile", "f: eval"]
+
+
+def generated_sources() -> list[str]:
+    """The source of every stepper ``FlowSpec`` fields can compile."""
+    specs = [systems.FlowSpec("lorenz63"), systems.FlowSpec("rossler")]
+    specs += [systems.FlowSpec("lorenz96", {"K": k})
+              for k in range(4, systems._FLOAT_MAX_DIMENSION + 1)]
+    return [systems._float_source(*spec._float_shape()) for spec in specs]
+
+
+def test_generated_steppers_obey_the_library_rules():
+    sources = generated_sources()
+    assert len(sources) == systems._FLOAT_MAX_DIMENSION - 1
+    for source in sources:
+        assert console_uses(source) == []
+        assert process_uses(source) == []
+        assert code_generation_uses(source) == []

@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import delaykit as dk
 from delaykit.errors import DivergenceError, ValidationError
-from delaykit.systems import DIVERGENCE_LIMIT
+from delaykit.systems import _FLOAT_MAX_DIMENSION, DIVERGENCE_LIMIT
 
 
 class TestIntegrateRK4:
@@ -144,6 +145,22 @@ class TestMapTraces:
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("params", [{}, {"K": 6}, {"F": 8.0}])
+def test_lorenz96_initial_state_merges_defaults(params):
+    full = {**dk.systems.FLOW_DEFAULTS["lorenz96"], **params}
+    x0 = dk.default_initial_state("lorenz96", params, 1)
+    assert x0.tobytes() == dk.default_initial_state("lorenz96", full, 1).tobytes()
+    # a draw for full parameters is the one it always was
+    rng = np.random.default_rng(1)
+    assert x0.tobytes() == (full["F"] + 0.1 * rng.standard_normal(full["K"])).tobytes()
+
+
+@pytest.mark.parametrize("params", [{"K": 2.5}, {"K": -1}, {"K": 3}, {"F": np.inf}])
+def test_lorenz96_initial_state_rejects_what_flowspec_rejects(params):
+    with pytest.raises(ValidationError):
+        dk.default_initial_state("lorenz96", params, 1)
+
+
 def test_seeded_initial_states_replayable():
     for name in ("lorenz63", "lorenz96", "rossler", "henon", "logistic"):
         params = dict(dk.systems.FLOW_DEFAULTS.get(name, {}),
@@ -257,6 +274,9 @@ FLOW_CASES = [
     ("lorenz96", {"K": 7, "F": 8}),
     ("lorenz96", {"K": 22}),
     ("lorenz96", {"K": 22, "F": 3.7}),
+    # the widest field stepped on floats, and the narrowest on arrays
+    ("lorenz96", {"K": _FLOAT_MAX_DIMENSION}),
+    ("lorenz96", {"K": _FLOAT_MAX_DIMENSION + 1, "F": 8}),
     ("lorenz63", {}),
     ("lorenz63", {"rho": 35}),
     ("lorenz63", {"sigma": 9.5, "rho": np.float32(28.3), "beta": 2}),
@@ -387,8 +407,11 @@ def test_flow_trace_calls_integrator_through_module_global(monkeypatch, name,
     ("lorenz63", {"sigma": 10, "rho": 28, "beta": 3}, np.float32([1.5, 1.0, 9.0])),
     ("rossler", {}, [10.0, 0.0, 0.0]),
     ("rossler", {"a": np.float32(0.2), "b": 0, "c": 6}, np.array([1, 1, 0])),
+    ("lorenz96", {"K": 22, "F": np.float32(5.3)},
+     dk.default_initial_state("lorenz96", {"K": 22}, 3)),
+    ("lorenz96", {"K": 7, "F": 8}, np.array([8, 8, 8, 8, 8, 8, 9])),
 ], ids=["l63", "l63-f32-coef-int-x0", "l63-int-coef-f32-x0", "rossler",
-        "rossler-mixed-coef-int-x0"])
+        "rossler-mixed-coef-int-x0", "l96-f32-forcing", "l96-int-forcing-int-x0"])
 def test_step_constants_keep_caller_dtype(name, params, x0, dt):
     # a float32 dt / 6.0 must round in float32, as the array loop does,
     # before the float loop widens it; int dt diverges at the same step
@@ -461,7 +484,7 @@ def flow_cases(draw):
     ranges = (WILD if wild else TAME)[name]
     params = {key: _number(draw, *r) for key, r in ranges.items()}
     if name == "lorenz96":
-        params["K"] = draw(st.integers(4, 8))
+        params["K"] = draw(st.integers(4, _FLOAT_MAX_DIMENSION + 8))
     dt = _number(draw, 1e-3, 1.5) if wild else _number(draw, 1e-3, 0.05)
     spec = dk.FlowSpec(name, params, dt=dt, steps=draw(st.integers(1, 300)))
     if wild:
@@ -484,3 +507,56 @@ def test_integrator_matches_oracle_property(case):
                                 spec.dt, spec.steps)
     assert new == old
     assert new_warnings <= old_warnings
+
+
+# --------------------------------------------------------------------------
+# The compiled float steppers.
+
+
+def test_stepper_compiled_once_per_shape():
+    dk.systems._float_kernels.cache_clear()
+    fields = [dk.FlowSpec("lorenz96", {"K": 22, "F": f}).field_function()
+              for f in (5.0, 8, np.float32(3.5))]
+    fields += [dk.FlowSpec("lorenz63", params).field_function()
+               for params in ({}, {"rho": 35})]
+    rk4 = {id(field.stepper.func) for field in fields}
+    assert len(rk4) == 2
+    assert dk.systems._float_kernels.cache_info().misses == 2
+    other = dk.FlowSpec("lorenz96", {"K": 23}).field_function()
+    assert other.stepper.func is not fields[0].stepper.func
+
+
+def test_stepper_only_up_to_the_dimension_limit():
+    widest = dk.FlowSpec("lorenz96", {"K": _FLOAT_MAX_DIMENSION})
+    wider = dk.FlowSpec("lorenz96", {"K": _FLOAT_MAX_DIMENSION + 1})
+    assert widest.field_function().stepper is not None
+    assert wider.field_function().stepper is None
+
+
+@pytest.mark.parametrize("name,params", [("lorenz96", {}), ("lorenz63", {}),
+                                         ("rossler", {})],
+                         ids=["lorenz96", "lorenz63", "rossler"])
+def test_one_step_is_the_initial_state(name, params):
+    spec = dk.FlowSpec(name, params, dt=0.01, steps=1)
+    x0 = dk.default_initial_state(name, spec.params, seed=4)
+    traj = dk.integrate_rk4(spec.field_function(), x0, spec.dt, 1)
+    assert traj.shape == (1, spec.dimension)
+    assert traj.tobytes() == x0.tobytes()
+
+
+def test_stepper_allocates_nothing_beyond_its_output():
+    # Rows are written into the output one at a time; a trajectory held as
+    # Python floats first would need 4e5 float objects here. K = 4 keeps
+    # the run short under tracemalloc, which slows every allocation.
+    spec = dk.FlowSpec("lorenz96", {"K": 4}, dt=1 / 64, steps=100_000)
+    field = spec.field_function()
+    x0 = dk.default_initial_state("lorenz96", spec.params, seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = dk.integrate_rk4(field, x0, spec.dt, spec.steps)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert traj.shape == (100_000, 4)
+    assert peak <= traj.nbytes + 4096

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -50,15 +49,23 @@ from .estimators import (
 )
 from .forecast import rolling_evaluate
 from .systems import (
+    _PARAMETER_WORDS,
     FLOW_DEFAULTS,
     MAP_DEFAULTS,
     FlowSpec,
     MapSpec,
+    _parameter_defaults,
     default_initial_state,
     generate_flow_trace,
     generate_map_trace,
 )
-from .timeseries import delay_reconstruct, load_series, read_rows, save_series
+from .timeseries import (
+    delay_reconstruct,
+    load_series,
+    read_rows,
+    save_series,
+    write_lines,
+)
 from .topology import (
     LANDMARK_STRATEGIES,
     betti_numbers,
@@ -73,43 +80,23 @@ FLOWS = tuple(FLOW_DEFAULTS)
 MAPS = tuple(MAP_DEFAULTS)
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved parameters of one command, validated before computation."""
-
-    command: str
-    params: dict
-
-    def header_lines(self) -> list[str]:
-        lines = [f"delaykit {self.command}"]
-        lines += [f"{key}={self.params[key]}" for key in sorted(self.params)]
-        return lines
-
-    def dump(self, path: str | None) -> None:
-        """Write ``key=value`` lines to ``path``; no path, no file."""
-        if not path:
-            return
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"command={self.command}\n")
-            for key in sorted(self.params):
-                fh.write(f"{key}={self.params[key]}\n")
-
-
 # Parsed destinations that dispatch or name output files; every other one
 # is a parameter of the run.
 _NOT_PARAMS = {"command", "func", "dump_config", "output", "argmax_json",
                "curve_csv", "json", "csv"}
 
-_JOBS_HELP = "grid cells run on threads: 1 = one per usable core; N > 1 = N threads"
 
-
-def _flag_config(args) -> ExperimentConfig:
-    """The configuration of a command whose parameters are its parsed
-    flags, dumped to ``--dump-config`` if given."""
-    config = ExperimentConfig(args.command, {
-        key: value for key, value in vars(args).items() if key not in _NOT_PARAMS})
-    config.dump(args.dump_config)
-    return config
+def _run_record(args, params: dict | None = None) -> list[str]:
+    """The ``#`` header lines of a run: the command, then its resolved
+    parameters as sorted ``key=value`` lines. The same record goes to
+    ``--dump-config`` when that is given. ``params`` defaults to the
+    parsed flags."""
+    if params is None:
+        params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+    pairs = [f"{key}={params[key]}" for key in sorted(params)]
+    if args.dump_config:
+        write_lines(args.dump_config, [], [f"command={args.command}", *pairs])
+    return [f"delaykit {args.command}", *pairs]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,12 +136,28 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _write_lines(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        for row in rows:
-            fh.write(f"{row}\n")
+# Flags shared by several subcommands, as argparse parents.
+_DUMP_CONFIG = argparse.ArgumentParser(add_help=False)
+_DUMP_CONFIG.add_argument("--dump-config", metavar="PATH",
+                          help="also write the run's parameters as key=value lines")
+_INPUT = argparse.ArgumentParser(add_help=False)
+_INPUT.add_argument("-i", "--input", required=True, help="series file")
+_GRID = argparse.ArgumentParser(add_help=False)
+_GRID.add_argument("--h", type=int, default=1, help="prediction horizon")
+_GRID.add_argument("--k", type=int, default=4, help="KSG neighbor count (atau)")
+_GRID.add_argument("--max-samples", type=int, default=20000,
+                   help="per-cell subsample cap for atau (uniform stride)")
+_GRID.add_argument("--jobs", type=int, default=1, help="grid cells run on threads: "
+                   "1 = one per usable core; N > 1 = N threads")
+
+
+def _command(sub, name: str, run, help: str, *parents) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name``, which calls ``run(args)``; the
+    flags of ``parents``, then ``--dump-config``, come first."""
+    p = sub.add_parser(name, help=help, formatter_class=_DefaultsHelp,
+                       parents=[*parents, _DUMP_CONFIG])
+    p.set_defaults(func=run)
+    return p
 
 
 # --------------------------------------------------------------------------
@@ -166,19 +169,8 @@ FLOW_SAMPLING = {"dt": 1.0 / 64.0, "steps": 10000, "observed_index": 0}
 MAP_SAMPLING = {"n": 10000}
 
 
-def _system_defaults(param: str) -> str:
-    """The default of a system parameter, e.g. "0.15 for rossler, 1.4 for
-    henon" when several systems share its name."""
-    owners = {system: d[param] for system, d in {**FLOW_DEFAULTS, **MAP_DEFAULTS}.items()
-              if param in d}
-    if len(owners) == 1:
-        return str(*owners.values())
-    return ", ".join(f"{value} for {system}" for system, value in owners.items())
-
-
 def _add_generate(sub):
-    p = sub.add_parser("generate", help="synthesize a benchmark trace",
-                       formatter_class=_DefaultsHelp)
+    p = _command(sub, "generate", run_generate, "synthesize a benchmark trace")
     p.add_argument("--system", required=True, choices=FLOWS + MAPS)
     # SUPPRESS leaves a flag unset when omitted, so a stray one can be told
     # from a default
@@ -195,24 +187,17 @@ def _add_generate(sub):
                         f"(default: {FLOW_SAMPLING['observed_index']})")
     # parameter flags default to None so that an omitted one can be told
     # from a given one; the help names each system's own default
-    for flag, kind, what in [("sigma", float, "lorenz63 sigma"),
-                             ("rho", float, "lorenz63 rho"),
-                             ("beta", float, "lorenz63 beta"),
-                             ("K", int, "lorenz96 dimension"),
-                             ("F", float, "lorenz96 forcing"),
-                             ("a", float, "rossler/henon a"),
-                             ("b", float, "rossler/henon b"),
-                             ("c", float, "rossler c"),
-                             ("r", float, "logistic r")]:
-        p.add_argument(f"--{flag}", type=kind,
-                       help=f"{what} (default: {_system_defaults(flag)})")
+    for name, owners in _parameter_defaults().items():
+        defaults = (str(*owners.values()) if len(owners) == 1 else
+                    ", ".join(f"{value} for {system}" for system, value in owners.items()))
+        p.add_argument(f"--{name}", type=type(next(iter(owners.values()))),
+                       help=f"{'/'.join(owners)} {_PARAMETER_WORDS.get(name, name)} "
+                            f"(default: {defaults})")
     p.add_argument("--x0", type=str,
                    help="comma-separated initial state; omit to draw from --seed")
     p.add_argument("--seed", type=int,
                    help="seed for the initial condition (required without --x0)")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--dump-config", metavar="PATH")
-    p.set_defaults(func=run_generate)
 
 
 def _system_settings(args) -> tuple[dict, dict]:
@@ -222,9 +207,8 @@ def _system_settings(args) -> tuple[dict, dict]:
     """
     sampling = FLOW_SAMPLING if args.system in FLOWS else MAP_SAMPLING
     names = {**FLOW_DEFAULTS, **MAP_DEFAULTS}[args.system]
-    every = dict.fromkeys([*FLOW_SAMPLING, *MAP_SAMPLING, *(
-        k for d in (*FLOW_DEFAULTS.values(), *MAP_DEFAULTS.values()) for k in d)])
-    stray = [k for k in every if k not in sampling and k not in names
+    stray = [k for k in [*FLOW_SAMPLING, *MAP_SAMPLING, *_parameter_defaults()]
+             if k not in sampling and k not in names
              and getattr(args, k, None) is not None]
     if stray:
         flags = ", ".join("--" + k.replace("_", "-") for k in stray)
@@ -251,20 +235,19 @@ def run_generate(args) -> int:
         spec = MapSpec(args.system, params, x0=tuple(x0),
                        transient=args.transient, **sampling)
 
-    config = ExperimentConfig("generate", {
+    header = _run_record(args, {
         "system": args.system, **spec.params,
         **{k: sampling[k] for k in sampling if k != "observed_index"},
         "transient": args.transient,
         "x0": ",".join(f"{v:.17g}" for v in x0),
         "seed": args.seed,
     })
-    config.dump(args.dump_config)
 
     if is_flow:
         series = generate_flow_trace(spec, x0)
     else:
         series = generate_map_trace(spec)
-    save_series(series, args.output, header_lines=config.header_lines())
+    save_series(series, args.output, header_lines=header)
     print(f"wrote {len(series)} samples to {args.output}")
     return 0
 
@@ -273,26 +256,18 @@ def run_generate(args) -> int:
 # sweep
 
 def _add_sweep(sub):
-    p = sub.add_parser("sweep", help="grid sweep of information storage or forecast error",
-                       formatter_class=_DefaultsHelp)
+    p = _command(sub, "sweep", run_sweep,
+                 "grid sweep of information storage or forecast error", _INPUT, _GRID)
     p.add_argument("--mode", required=True, choices=("atau", "mase"))
-    p.add_argument("-i", "--input", required=True, help="series file")
     p.add_argument("--m", required=True, help="dimension range a:b")
     p.add_argument("--tau", required=True, help="delay range a:b")
-    p.add_argument("--h", type=int, default=1, help="prediction horizon")
-    p.add_argument("--k", type=int, default=4, help="KSG neighbor count (atau)")
-    p.add_argument("--max-samples", type=int, default=20000,
-                   help="per-cell subsample cap for atau (uniform stride)")
     p.add_argument("--split", type=float, default=0.9,
                    help="train fraction for mase mode")
     p.add_argument("--theiler", type=int, default=0,
                    help="temporal exclusion for mase mode")
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("-o", "--output", required=True, help="grid CSV path")
     p.add_argument("--argmax-json", metavar="PATH",
                    help="write the best cell (max for atau, min for mase)")
-    p.add_argument("--dump-config", metavar="PATH")
-    p.set_defaults(func=run_sweep)
 
 
 def _mase_cell(values, m, tau, h, fraction, theiler):
@@ -304,12 +279,10 @@ def _mase_cell(values, m, tau, h, fraction, theiler):
 def run_sweep(args) -> int:
     m_values = _parse_range(args.m)
     tau_values = _parse_range(args.tau)
-    if args.h < 1 or args.k < 1:
-        raise ValidationError("h and k must be positive")
     if not 0.0 < args.split < 1.0:
         raise ValidationError("split must lie in (0, 1)")
     series = load_series(args.input)
-    config = _flag_config(args)
+    header = _run_record(args)
 
     if args.mode == "atau":
         grid = atau_surface(series, m_values, tau_values, h=args.h, k=args.k,
@@ -319,17 +292,14 @@ def run_sweep(args) -> int:
                        theiler=args.theiler)
         grid = run_grid(cell, series, m_values, tau_values, args.jobs,
                         {"quantity": "h_mase", "h": args.h})
-    failed = grid.cell_errors
-    if failed:
-        (m, tau), reason = next(iter(failed.items()))
-        first = f"first at m={m} tau={tau}: {reason}"
-        if len(failed) == grid.values.size:
-            raise ValidationError(f"every cell of the grid failed; {first}")
-        print(f"warning: {len(failed)} of {grid.values.size} cells failed; {first}",
-              file=sys.stderr)
+    # raises, naming the first failed cell, when every cell failed
     best = grid.argbest("max" if args.mode == "atau" else "min")
+    if grid.cell_errors:
+        (m, tau), reason = next(iter(grid.cell_errors.items()))
+        print(f"warning: {len(grid.cell_errors)} of {grid.values.size} cells failed; "
+              f"first at m={m} tau={tau}: {reason}", file=sys.stderr)
 
-    _write_lines(args.output, config.header_lines(), grid.to_csv_rows())
+    write_lines(args.output, header, grid.to_csv_rows())
     if args.argmax_json:
         payload = {"mode": args.mode, "m": best[0], "tau": best[1], "value": best[2]}
         with open(args.argmax_json, "w", encoding="utf-8") as fh:
@@ -344,37 +314,34 @@ def run_sweep(args) -> int:
 # select-params
 
 def _add_select(sub):
-    p = sub.add_parser("select-params", help="tau/m selection heuristics",
-                       formatter_class=_DefaultsHelp)
+    p = _command(sub, "select-params", run_select_params,
+                 "tau/m selection heuristics", _INPUT, _GRID)
     p.add_argument("--method", required=True,
                    choices=("first_min_mi", "first_zero_autocorr", "fnn",
                             "atau_optimal"))
-    p.add_argument("-i", "--input", required=True, help="series file")
     p.add_argument("--tau-max", type=int, default=100,
                    help="scan limit for the tau heuristics")
     p.add_argument("--tau", type=int, help="fixed delay for the fnn method")
     p.add_argument("--m-max", type=int, default=10, help="fnn dimension cap")
-    p.add_argument("--r-tol", type=float, default=10.0)
-    p.add_argument("--a-tol", type=float, default=2.0)
+    p.add_argument("--r-tol", type=float, default=10.0,
+                   help="fnn: a neighbor is false when the added coordinate "
+                        "separates it by more than this many times its distance")
+    p.add_argument("--a-tol", type=float, default=2.0,
+                   help="fnn: a neighbor is false when its extended distance "
+                        "exceeds this many attractor sizes (series std)")
     p.add_argument("--threshold", type=float, default=0.10,
                    help="acceptable false-neighbor fraction")
     p.add_argument("--m-range", default="1:8", help="atau dimension range a:b")
     p.add_argument("--tau-range", default="1:10", help="atau delay range a:b")
-    p.add_argument("--h", type=int, default=1)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--max-samples", type=int, default=20000)
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--curve-csv", metavar="PATH",
                    help="also write the full selection curve or grid")
-    p.add_argument("--dump-config", metavar="PATH")
-    p.set_defaults(func=run_select_params)
 
 
 def run_select_params(args) -> int:
     if args.method == "atau_optimal":
         m_values, tau_values = map(_parse_range, (args.m_range, args.tau_range))
     series = load_series(args.input)
-    config = _flag_config(args)
+    header = _run_record(args)
 
     curve_rows = None
     if args.method == "first_min_mi":
@@ -411,7 +378,7 @@ def run_select_params(args) -> int:
             choice = atau_optimal_params(series, m_values, tau_values, **atau)
 
     if curve_rows:
-        _write_lines(args.curve_csv, config.header_lines(), curve_rows)
+        write_lines(args.curve_csv, header, curve_rows)
     print(json.dumps({"method": choice.method, "m": choice.m,
                       "tau": choice.tau, "score": choice.score}))
     return 0
@@ -421,11 +388,10 @@ def run_select_params(args) -> int:
 # forecast
 
 def _add_forecast(sub):
-    p = sub.add_parser("forecast", help="rolling forecast of a series file",
-                       formatter_class=_DefaultsHelp)
+    p = _command(sub, "forecast", run_forecast, "rolling forecast of a series file",
+                 _INPUT)
     p.add_argument("--method", required=True,
                    choices=("random_walk", "naive", "lma", "ar"))
-    p.add_argument("-i", "--input", required=True, help="series file")
     p.add_argument("--split", type=float, default=0.9, help="train fraction")
     p.add_argument("--h", type=int, default=1, help="prediction horizon")
     p.add_argument("--m", type=int, help="lma reconstruction dimension")
@@ -437,13 +403,11 @@ def _add_forecast(sub):
     p.add_argument("--json", metavar="PATH", help="write the summary JSON here")
     p.add_argument("--csv", metavar="PATH",
                    help="write index,prediction,truth rows here")
-    p.add_argument("--dump-config", metavar="PATH")
-    p.set_defaults(func=run_forecast)
 
 
 def run_forecast(args) -> int:
     series = load_series(args.input)
-    config = _flag_config(args)
+    header = _run_record(args)
 
     run = rolling_evaluate(series, args.split, args.method, h=args.h,
                            m=args.m, tau=args.tau, theiler=args.theiler,
@@ -465,7 +429,7 @@ def run_forecast(args) -> int:
             f"{run.train_length + i},{p:.17g},{c:.17g}"
             for i, (p, c) in enumerate(zip(run.predictions, run.truth))
         ]
-        _write_lines(args.csv, config.header_lines(), rows)
+        write_lines(args.csv, header, rows)
     print(text)
     return 0
 
@@ -474,15 +438,12 @@ def run_forecast(args) -> int:
 # wpe
 
 def _add_wpe(sub):
-    p = sub.add_parser("wpe", help="permutation-entropy predictability screen",
-                       formatter_class=_DefaultsHelp)
-    p.add_argument("-i", "--input", required=True, help="series file")
+    p = _command(sub, "wpe", run_wpe, "permutation-entropy predictability screen",
+                 _INPUT)
     p.add_argument("--ell", default="auto",
                    help="word length, or 'auto' for the sampling rule")
     p.add_argument("--unnormalized", action="store_true",
                    help="report raw bits instead of the [0,1] normalization")
-    p.add_argument("--dump-config", metavar="PATH")
-    p.set_defaults(func=run_wpe)
 
 
 def run_wpe(args) -> int:
@@ -491,11 +452,8 @@ def run_wpe(args) -> int:
            else _parse(int, args.ell, "--ell"))
     if len(series) < ell:
         raise ValidationError(f"series of length {len(series)} is shorter than ell={ell}")
-    config = ExperimentConfig("wpe", {
-        "input": args.input, "ell": ell, "normalized": not args.unnormalized,
-    })
-    config.dump(args.dump_config)
     normalized = not args.unnormalized
+    _run_record(args, {"input": args.input, "ell": ell, "normalized": normalized})
     out = {
         "pe": permutation_entropy(series, ell, normalized=normalized),
         "wpe": weighted_permutation_entropy(series, ell, normalized=normalized),
@@ -510,8 +468,7 @@ def run_wpe(args) -> int:
 # topology
 
 def _add_topology(sub):
-    p = sub.add_parser("topology", help="witness-complex homology analyses",
-                       formatter_class=_DefaultsHelp)
+    p = _command(sub, "topology", run_topology, "witness-complex homology analyses")
     p.add_argument("--mode", required=True, choices=("barcode", "betti", "lifespan"))
     p.add_argument("--cloud", help="point-cloud CSV (rows of coordinates)")
     p.add_argument("--series", help="series file (reconstructed via --m/--tau)")
@@ -528,8 +485,6 @@ def _add_topology(sub):
     p.add_argument("--xi-min", type=float, default=2e-4)
     p.add_argument("--xi-max", type=float, default=5e-2)
     p.add_argument("-o", "--output", help="CSV path (barcode, lifespan)")
-    p.add_argument("--dump-config", metavar="PATH")
-    p.set_defaults(func=run_topology)
 
 
 def _topology_cloud(args) -> np.ndarray:
@@ -545,7 +500,7 @@ def _topology_cloud(args) -> np.ndarray:
 
 
 def run_topology(args) -> int:
-    config = _flag_config(args)
+    header = _run_record(args)
 
     if args.mode == "lifespan":
         if not (args.series and args.m_range and args.tau is not None
@@ -562,7 +517,7 @@ def run_topology(args) -> int:
         for i in range(args.ell):
             for j in range(i + 1, args.ell):
                 rows.append(f"{i},{j},{spans[i, j]}")
-        _write_lines(args.output, config.header_lines(), rows)
+        write_lines(args.output, header, rows)
         print(f"wrote {len(rows) - 1} edge lifespans to {args.output}")
         return 0
 
@@ -590,7 +545,7 @@ def run_topology(args) -> int:
     eps_grid = [scaled_epsilon(x, cloud) for x in xis]
     bc0, bc1 = epsilon_barcode(cloud, landmarks, eps_grid)
     rows = list(bc0.to_csv_rows()) + list(bc1.to_csv_rows())[1:]
-    _write_lines(args.output, config.header_lines(), rows)
+    write_lines(args.output, header, rows)
     print(f"wrote {len(rows) - 1} intervals to {args.output}")
     return 0
 

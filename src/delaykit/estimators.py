@@ -68,9 +68,15 @@ class SweepGrid:
 
     def argbest(self, mode: str = "max") -> tuple[int, int, float]:
         """Grid arg-optimum as (m, tau, value); ties prefer the smallest m,
-        then the smallest tau."""
+        then the smallest tau. A grid with no valid cell raises
+        ValidationError, naming the first failed cell and its reason when
+        every cell failed."""
         vals = self.values
         if np.all(np.isnan(vals)):
+            if len(self.cell_errors) == vals.size:
+                (m, tau), reason = next(iter(self.cell_errors.items()))
+                raise ValidationError("every cell of the grid failed; "
+                                      f"first at m={m} tau={tau}: {reason}")
             raise ValidationError("grid has no valid cells")
         target = np.nanmax(vals) if mode == "max" else np.nanmin(vals)
         i, j = np.argwhere(vals == target)[0]
@@ -364,11 +370,14 @@ def atau_surface(series, m_range, tau_range, h: int = 1, k: int = 4,
                  jobs: int = 1) -> SweepGrid:
     """Active-information-storage values over a rectangular (m, tau) grid.
 
-    Cells are independent; invalid cells are flagged missing (NaN) with
-    the error recorded, and the rest of the grid is still returned.
-    The cells run on threads: one per usable core at ``jobs=1``, N
-    threads at ``jobs=N > 1``.
+    ``h``, ``k`` and ``max_samples`` are checked up front. Cells are
+    independent; invalid cells are flagged missing (NaN) with the error
+    recorded, and the rest of the grid is still returned. The cells run
+    on threads: one per usable core at ``jobs=1``, N threads at
+    ``jobs=N > 1``.
     """
+    if h < 1 or k < 1:
+        raise ValidationError("h and k must be positive")
     if max_samples is not None and max_samples < 1:
         raise ValidationError("max_samples must be >= 1")
     cell = partial(_atau_cell, h=h, k=k, max_samples=max_samples)
@@ -381,6 +390,8 @@ def _autocorrelation_at(values: np.ndarray):
     variance and the deviations computed once. ``autocorrelation`` and
     the lag scans evaluate every lag through it, so they agree exactly.
     The caller checks 0 <= tau < N."""
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("autocorrelation needs finite series values")
     n = values.size
     mu = values.mean()
     var = np.mean((values - mu) ** 2)
@@ -414,6 +425,8 @@ def _ordinal_ranks(series, ell: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("word length must be >= 2")
     if values.size < ell:
         raise CapacityError(ell, values.size)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("ordinal patterns need finite series values")
     windows = np.lib.stride_tricks.sliding_window_view(values, ell)
     return windows, np.argsort(windows, axis=1, kind="stable")
 

@@ -49,6 +49,20 @@ MAP_DEFAULTS = {
     "logistic": {"r": 3.65},
 }
 
+# What a parameter is, where its name alone does not say.
+_PARAMETER_WORDS = {"K": "dimension", "F": "forcing"}
+
+
+def _parameter_defaults() -> dict[str, dict[str, float]]:
+    """Every system parameter, in declaration order, with its default in
+    each system that takes it, e.g. ``"a": {"rossler": 0.15, "henon": 1.4}``.
+    A default's type is the parameter's: ``K`` is an int, the rest floats."""
+    out: dict[str, dict[str, float]] = {}
+    for system, params in {**FLOW_DEFAULTS, **MAP_DEFAULTS}.items():
+        for name, value in params.items():
+            out.setdefault(name, {})[system] = value
+    return out
+
 
 def _require_finite(name: str, params: dict) -> None:
     bad = [key for key, value in params.items() if not np.isfinite(value)]

@@ -208,10 +208,17 @@ def load_series(path) -> ScalarSeries:
     return ScalarSeries(read_rows(path, width=1)[:, 0])
 
 
+def write_lines(path, header_lines, rows) -> None:
+    """Write a ``#``-headed text file: each header line behind ``# ``,
+    then each row on a line of its own. Series files, CSV files and
+    ``key=value`` records all take this form."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        for row in rows:
+            fh.write(f"{row}\n")
+
+
 def save_series(series: ScalarSeries, path, header_lines: list[str] | None = None) -> None:
     """Write a series file; 17 significant digits so a round trip is exact."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        for x in series.values:
-            fh.write(f"{x:.17g}\n")
+    write_lines(path, header_lines or [], (f"{x:.17g}" for x in series.values))

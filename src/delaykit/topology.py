@@ -460,7 +460,7 @@ def scaled_epsilon(xi: float, cloud: np.ndarray) -> float:
     of scalar data this is exactly sqrt(m) * (x_max - x_min)."""
     if not np.isfinite(xi) or xi < 0:
         raise ValidationError(f"xi must be a finite number >= 0, got {xi!r}")
-    cloud = as_points(cloud)
+    cloud = _finite_points(cloud)
     if cloud.size == 0:
         raise ValidationError("cloud must be nonempty")
     # column by column: a reduction along the long axis of a tall, narrow

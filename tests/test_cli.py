@@ -249,6 +249,29 @@ class TestSelectParams:
         assert (payload["m"], payload["tau"]) == (2, 1)
         assert payload["method"] == "atau_optimal"
 
+    @pytest.mark.parametrize("flags,reason", [
+        (["--k", "0"], "h and k must be positive"),
+        (["--h", "0"], "h and k must be positive"),
+        (["--k", "600"], "every cell of the grid failed; first at m=1 tau=1: "
+                         "require 1 <= k < N"),
+    ], ids=["k_zero", "h_zero", "k_beyond_series"])
+    def test_atau_grid_failure_named(self, tmp_path, capsys, flags, reason):
+        # sweep and both select-params paths report a failed grid alike
+        series = tmp_path / "henon500.txt"
+        code, _, _ = run_cli(capsys, "generate", "--system", "henon", "--n", "500",
+                             "--seed", "3", "-o", str(series))
+        assert code == 0
+        out = tmp_path / "grid.csv"
+        for argv in (["select-params", "--method", "atau_optimal",
+                      "--m-range", "1:2", "--tau-range", "1:2"],
+                     ["select-params", "--method", "atau_optimal",
+                      "--m-range", "1:2", "--tau-range", "1:2", "--curve-csv", str(out)],
+                     ["sweep", "--mode", "atau", "--m", "1:2", "--tau", "1:2",
+                      "-o", str(out)]):
+            code, stdout, err = run_cli(capsys, *argv, *flags, "-i", str(series))
+            assert (code, stdout, err) == (1, "", f"error: {reason}\n")
+            assert not out.exists()
+
     def test_fnn_requires_tau(self, henon_file, capsys):
         code, _, _ = run_cli(capsys, "select-params", "--method", "fnn",
                              "-i", str(henon_file))
@@ -503,6 +526,83 @@ class TestTopology:
                              "--series", str(lorenz_cloud_file),
                              "--xi", "0.01")
         assert code == 1
+
+
+# One small run of each file-writing command, every file it writes (the
+# --dump-config file included) and its stdout hashed together. Inputs are
+# a Henon series and, for the mutual-information minimum, a Lorenz 63 one. Paths are
+# relative to the run directory, so the headers that record them are the
+# same on every machine.
+PINNED = {
+    "generate": (["generate", "--system", "logistic", "--n", "50", "--seed", "2",
+                  "-o", "gen.txt"],
+                 "0832db14dc6a013cd1e594aba14d6aa507d2debcec4be62e2f9f1144dc12a6c0"),
+    "sweep_atau": (["sweep", "--mode", "atau", "--m", "1:2", "--tau", "1:2",
+                    "--max-samples", "300", "--jobs", "2", "-i", "henon.txt",
+                    "-o", "grid.csv", "--argmax-json", "best.json"],
+                   "6a165da05c893a4404ac89d3cbbbf716f130d6c05dd61b10103ec825da93f4d3"),
+    "sweep_mase": (["sweep", "--mode", "mase", "--m", "1:2", "--tau", "1:2",
+                    "--theiler", "2", "-i", "henon.txt", "-o", "grid.csv",
+                    "--argmax-json", "best.json"],
+                   "3c4e2e03662cac85d974c93f1ff4ac8b6efc19ab39222bc5eb5ff8c82e54adf1"),
+    "select_first_min_mi": (["select-params", "--method", "first_min_mi",
+                             "--tau-max", "8", "-i", "flow.txt",
+                             "--curve-csv", "curve.csv"],
+                            "d4bdaabe67e827200ea04d1cfda943c308e0057ea6de796c4f2fd4e13be17b7b"),
+    "select_first_zero_autocorr": (["select-params", "--method",
+                                    "first_zero_autocorr", "--tau-max", "8",
+                                    "-i", "henon.txt", "--curve-csv", "curve.csv"],
+                                   "42e48946294aa8587196e06840d69730bf94cbc5519bab1bbd5bcbbd47481412"),
+    "select_fnn": (["select-params", "--method", "fnn", "--tau", "1",
+                    "--m-max", "4", "-i", "henon.txt", "--curve-csv", "curve.csv"],
+                   "b61e320baa22731652837a6f8175374a029227964400292e1eab74b281aa46c6"),
+    "select_atau_optimal": (["select-params", "--method", "atau_optimal",
+                             "--m-range", "1:2", "--tau-range", "1:2",
+                             "--max-samples", "300", "-i", "henon.txt",
+                             "--curve-csv", "curve.csv"],
+                            "01cde4c0fee3bcef5d87f659bc3f1097b91f1c15692a3cc23a0a1fc2023b3a6c"),
+    "forecast_lma": (["forecast", "--method", "lma", "--m", "2", "--tau", "1",
+                      "--h", "2", "--split", "0.8", "-i", "henon.txt",
+                      "--csv", "run.csv", "--json", "run.json"],
+                     "d6cafc40fc8aa5481760310ea0d6634dfb2bc493fa4d1a54b381949143027e76"),
+    "forecast_random_walk": (["forecast", "--method", "random_walk",
+                              "-i", "henon.txt", "--csv", "run.csv",
+                              "--json", "run.json"],
+                             "e4a517dcd347e89b6e4e665685825f4c245a59dc297be4feed1f7309e8392691"),
+    "wpe": (["wpe", "--ell", "3", "-i", "henon.txt"],
+            "1475971e863a123499ec5ceb9a8be078ddfaa978959fef6e494c24b23965fcb9"),
+    "topology_barcode": (["topology", "--mode", "barcode", "--series", "henon.txt",
+                          "--m", "2", "--tau", "1", "--ell", "20", "--xi-grid", "6",
+                          "--xi-min", "0.01", "--xi-max", "0.2", "-o", "bars.csv"],
+                         "c0beb55e581230f1f93aa86b534f5c612493977afd5a74ad569d19dc2e5e77f7"),
+    "topology_lifespan": (["topology", "--mode", "lifespan", "--series", "henon.txt",
+                           "--m-range", "1:3", "--tau", "1", "--xi", "0.05",
+                           "--ell", "12", "-o", "spans.csv"],
+                          "a60469e649b8ee9aa2e7067ff867396ead781e719d43dd3678e028ad501eba45"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_output_files_are_pinned(tmp_path, capsys, monkeypatch, name):
+    # Recorded before the CLI was reorganised around shared flag groups and
+    # one run-record writer: any change to a file body, a # header, a
+    # --dump-config file or a stdout line fails here.
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "generate", "--system", "henon", "--n", "400",
+                           "--transient", "100", "--seed", "3", "-o", "henon.txt")
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "generate", "--system", "lorenz63", "--dt", "0.0625",
+                           "--steps", "700", "--transient", "100", "--seed", "1",
+                           "-o", "flow.txt")
+    assert code == 0, err
+    argv, digest = PINNED[name]
+    code, out, err = run_cli(capsys, *argv, "--dump-config", "config.txt")
+    assert code == 0, err
+    h = hashlib.sha256(out.encode())
+    for path in sorted(tmp_path.iterdir()):
+        if path.name not in ("henon.txt", "flow.txt"):
+            h.update(f"\0{path.name}\0".encode() + path.read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_unknown_subcommand_exits_one(capsys):

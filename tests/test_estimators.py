@@ -288,10 +288,23 @@ class TestAtauSurface:
         assert serial.metadata == parallel.metadata
 
     @pytest.mark.parametrize("kwargs", [{"max_samples": 0}, {"max_samples": -5},
-                                        {"jobs": 0}])
-    def test_bad_sampling_or_jobs_rejected_before_any_cell(self, kwargs):
+                                        {"jobs": 0}, {"h": 0}, {"k": 0}, {"k": -1}])
+    def test_bad_sampling_or_jobs_rejected_before_any_cell(self, kwargs, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(estimators, "active_information_storage", no_cell)
         with pytest.raises(ValidationError):
             dk.atau_surface(np.arange(200.0), [1, 2], [1], **kwargs)
+
+    def test_argbest_names_the_first_failed_cell(self):
+        grid = dk.atau_surface(np.arange(60.0), [1, 2], [1, 2], k=100)
+        with pytest.raises(ValidationError, match=r"^every cell of the grid failed; "
+                           r"first at m=1 tau=1: require 1 <= k < N$"):
+            grid.argbest("max")
+        bare = dk.SweepGrid((1,), (1, 2), np.full((1, 2), np.nan))
+        with pytest.raises(ValidationError, match="^grid has no valid cells$"):
+            bare.argbest("min")
 
     def test_argbest_tie_breaks_to_smallest(self):
         values = np.array([[1.0, 2.0], [2.0, 2.0]])
@@ -752,6 +765,26 @@ class TestTripleInformation:
         assert info.interaction == pytest.approx(-1.0, abs=0.01)
         assert info.binding >= 0
         assert info.total_correlation >= 0
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "permutation_entropy": lambda x: dk.permutation_entropy(x, 3),
+    "weighted_permutation_entropy": lambda x: dk.weighted_permutation_entropy(x, 3),
+    "autocorrelation": lambda x: dk.autocorrelation(x, 1),
+    "tau_first_zero_autocorr": lambda x: dk.tau_first_zero_autocorr(x, 10),
+    "scaled_epsilon": lambda x: dk.scaled_epsilon(0.1, x),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", NON_FINITE_ENTRY_POINTS)
+def test_non_finite_values_rejected(entry, bad):
+    # raw arrays skip ScalarSeries' own check; one bad sample once gave a
+    # number (PE 0.866, WPE 0.0, R = nan, eps = nan) or a NoZeroCrossingError
+    x = np.sin(np.arange(200.0))
+    x[50] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        NON_FINITE_ENTRY_POINTS[entry](x)
 
 
 def test_select_word_length_sampling_rule():

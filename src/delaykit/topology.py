@@ -14,12 +14,12 @@ cloud; each pass fills the same two buffers for every block. Squared
 distances are taken on coordinates centred on the landmark mean, so a
 translated cloud gives the same distances to rounding. Only each witness's
 nearest distance is a square root: a test ``sqrt(sq) <= t`` becomes the
-exact test ``sq <= c``, c the largest float whose root is at most t. A
-single scale ORs each block's shared-witness test into the adjacency. A
-scale sweep instead records once, for each landmark pair, the first grid
-level at which the pair connects, an edge filtration on the sweep's grid,
-and reads the persistence pairs of the clique complexes off it. Clouds
-must be finite.
+exact test ``sq <= c``, c the largest float whose root is at most t.
+Every analysis reads one kernel: the pass records, for each landmark pair,
+the first grid level at which the pair shares a witness, an edge
+filtration on a grid of scales. A scale sweep reads the persistence pairs
+of the clique complexes off it; a single scale is a grid of one level,
+whose edges are the pairs at level 0. Clouds must be finite.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ class LandmarkSet:
     strategy: str
 
     def __post_init__(self):
+        if not all(isinstance(i, (int, np.integer)) for i in self.indices):
+            raise ValidationError("landmark indices must be integers")
         if len(set(self.indices)) != len(self.indices):
             raise ValidationError("landmark indices must be distinct")
         if len(self.indices) < 1:
@@ -170,12 +172,16 @@ def _witness_blocks(cloud: np.ndarray, landmarks: LandmarkSet):
     nearest landmark, ``sqrt(max(min sq, 0))``. ``sq`` is a view of a buffer
     that the next block overwrites."""
     cloud = _finite_points(cloud)
+    n = cloud.shape[0]
+    if not all(0 <= i < n for i in landmarks.indices):
+        raise ValidationError(f"landmark indices must lie in 0..N-1 for the "
+                              f"cloud's N = {n} points")
     lm = cloud[list(landmarks.indices)]
     # centring keeps |l|^2 and |w|^2 at the cloud's extent, not its offset
     centre = lm.mean(axis=0)
     lm = lm - centre
     lm_sq = np.sum(lm**2, axis=1)[:, None]
-    n, ell = cloud.shape[0], lm.shape[0]
+    ell = lm.shape[0]
     size = min(_CHUNK, n)
     block_buf = np.empty((size, cloud.shape[1]))
     w_sq_buf = np.empty(size)
@@ -219,33 +225,6 @@ def _root_bound(t: np.ndarray) -> np.ndarray:
                          np.where(holds_above, above, c))
 
 
-def _check_epsilon(eps: float) -> None:
-    if not np.isfinite(eps):
-        raise ValidationError(f"epsilon must be finite, got {eps!r}")
-    if eps < 0:
-        raise ValidationError("epsilon must be >= 0")
-
-
-def _memberships(cloud: np.ndarray, landmarks: LandmarkSet, eps: float):
-    """Yield the fuzzy witness sets at one scale, one witness block at a
-    time: entry (l, w) is True when witness w lies within ``eps`` of its
-    nearest-landmark distance from landmark l."""
-    _check_epsilon(eps)
-    for sq, nearest in _witness_blocks(cloud, landmarks):
-        yield sq <= _root_bound(nearest + eps)[None, :]
-
-
-def _adjacency(cloud: np.ndarray, landmarks: LandmarkSet, eps: float) -> np.ndarray:
-    """Landmark pairs whose fuzzy witness sets intersect at one scale."""
-    ell = len(landmarks)
-    adj = np.zeros((ell, ell), dtype=bool)
-    for member in _memberships(cloud, landmarks, eps):
-        member = member.astype(np.float32)
-        adj |= (member @ member.T) > 0.0
-    np.fill_diagonal(adj, False)
-    return adj
-
-
 def _membership_levels(dist: np.ndarray, nearest: np.ndarray,
                        grid: np.ndarray) -> np.ndarray:
     """Elementwise first grid index g with ``dist <= nearest + grid[g]``,
@@ -263,19 +242,38 @@ def _membership_levels(dist: np.ndarray, nearest: np.ndarray,
         level += step
 
 
-def _edge_levels(cloud: np.ndarray, landmarks: LandmarkSet,
-                 grid: np.ndarray) -> np.ndarray:
-    """Edge filtration on grid levels: entry (i, j), i < j, is the first
-    grid index at which landmarks i and j share a witness, min over
-    witnesses w of max(a_iw, a_jw) with a the membership level. Pairs that
-    never connect on the grid, the diagonal and the lower triangle hold
-    ``len(grid)``."""
+def _edge_levels(cloud: np.ndarray, landmarks: LandmarkSet, grid) -> np.ndarray:
+    """Edge filtration on the levels of a nonempty, strictly ascending grid
+    of finite scales >= 0: entry (i, j), i < j, is the first grid index at
+    which landmarks i and j share a witness, min over witnesses w of
+    max(a_iw, a_jw) with a the membership level. Pairs that never connect
+    on the grid, the diagonal and the lower triangle hold ``len(grid)``.
+    On a grid of one level, the pairs that share a witness are those whose
+    block Gram products of memberships are nonzero."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.size == 0:
+        raise ValidationError("eps_grid must be nonempty")
+    if np.any(grid[1:] <= grid[:-1]):
+        raise ValidationError("eps_grid must be strictly ascending")
+    for eps in grid.tolist():
+        if not np.isfinite(eps):
+            raise ValidationError(f"epsilon must be finite, got {eps!r}")
+        if eps < 0:
+            raise ValidationError("epsilon must be >= 0")
     ell = len(landmarks)
     levels = np.full((ell, ell), grid.size, dtype=np.int64)
+    shared = np.zeros((ell, ell), dtype=bool)
     flat = levels.reshape(-1)
     for sq, nearest in _witness_blocks(cloud, landmarks):
-        # memberships at the grid's end, grouped by witness, landmarks ascending
-        w, lm = np.nonzero((sq <= _root_bound(nearest + grid[-1])[None, :]).T)
+        # memberships at the grid's end
+        member = sq <= _root_bound(nearest + grid[-1])[None, :]
+        if grid.size == 1:
+            # exact: a float32 sum of at most _CHUNK ones
+            member = member.astype(np.float32)
+            shared |= (member @ member.T) > 0.0
+            continue
+        # grouped by witness, landmarks ascending
+        w, lm = np.nonzero(member.T)
         dist = np.sqrt(np.maximum(sq[lm, w], 0.0))
         level = _membership_levels(dist, nearest[w], grid)
         counts = np.bincount(w, minlength=sq.shape[1])
@@ -290,19 +288,25 @@ def _edge_levels(cloud: np.ndarray, landmarks: LandmarkSet,
                 pl, pv = lm[rows], level[rows]
                 np.minimum.at(flat, pl[:, iu] * ell + pl[:, ju],
                               np.maximum(pv[:, iu], pv[:, ju]))
+    # a one-level grid's pairs (none on longer grids), written once, upper
+    # triangle only: a write per block is slower, and so is np.triu's mask
+    r = np.arange(ell)
+    levels[shared & (r[:, None] < r)] = 0
     return levels
 
 
-def _edges_from_adjacency(adj: np.ndarray) -> np.ndarray:
-    iu = np.triu_indices(adj.shape[0], k=1)
-    mask = adj[iu]
-    return np.column_stack([iu[0][mask], iu[1][mask]]).astype(np.int64)
+def _edges_by_level(levels: np.ndarray, top: int):
+    """(E, 2) edges with a level below ``top`` in (level, i, j) order, and
+    their levels."""
+    i, j = np.nonzero(levels < top)
+    level = levels[i, j]
+    order = np.lexsort((j, i, level))
+    return np.column_stack([i[order], j[order]]), level[order]
 
 
-def _triangles_from_adjacency(adj: np.ndarray, edges: np.ndarray) -> np.ndarray:
+def _triangles_from_adjacency(upper: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Every 3-clique (i, j, k), i < j < k, grouped by edge (i, j) in the
-    order of ``edges``, k ascending."""
-    upper = np.triu(adj, 1)
+    order of ``edges``, k ascending; ``upper`` flags the edges, i < j only."""
     tris = [np.empty((0, 3), dtype=np.int64)]
     # common neighbours above j, for blocks of edges (ell * _CHUNK flags)
     for start in range(0, edges.shape[0], _CHUNK):
@@ -317,14 +321,16 @@ def build_complex(cloud: np.ndarray, landmarks: LandmarkSet,
     """Lazy (clique) fuzzy witness complex at one scale.
 
     An edge joins two landmarks whose fuzzy witness sets intersect;
-    triangles are exactly the 3-cliques of that graph. Higher simplices
-    are never materialized, and the witnesses are visited in blocks, so
-    no landmark-by-witness matrix is held for the whole cloud.
+    triangles are exactly the 3-cliques of that graph. The scale is a
+    one-level edge filtration from the same pass over the witnesses as a
+    barcode; its edges are the pairs at level 0, in (i, j) order. Higher
+    simplices are never materialized, and the witnesses are visited in
+    blocks, so no landmark-by-witness matrix is held for the whole cloud.
     """
-    adj = _adjacency(cloud, landmarks, eps)
-    edges = _edges_from_adjacency(adj)
-    return WitnessComplexSnapshot(epsilon=eps, vertices=adj.shape[0], edges=edges,
-                                  triangles=_triangles_from_adjacency(adj, edges))
+    levels = _edge_levels(cloud, landmarks, [eps])
+    edges, _ = _edges_by_level(levels, 1)
+    return WitnessComplexSnapshot(epsilon=eps, vertices=len(landmarks), edges=edges,
+                                  triangles=_triangles_from_adjacency(levels == 0, edges))
 
 
 def _merging_edges(vertices: int, edges: np.ndarray) -> np.ndarray:
@@ -425,19 +431,9 @@ def epsilon_barcode(cloud: np.ndarray, landmarks: LandmarkSet,
     numbers of ``build_complex`` there.
     """
     grid = [float(e) for e in eps_grid]
-    if not grid:
-        raise ValidationError("eps_grid must be nonempty")
-    if any(b >= a for a, b in zip(grid[1:], grid[:-1])):
-        raise ValidationError("eps_grid must be strictly ascending")
-    for eps in grid:
-        _check_epsilon(eps)
     ell, top = len(landmarks), len(grid)
-    levels = _edge_levels(cloud, landmarks, np.asarray(grid))
-    i, j = np.nonzero(levels < top)
-    level = levels[i, j]
-    order = np.lexsort((j, i, level))
-    edges = np.column_stack([i[order], j[order]])
-    level = level[order]
+    levels = _edge_levels(cloud, landmarks, grid)
+    edges, level = _edges_by_level(levels, top)
     merges = _merging_edges(ell, edges)
     # every vertex is born at level 0; each merging edge kills a component
     h0_deaths = np.concatenate([level[merges], np.full(ell - merges.sum(), top)])
@@ -472,7 +468,8 @@ def scaled_epsilon(xi: float, cloud: np.ndarray) -> float:
 def edge_lifespan_diagram(series, m_range, tau: int, xi: float,
                           ell: int) -> np.ndarray:
     """Longest consecutive run of reconstruction dimensions in which each
-    landmark pair stays connected.
+    landmark pair stays connected; ``m_range`` lists distinct dimensions,
+    taken in ascending order.
 
     One landmark index schedule, equally spaced in time and valid for the
     shortest (largest-m) reconstruction, is reused at every dimension; the
@@ -486,6 +483,8 @@ def edge_lifespan_diagram(series, m_range, tau: int, xi: float,
     m_values = sorted(int(m) for m in m_range)
     if not m_values or m_values[0] < 1:
         raise ValidationError("m_range must contain dimensions >= 1")
+    if len(set(m_values)) != len(m_values):
+        raise ValidationError("m_range must not repeat a dimension")
     if tau < 1:
         raise ValidationError("tau must be >= 1")
     if ell < 1:
@@ -504,8 +503,7 @@ def edge_lifespan_diagram(series, m_range, tau: int, xi: float,
     run = np.zeros((ell, ell), dtype=np.int64)
     for m in m_values:
         cloud = delay_matrix(values, m, tau)
-        eps = scaled_epsilon(xi, cloud)
-        adj = _adjacency(cloud, landmarks, eps)
-        run = np.where(adj, run + 1, 0)
+        shared = _edge_levels(cloud, landmarks, [scaled_epsilon(xi, cloud)]) == 0
+        run = np.where(shared, run + 1, 0)
         best = np.maximum(best, run)
-    return best
+    return best + best.T

@@ -1,7 +1,7 @@
 """Library modules never print: only the CLI writes to stdout or stderr.
 No module starts processes: grids run their cells on threads. Only the flow
 stepper generator compiles code, and the code it generates obeys the same
-rules."""
+rules. Only the edge-filtration kernel passes over the witnesses."""
 
 import ast
 from pathlib import Path
@@ -85,21 +85,31 @@ def test_guard_catches_process_pools():
                                     "5: .ProcessPoolExecutor"]
 
 
-def code_generation_uses(source: str) -> list[str]:
-    """Each call of the ``exec``, ``eval`` or ``compile`` builtins, as
-    ``function: name`` with the innermost enclosing function."""
+def call_sites(source: str, names, attributes: bool = False) -> list[str]:
+    """Each call of one of ``names``, as ``function: name`` with the
+    innermost enclosing function; with ``attributes``, ``x.name(...)``
+    counts too."""
     found = []
+
+    def called(func):
+        if isinstance(func, ast.Name):
+            return func.id
+        return func.attr if attributes and isinstance(func, ast.Attribute) else None
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id in ("exec", "eval", "compile")):
-                found.append(f"{where}: {child.func.id}")
+            if isinstance(child, ast.Call) and called(child.func) in names:
+                found.append(f"{where}: {called(child.func)}")
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_function else where)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def code_generation_uses(source: str) -> list[str]:
+    """Each call of the ``exec``, ``eval`` or ``compile`` builtins."""
+    return call_sites(source, ("exec", "eval", "compile"))
 
 
 def test_only_the_flow_generator_compiles_code():
@@ -113,6 +123,25 @@ def test_guard_catches_code_generation():
     source = ("exec('1')\ndef f():\n    def g():\n        compile('', '', 'exec')\n"
               "    eval('2')\nimport re\nre.compile('x')\n")
     assert code_generation_uses(source) == ["<module>: exec", "g: compile", "f: eval"]
+
+
+def witness_passes(source: str) -> list[str]:
+    """Each call of ``topology._witness_blocks``, by name or attribute."""
+    return call_sites(source, ("_witness_blocks",), attributes=True)
+
+
+def test_only_the_edge_filtration_kernel_passes_over_the_witnesses():
+    uses = {module: witness_passes((PACKAGE / module).read_text(encoding="utf-8"))
+            for module in MODULES}
+    assert {module: found for module, found in uses.items() if found} == {
+        "topology.py": ["_edge_levels: _witness_blocks"]}
+
+
+def test_guard_catches_witness_passes():
+    source = ("def f(c, lm):\n    return [b for b in _witness_blocks(c, lm)]\n"
+              "def g(c, lm):\n    topology._witness_blocks(c, lm)\n"
+              "def h():\n    return _witness_blocks\n")
+    assert witness_passes(source) == ["f: _witness_blocks", "g: _witness_blocks"]
 
 
 def generated_sources() -> list[str]:

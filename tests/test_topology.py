@@ -31,7 +31,9 @@ def snapshot_from_edges(vertices, edges, fill_cliques=True):
 
 def fuzzy_witness_sets(cloud, landmarks, eps):
     """The whole landmark-by-witness membership matrix at one scale."""
-    return np.concatenate(list(topology._memberships(cloud, landmarks, eps)), axis=1)
+    return np.concatenate([sq <= topology._root_bound(nearest + eps)[None, :]
+                           for sq, nearest in topology._witness_blocks(cloud, landmarks)],
+                          axis=1)
 
 
 def edge_set(snapshot):
@@ -175,6 +177,16 @@ def assert_levels_threshold_to_the_dense_adjacency(cloud, lm, grid):
     geom = DenseWitnessGeometry(cloud, lm)
     for g, eps in enumerate(grid):
         assert np.array_equal(levels <= g, np.triu(geom.adjacency(eps), 1))
+
+
+def assert_one_level_grids_match_the_filtration(cloud, lm, grid):
+    """The one-level block strategy against the pair scatter: each grid
+    value alone connects the pairs the whole grid connects by its level."""
+    levels = topology._edge_levels(cloud, lm, grid)
+    upper = np.triu(np.ones(levels.shape, dtype=bool), 1)
+    for g, eps in enumerate(grid):
+        one_level = topology._edge_levels(cloud, lm, [eps])
+        assert np.array_equal(one_level == 0, (levels <= g) & upper)
 
 
 def snapshot_from_adjacency(adj, eps=0.0):
@@ -390,6 +402,42 @@ class TestNonFiniteClouds:
             dk.edge_lifespan_diagram(values, range(1, 3), tau=2, xi=0.1, ell=5)
 
 
+class TestLandmarkIndices:
+    def test_indices_beyond_the_cloud_rejected(self):
+        cloud = np.random.default_rng(24).normal(size=(100, 2))
+        for indices in ((0, 500), (-1, 0), (0, 100)):
+            lm = dk.LandmarkSet(indices=indices, strategy="equally_spaced")
+            with pytest.raises(ValidationError, match="must lie in 0..N-1"):
+                dk.build_complex(cloud, lm, 0.1)
+            with pytest.raises(ValidationError, match="N = 100 points"):
+                dk.epsilon_barcode(cloud, lm, [0.1, 0.2])
+        with pytest.raises(ValidationError, match="must lie in 0..N-1"):
+            dk.build_complex(np.zeros((0, 2)), dk.LandmarkSet((0,), "random"), 0.1)
+
+    def test_non_integer_indices_rejected(self):
+        for indices in ((1.5, 2), (0, 2.0), ("0", 1)):
+            with pytest.raises(ValidationError, match="must be integers"):
+                dk.LandmarkSet(indices=indices, strategy="equally_spaced")
+        lm = dk.LandmarkSet(indices=(np.int64(0), np.int32(5)), strategy="random")
+        cloud = np.arange(10.0)[:, None]
+        assert dk.build_complex(cloud, lm, 5.0).edges.tolist() == [[0, 1]]
+
+    def test_scales_checked_before_the_cloud(self):
+        cloud = np.random.default_rng(25).normal(size=(30, 2))
+        lm = dk.LandmarkSet(indices=(0, 40), strategy="equally_spaced")
+        cloud[3, 0] = np.nan
+        with pytest.raises(ValidationError, match="epsilon must be >= 0"):
+            dk.build_complex(cloud, lm, -0.1)
+        with pytest.raises(ValidationError, match="epsilon must be finite, got inf"):
+            dk.build_complex(cloud, lm, np.inf)
+        with pytest.raises(ValidationError, match="strictly ascending"):
+            dk.epsilon_barcode(cloud, lm, [0.5, 0.1])
+        with pytest.raises(ValidationError, match="nonempty"):
+            dk.epsilon_barcode(cloud, lm, [])
+        with pytest.raises(ValidationError, match="finite values"):
+            dk.epsilon_barcode(cloud, lm, [0.1, 0.5])
+
+
 class TestFuzzyWitnessSets:
     def test_zero_eps_unique_membership(self):
         rng = np.random.default_rng(1)
@@ -591,6 +639,14 @@ class TestEdgeLifespan:
                    if e in present[1]
                    and all(e not in present[m] for m in list(dims)[1:])]
         assert len(only_m1) > len(one_lived) / 2
+
+    def test_repeated_dimension_rejected(self):
+        values = np.random.default_rng(26).normal(size=300)
+        for m_range in ([2, 2, 2, 2], [1, 1, 2], (3, 1, 3)):
+            with pytest.raises(ValidationError, match="repeat a dimension"):
+                dk.edge_lifespan_diagram(values, m_range, tau=1, xi=2.0, ell=5)
+        spans = dk.edge_lifespan_diagram(values, [2, 1], tau=1, xi=2.0, ell=5)
+        assert spans[~np.eye(5, dtype=bool)].tolist() == [2] * 20
 
     def test_too_short_reconstruction_rejected(self):
         with pytest.raises(ValidationError):
@@ -801,6 +857,24 @@ class TestExactThresholds:
                 assert [bc.count_at(e) for bc in got] == [bc.count_at(e) for bc in want]
 
 
+class TestOneLevelKernel:
+    def test_lattice_ties(self, small_chunks):
+        xs, ys = np.meshgrid(np.arange(9.0), np.arange(7.0))
+        lattice = np.column_stack([xs.ravel(), ys.ravel()])
+        for cloud in (lattice, lattice * 0.1 + 3.0, lattice + 1e7):
+            lm = dk.select_landmarks(cloud, 12, "equally_spaced")
+            geom = DenseWitnessGeometry(cloud, lm)
+            grid = np.unique(geom.dist - geom.nearest[None, :]).tolist()
+            assert_one_level_grids_match_the_filtration(cloud, lm, grid)
+
+    def test_cloud_translated_by_ten_million(self, small_chunks):
+        cloud = np.random.default_rng(27).uniform(-10.0, 10.0, size=(80, 3))
+        lm = dk.select_landmarks(cloud, 14, "max_min")
+        moved = cloud + 1e7
+        grid = bench_grid(moved, 30, 1e-3, 0.5)
+        assert_one_level_grids_match_the_filtration(moved, lm, grid)
+
+
 @st.composite
 def clouds_and_grids(draw):
     n = draw(st.integers(2, 24))
@@ -900,7 +974,7 @@ class TestTranslationInvariance:
 def test_build_complex_memory_is_bounded():
     # the dense geometry would hold 13 B per landmark-witness pair: 520 MB.
     # A pass holds two 200-by-_CHUNK float64 block buffers (3.1 MiB at
-    # _CHUNK = 1024) and peaks at 4.3 MiB.
+    # _CHUNK = 1024) and peaks at 4.6 MiB.
     cloud = np.random.default_rng(19).uniform(size=(200_000, 2))
     lm = dk.select_landmarks(cloud, 200)
     eps = dk.scaled_epsilon(0.01, cloud)

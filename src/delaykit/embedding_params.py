@@ -20,7 +20,7 @@ from .estimators import (
     binned_mutual_information,
     td_mutual_information_curve,
 )
-from .timeseries import as_values, delay_matrix
+from .timeseries import as_count, as_values, delay_matrix
 
 __all__ = [
     "FnnConfig",
@@ -56,6 +56,7 @@ class FnnConfig:
             raise ValidationError("a_tol must be positive")
         if not 0.0 < self.fraction_threshold < 1.0:
             raise ValidationError("fraction_threshold must lie in (0, 1)")
+        as_count(self.m_max, "m_max", low=2)
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,8 @@ class ParamChoice:
     score: float
 
     def __post_init__(self):
-        if self.m < 1 or self.tau < 1:
-            raise ValidationError("require m >= 1 and tau >= 1")
+        as_count(self.m, "m")
+        as_count(self.tau, "tau")
 
 
 def tau_first_min_mi(series, tau_max: int) -> ParamChoice:
@@ -86,8 +87,7 @@ def tau_first_min_mi(series, tau_max: int) -> ParamChoice:
         If the curve never turns back up within ``tau_max`` (an AR(1)
         process decays monotonically, for example).
     """
-    if tau_max < 3:
-        raise ValidationError("tau_max must be >= 3")
+    tau_max = as_count(tau_max, "tau_max", low=3)
     values = as_values(series)
     curve = td_mutual_information_curve(values, tau_max)
     mi = np.array([binned_mutual_information(values, values)]
@@ -122,10 +122,9 @@ def tau_first_zero_autocorr(series, tau_max: int) -> ParamChoice:
         If R(tau) stays positive through ``tau_max``.
     """
     values = as_values(series)
+    tau_max = as_count(tau_max, "tau_max")
     if tau_max >= values.size:
         raise ValidationError("tau_max must be smaller than the series length")
-    if tau_max < 1:
-        raise ValidationError("tau_max must be >= 1")
     autocorr = _autocorrelation_at(values)
     prev = autocorr(0)
     for tau in range(1, tau_max + 1):
@@ -152,10 +151,7 @@ def fnn_fraction(series, m: int, tau: int,
     """
     config = config or FnnConfig()
     values = as_values(series)
-    if m < 1 or tau < 1:
-        raise ValidationError("require m >= 1 and tau >= 1")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("series values must all be finite")
+    m, tau = as_count(m, "m"), as_count(tau, "tau")
     if values.size - m * tau < 2:
         raise ValidationError(
             f"series cannot support the false-neighbor test at (m+1={m + 1}, tau={tau})"
@@ -188,8 +184,6 @@ def estimate_m_fnn(series, tau: int,
         curve is attached for inspection.
     """
     config = config or FnnConfig()
-    if config.m_max < 2:
-        raise ValidationError("m_max must be >= 2")
     fractions = {}
     for m in range(1, config.m_max + 1):
         frac = fnn_fraction(series, m, tau, config)

@@ -27,7 +27,7 @@ from .errors import (
     DelayKitError,
     ValidationError,
 )
-from .timeseries import as_points, as_values, delay_matrix
+from .timeseries import as_count, as_points, as_values, delay_matrix
 
 __all__ = [
     "SweepGrid",
@@ -109,8 +109,7 @@ def _bin_indices(values: np.ndarray, bins: int) -> np.ndarray:
     """Each value's equal-width bin over the observed [min, max]; a
     constant series spans [v - 0.5, v + 0.5], and the maximum falls in
     the last bin."""
-    if bins < 2:
-        raise ValidationError("need at least 2 bins")
+    bins = as_count(bins, "bins", low=2)
     lo, hi = float(np.min(values)), float(np.max(values))
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
@@ -152,10 +151,9 @@ def td_mutual_information_curve(series, tau_max: int,
     Both copies share one binning over the whole series' range.
     """
     values = as_values(series)
+    tau_max = as_count(tau_max, "tau_max")
     if tau_max >= values.size:
         raise ValidationError("tau_max must be smaller than the series length")
-    if tau_max < 1:
-        raise ValidationError("tau_max must be >= 1")
     idx = _bin_indices(values, bins)
     return [(tau, _binned_mi(idx[tau:], idx[:-tau], bins))
             for tau in range(1, tau_max + 1)]
@@ -259,12 +257,10 @@ def ksg_mutual_information(x_points, y_points, k: int = 4) -> float:
     n = xp.shape[0]
     if yp.shape[0] != n:
         raise ValidationError("point sets must have equal sizes")
-    if not 1 <= k < n:
+    k = as_count(k, "k")
+    if k >= n:
         raise ValidationError("require 1 <= k < N")
     joint = np.hstack([xp, yp])
-    # checked here, before any tree: scipy's own complaint is no toolkit error
-    if not np.all(np.isfinite(joint)):
-        raise ValidationError("KSG point sets must hold only finite values")
     _, idx = cKDTree(joint).query(joint, k=k + 1, p=np.inf,
                                   workers=_query_workers())
     nbrs = idx[:, 1:]
@@ -290,12 +286,12 @@ def _delay_state_and_future(values: np.ndarray, m: int, tau: int,
 
 
 def _subsample(states: np.ndarray, future: np.ndarray,
-               max_samples: int | None) -> tuple[np.ndarray, np.ndarray, int]:
+               max_samples: int | None) -> tuple[np.ndarray, np.ndarray]:
     n = states.shape[0]
-    if max_samples is None or n <= max_samples:
-        return states, future, 1
+    if max_samples is None or n <= as_count(max_samples, "max_samples"):
+        return states, future
     stride = int(np.ceil(n / max_samples))
-    return states[::stride], future[::stride], stride
+    return states[::stride], future[::stride]
 
 
 def active_information_storage(series, m: int, tau: int, h: int = 1,
@@ -307,11 +303,10 @@ def active_information_storage(series, m: int, tau: int, h: int = 1,
     With ``m=1`` the delay is unused and this reduces to the KSG mutual
     information between X_j and X_{j+h}.
     """
-    if m < 1 or tau < 1 or h < 1:
-        raise ValidationError("require m >= 1, tau >= 1, h >= 1")
     values = as_values(series)
+    m, tau, h = as_count(m, "m"), as_count(tau, "tau"), as_count(h, "h")
     states, future = _delay_state_and_future(values, m, tau, h)
-    states, future, _ = _subsample(states, future, max_samples)
+    states, future = _subsample(states, future, max_samples)
     return ksg_mutual_information(states, future, k=k)
 
 
@@ -328,12 +323,12 @@ def run_grid(cell_fn, series, m_range, tau_range, jobs: int,
     and the error is raised.
     """
     values = as_values(series)
-    m_values = tuple(int(m) for m in m_range)
-    tau_values = tuple(int(t) for t in tau_range)
+    # integers only; one below 1 fails its own cell
+    m_values = tuple(as_count(m, "m", low=None) for m in m_range)
+    tau_values = tuple(as_count(t, "tau", low=None) for t in tau_range)
     if not m_values or not tau_values:
         raise ValidationError("empty parameter grid")
-    if jobs < 1:
-        raise ValidationError("jobs must be >= 1")
+    jobs = as_count(jobs, "jobs")
     cells = [(m, tau) for m in m_values for tau in tau_values]
     task = partial(_grid_cell, cell_fn, values)
     workers = min(jobs if jobs > 1 else _usable_cores(), len(cells))
@@ -376,10 +371,9 @@ def atau_surface(series, m_range, tau_range, h: int = 1, k: int = 4,
     on threads: one per usable core at ``jobs=1``, N threads at
     ``jobs=N > 1``.
     """
-    if h < 1 or k < 1:
-        raise ValidationError("h and k must be positive")
-    if max_samples is not None and max_samples < 1:
-        raise ValidationError("max_samples must be >= 1")
+    h, k = as_count(h, "h"), as_count(k, "k")
+    if max_samples is not None:
+        max_samples = as_count(max_samples, "max_samples")
     cell = partial(_atau_cell, h=h, k=k, max_samples=max_samples)
     meta = {"h": h, "k": k, "max_samples": max_samples, "quantity": "atau"}
     return run_grid(cell, series, m_range, tau_range, jobs, meta)
@@ -390,8 +384,6 @@ def _autocorrelation_at(values: np.ndarray):
     variance and the deviations computed once. ``autocorrelation`` and
     the lag scans evaluate every lag through it, so they agree exactly.
     The caller checks 0 <= tau < N."""
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("autocorrelation needs finite series values")
     n = values.size
     mu = values.mean()
     var = np.mean((values - mu) ** 2)
@@ -411,7 +403,8 @@ def autocorrelation(series, tau: int) -> float:
     """Autocorrelation at lag ``tau`` using the full-series mean and
     variance; exactly 1 at lag zero."""
     values = as_values(series)
-    if not 0 <= tau < values.size:
+    tau = as_count(tau, "tau", low=0)
+    if tau >= values.size:
         raise ValidationError("require 0 <= tau < series length")
     return _autocorrelation_at(values)(tau)
 
@@ -421,12 +414,9 @@ def _ordinal_ranks(series, ell: int) -> tuple[np.ndarray, np.ndarray]:
     window's time indices sorted by value, equal values keeping temporal
     order, so the earlier sample gets the lower rank."""
     values = as_values(series)
-    if ell < 2:
-        raise ValidationError("word length must be >= 2")
+    ell = as_count(ell, "ell", low=2)
     if values.size < ell:
         raise CapacityError(ell, values.size)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("ordinal patterns need finite series values")
     windows = np.lib.stride_tricks.sliding_window_view(values, ell)
     return windows, np.argsort(windows, axis=1, kind="stable")
 
@@ -478,7 +468,10 @@ def weighted_permutation_entropy(series, ell: int, normalized: bool = True) -> f
 def select_word_length(n: int, lo: int = 2, hi: int = 8,
                        counts_per_pattern: int = 100) -> int:
     """Largest word length whose pattern table is well sampled:
-    argmax over ell of n >= 100 * ell!, capped to [lo, hi]."""
+    argmax over ell of n >= 100 * ell!, capped to [lo, hi], 2 <= lo <= hi."""
+    n, lo = as_count(n, "n", low=0), as_count(lo, "lo", low=2)
+    hi = as_count(hi, "hi", low=lo)
+    counts_per_pattern = as_count(counts_per_pattern, "counts_per_pattern")
     best = lo
     for ell in range(lo, hi + 1):
         if n >= counts_per_pattern * math.factorial(ell):

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .errors import NoNeighborError, ValidationError
 from .metrics import MaseScore, h_mase
-from .timeseries import ScalarSeries, as_values, delay_matrix, split
+from .timeseries import ScalarSeries, as_count, as_values, delay_matrix, split
 
 __all__ = [
     "ForecastRun",
@@ -80,15 +80,13 @@ def _fit_ar(x: np.ndarray, positions: np.ndarray, order: int):
     fit of the batch, one SVD call checks their ranks and one solve covers
     the full-rank ones.
     """
-    if order < 1:
-        raise ValidationError("AR order must be >= 1")
+    order = as_count(order, "order")
     if positions[0] <= order:
         raise ValidationError(f"AR({order}) needs more than {order} samples")
     if positions[-1] <= 2 * order:
         raise ValidationError(f"AR({order}) needs {order + 1} design rows, a prefix "
                               f"of {2 * order + 1} samples; the last fit has {positions[-1]}")
-    if not np.all(np.isfinite(x[: positions[-1]])):
-        raise ValidationError("train values must all be finite")
+    as_values(x[: positions[-1]])  # only the prefixes fitted are read
     p = order + 1
     cols = p + 1
     counts = positions - order
@@ -218,10 +216,8 @@ def _lma_blocks(x: np.ndarray, n: int, total: int, h: int, m: int, tau: int,
     s-th steps, which add the at most h - 1 vectors that hold predictions
     (or whose image is one) by direct distance.
     """
-    if m < 1 or tau < 1:
-        raise ValidationError("require m >= 1 and tau >= 1")
-    if theiler < 0:
-        raise ValidationError("theiler window must be >= 0")
+    m, tau = as_count(m, "m"), as_count(tau, "tau")
+    theiler = as_count(theiler, "theiler", low=0)
     span = (m - 1) * tau
     if span >= n:
         raise ValidationError(
@@ -288,10 +284,7 @@ def forecast_lma(train, m: int, tau: int, steps: int = 1,
         When every candidate is excluded.
     """
     x = as_values(train)
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("train values must all be finite")
+    steps = as_count(steps, "steps")
     return _lma_blocks(x, x.size, x.size + steps, steps, m, tau, theiler)
 
 
@@ -334,8 +327,7 @@ def _run_forecaster(method, name: str, params: dict, m, tau, theiler: int,
         params.update({"m": m, "tau": tau, "theiler": theiler})
         return lambda x, n, h: _lma_blocks(x, n, x.size, h, m, tau, theiler)
     if method == "ar":
-        if refit_every < 1:
-            raise ValidationError("refit_every must be >= 1")
+        refit_every = as_count(refit_every, "refit_every")
         params.update({"order": order, "refit_every": refit_every, "fallbacks": 0})
 
         def ar(x, n, h):
@@ -370,8 +362,7 @@ def rolling_evaluate(series, fraction: float, method, h: int = 1, *,
     the full-rank coefficients. Fallbacks to the mean predictor are counted
     in the run's params.
     """
-    if h < 1:
-        raise ValidationError("horizon h must be >= 1")
+    h = as_count(h, "h")
     full = series if isinstance(series, ScalarSeries) else ScalarSeries(series)
     parts = split(full, fraction)
     x = full.values

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeriesError, ValidationError
-from .timeseries import as_values
+from .timeseries import as_count, as_values
 
 __all__ = ["MaseScore", "h_mase"]
 
@@ -25,6 +25,7 @@ class MaseScore:
     scaling_denominator: float
 
     def __post_init__(self):
+        as_count(self.h, "h")
         if not self.scaling_denominator > 0:
             raise ValidationError("scaling denominator must be positive")
 
@@ -82,8 +83,7 @@ def h_mase(predictions, truth, train, h: int) -> MaseScore:
     if k < 1:
         raise ValidationError("need at least one prediction")
     n = x.size
-    if h < 1:
-        raise ValidationError("horizon h must be >= 1")
+    h = as_count(h, "h")
     if h >= n:
         raise ValidationError(f"horizon h={h} requires train length > {h}")
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .timeseries import ScalarSeries
+from .timeseries import ScalarSeries, as_count
 
 __all__ = [
     "FlowSpec",
@@ -89,13 +89,14 @@ class FlowSpec:
         _require_finite(self.name, merged)
         if not 0 < self.dt < np.inf:
             raise ValidationError("dt must be positive and finite")
-        if not (self.steps > self.transient >= 0):
-            raise ValidationError("require steps > transient >= 0")
+        transient = as_count(self.transient, "transient", low=0)
+        as_count(self.steps, "steps", low=transient + 1)
         if self.name == "lorenz96":
             k = merged["K"]
             if int(k) != k or k < 4:
                 raise ValidationError("lorenz96 requires integer K >= 4")
-        if not 0 <= self.observed_index < self.dimension:
+        index = as_count(self.observed_index, "observed_index", low=None)
+        if not 0 <= index < self.dimension:
             raise ValidationError(
                 f"observed_index {self.observed_index} out of range for "
                 f"{self.dimension}-dimensional state"
@@ -216,8 +217,8 @@ class MapSpec:
         _require_finite(self.name, merged)
         x0 = tuple(float(v) for v in np.atleast_1d(self.x0))
         object.__setattr__(self, "x0", x0)
-        if not (self.n > self.transient >= 0):
-            raise ValidationError("require n > transient >= 0")
+        transient = as_count(self.transient, "transient", low=0)
+        as_count(self.n, "n", low=transient + 1)
         if self.name == "logistic":
             if len(x0) != 1:
                 raise ValidationError("logistic map takes a scalar x0")
@@ -258,8 +259,7 @@ def integrate_rk4(
     """
     if not 0 < dt < np.inf:
         raise ValidationError("dt must be positive and finite")
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
+    steps = as_count(steps, "steps")
     x = np.array(x0, dtype=np.float64, copy=True)
     stepper = None
     if isinstance(field, _FlowField):

@@ -1,8 +1,13 @@
-"""Scalar series container, delay-coordinate reconstruction, and splitting.
+"""Scalar series container, delay-coordinate reconstruction, splitting,
+and the toolkit's one input policy.
 
 Everything downstream of this module works on 64-bit floats. A series is
 immutable after construction; reconstructions are read-only views where
-numpy allows it.
+numpy allows it. Series and point clouds hold only finite reals, and
+counts (dimensions, delays, horizons, neighbour, landmark and step
+counts) are integers: every entry point coerces its inputs through
+``as_values``, ``as_points`` and ``as_count``, which raise
+ValidationError naming what they reject.
 """
 
 from __future__ import annotations
@@ -38,13 +43,9 @@ class ScalarSeries:
 
     def __post_init__(self):
         # copy before freezing so the caller's buffer is never touched
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        if values.ndim != 1:
-            raise ValidationError("series values must be one-dimensional")
+        values = np.array(as_values(self.values), copy=True)
         if values.size < 1:
             raise ValidationError("series must contain at least one value")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("series values must all be finite")
         if not self.sample_interval > 0:
             raise ValidationError("sample_interval must be positive")
         values.flags.writeable = False
@@ -89,12 +90,12 @@ class TrainTestSplit:
     fraction: float
 
 
-def delay_reconstruct(series: ScalarSeries, m: int, tau: int) -> DelayReconstruction:
+def delay_reconstruct(series, m: int, tau: int) -> DelayReconstruction:
     """Build the delay-coordinate reconstruction of ``series``.
 
     Parameters
     ----------
-    series : ScalarSeries
+    series : ScalarSeries or array-like
         Source observations.
     m : int
         Reconstruction dimension, >= 1. With ``m=1`` the result is the
@@ -107,16 +108,14 @@ def delay_reconstruct(series: ScalarSeries, m: int, tau: int) -> DelayReconstruc
     CapacityError
         If ``(m-1)*tau >= len(series)`` so no complete vector exists.
     """
-    if m < 1:
-        raise ValidationError("embedding dimension m must be >= 1")
-    if tau < 1:
-        raise ValidationError("delay tau must be >= 1")
-    n = len(series)
+    values = as_values(series)
+    m, tau = as_count(m, "m"), as_count(tau, "tau")
+    n = values.size
     span = (m - 1) * tau
     if span >= n:
         raise CapacityError(span + 1, n)
     return DelayReconstruction(
-        m=m, tau=tau, points=delay_matrix(series.values, m, tau), source_length=n
+        m=m, tau=tau, points=delay_matrix(values, m, tau), source_length=n
     )
 
 
@@ -134,11 +133,14 @@ def delay_matrix(values: np.ndarray, m: int, tau: int) -> np.ndarray:
     return out
 
 
-def split(series: ScalarSeries, fraction: float) -> TrainTestSplit:
+def split(series, fraction: float) -> TrainTestSplit:
     """Split into a training prefix of ``floor(fraction * N)`` samples.
 
-    Both parts must be nonempty; a degenerate split raises.
+    Both parts must be nonempty; a degenerate split raises. An input that
+    is not a ScalarSeries is wrapped in one.
     """
+    if not isinstance(series, ScalarSeries):
+        series = ScalarSeries(series)
     if not 0.0 < fraction < 1.0:
         raise ValidationError("split fraction must lie strictly between 0 and 1")
     n = len(series)
@@ -154,17 +156,47 @@ def split(series: ScalarSeries, fraction: float) -> TrainTestSplit:
     )
 
 
+def _finite_array(data, what: str) -> np.ndarray:
+    try:
+        array = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must hold real numbers") from None
+    if not np.all(np.isfinite(array)):
+        raise ValidationError(f"{what} must hold only finite values")
+    return array
+
+
 def as_values(series) -> np.ndarray:
-    """The float64 samples of a ScalarSeries or of any array-like."""
+    """The float64 samples of a ScalarSeries, unchanged, or of any other
+    input, which must be a one-dimensional array of finite reals."""
     if isinstance(series, ScalarSeries):
         return series.values
-    return np.asarray(series, dtype=np.float64)
+    values = _finite_array(series, "series")
+    if values.ndim != 1:
+        raise ValidationError("series values must be one-dimensional")
+    return values
 
 
 def as_points(points) -> np.ndarray:
-    """A float64 (n, d) point array; a flat input is n one-dimensional points."""
-    points = np.asarray(points, dtype=np.float64)
-    return points[:, None] if points.ndim == 1 else points
+    """A finite float64 (n, d) point array; a flat input is n
+    one-dimensional points."""
+    points = _finite_array(points, "point cloud")
+    if points.ndim == 1:
+        return points[:, None]
+    if points.ndim != 2:
+        raise ValidationError("point cloud must be a one- or two-dimensional array")
+    return points
+
+
+def as_count(value, name: str, low: int | None = 1) -> int:
+    """``value`` as a Python int, for a Python or numpy integer >= ``low``
+    (any integer if ``low`` is None). Anything else, ``bool`` and integral
+    floats such as 2.0 included, raises ValidationError naming ``name``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if low is None or value >= low:
+            return int(value)
+    bound = "" if low is None else f" >= {low}"
+    raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def read_rows(path, width: int | None = None) -> np.ndarray:

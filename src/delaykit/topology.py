@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .timeseries import as_points, as_values, delay_matrix
+from .timeseries import as_count, as_points, as_values, delay_matrix
 
 __all__ = [
     "LandmarkSet",
@@ -109,9 +109,10 @@ def select_landmarks(cloud: np.ndarray, ell: int, strategy: str = "equally_space
     smallest index. max_min needs ``ell`` distinct points (points closer
     than about 1e-162 count as one, their squared distance being 0).
     """
-    cloud = _finite_points(cloud)
+    cloud = as_points(cloud)
     n = cloud.shape[0]
-    if not 1 <= ell <= n:
+    ell = as_count(ell, "ell")
+    if ell > n:
         raise ValidationError(f"need 1 <= ell <= {n}, got {ell}")
     if strategy == "equally_spaced":
         stride = n // ell
@@ -139,13 +140,6 @@ def select_landmarks(cloud: np.ndarray, ell: int, strategy: str = "equally_space
     return LandmarkSet(indices=indices, strategy=strategy)
 
 
-def _finite_points(cloud) -> np.ndarray:
-    cloud = as_points(cloud)
-    if not np.all(np.isfinite(cloud)):
-        raise ValidationError("point cloud must hold only finite values")
-    return cloud
-
-
 def _distances_to(cloud: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Euclidean distances from every row of the cloud to ``point``, equal
     bit for bit to ``np.sqrt(np.sum((cloud - point) ** 2, axis=1))``. Below
@@ -171,7 +165,7 @@ def _witness_blocks(cloud: np.ndarray, landmarks: LandmarkSet):
     squared landmark-witness distances and each witness's distance to its
     nearest landmark, ``sqrt(max(min sq, 0))``. ``sq`` is a view of a buffer
     that the next block overwrites."""
-    cloud = _finite_points(cloud)
+    cloud = as_points(cloud)
     n = cloud.shape[0]
     if not all(0 <= i < n for i in landmarks.indices):
         raise ValidationError(f"landmark indices must lie in 0..N-1 for the "
@@ -456,7 +450,7 @@ def scaled_epsilon(xi: float, cloud: np.ndarray) -> float:
     of scalar data this is exactly sqrt(m) * (x_max - x_min)."""
     if not np.isfinite(xi) or xi < 0:
         raise ValidationError(f"xi must be a finite number >= 0, got {xi!r}")
-    cloud = _finite_points(cloud)
+    cloud = as_points(cloud)
     if cloud.size == 0:
         raise ValidationError("cloud must be nonempty")
     # column by column: a reduction along the long axis of a tall, narrow
@@ -478,17 +472,12 @@ def edge_lifespan_diagram(series, m_range, tau: int, xi: float,
     maximal lifespan in dimensions; 0 means the edge never appears.
     """
     values = as_values(series)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("series must hold only finite values")
-    m_values = sorted(int(m) for m in m_range)
-    if not m_values or m_values[0] < 1:
+    m_values = sorted(as_count(m, "m") for m in m_range)
+    if not m_values:
         raise ValidationError("m_range must contain dimensions >= 1")
     if len(set(m_values)) != len(m_values):
         raise ValidationError("m_range must not repeat a dimension")
-    if tau < 1:
-        raise ValidationError("tau must be >= 1")
-    if ell < 1:
-        raise ValidationError("need at least one landmark")
+    tau, ell = as_count(tau, "tau"), as_count(ell, "ell")
     shortest = values.size - (m_values[-1] - 1) * tau
     if shortest < ell:
         raise ValidationError(

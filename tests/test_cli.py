@@ -250,8 +250,8 @@ class TestSelectParams:
         assert payload["method"] == "atau_optimal"
 
     @pytest.mark.parametrize("flags,reason", [
-        (["--k", "0"], "h and k must be positive"),
-        (["--h", "0"], "h and k must be positive"),
+        (["--k", "0"], "k must be an integer >= 1, got 0"),
+        (["--h", "0"], "h must be an integer >= 1, got 0"),
         (["--k", "600"], "every cell of the grid failed; first at m=1 tau=1: "
                          "require 1 <= k < N"),
     ], ids=["k_zero", "h_zero", "k_beyond_series"])

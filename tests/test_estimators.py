@@ -773,6 +773,17 @@ NON_FINITE_ENTRY_POINTS = {
     "autocorrelation": lambda x: dk.autocorrelation(x, 1),
     "tau_first_zero_autocorr": lambda x: dk.tau_first_zero_autocorr(x, 10),
     "scaled_epsilon": lambda x: dk.scaled_epsilon(0.1, x),
+    "ksg_mutual_information": lambda x: dk.ksg_mutual_information(x, x[::-1]),
+    "active_information_storage": lambda x: dk.active_information_storage(x, 2, 1),
+    "binned_mutual_information": lambda x: dk.binned_mutual_information(x, x[::-1]),
+    "td_mutual_information_curve": lambda x: dk.td_mutual_information_curve(x, 5),
+    "fnn_fraction": lambda x: dk.fnn_fraction(x, 2, 1),
+    "forecast_ar": lambda x: dk.forecast_ar(x, 4),
+    "forecast_lma": lambda x: dk.forecast_lma(x, 2, 1),
+    "h_mase_train": lambda x: dk.h_mase([0.0], [1.0], x, 1),
+    "edge_lifespan_diagram": lambda x: dk.edge_lifespan_diagram(x, [1, 2], 1, 0.1, 5),
+    "delay_reconstruct": lambda x: dk.delay_reconstruct(x, 2, 1),
+    "split": lambda x: dk.split(x, 0.5),
 }
 
 
@@ -785,6 +796,130 @@ def test_non_finite_values_rejected(entry, bad):
     x[50] = bad
     with pytest.raises(ValidationError, match="finite"):
         NON_FINITE_ENTRY_POINTS[entry](x)
+
+
+# A noisy sine as a raw array, and its two-dimensional delay cloud.
+X = np.sin(0.3 * np.arange(300.0)) + 0.1 * np.random.default_rng(5).normal(size=300)
+CLOUD = np.column_stack([X[1:], X[:-1]])
+FNN = dk.FnnConfig(fraction_threshold=0.5)
+
+
+def lorenz_trace(steps=20, transient=0, observed_index=0):
+    spec = dk.FlowSpec("lorenz63", dt=0.01, steps=steps, transient=transient,
+                       observed_index=observed_index)
+    return dk.generate_flow_trace(spec, np.ones(3)).values
+
+
+def logistic_trace(n=20, transient=0):
+    return dk.generate_map_trace(dk.MapSpec("logistic", x0=(0.3,), n=n,
+                                            transient=transient)).values
+
+
+# Every public count parameter, as "entry.parameter": a call taking the
+# count, and a valid count. Counts are integers: 1.5, 2.0 and True are
+# refused with a message naming the parameter, once truncated or leaked
+# as a TypeError or AttributeError.
+NON_INTEGER_COUNTS = {
+    "delay_reconstruct.m": (lambda v: dk.delay_reconstruct(X, v, 1).points, 2),
+    "delay_reconstruct.tau": (lambda v: dk.delay_reconstruct(X, 2, v).points, 2),
+    "binned_mutual_information.bins":
+        (lambda v: dk.binned_mutual_information(X, X[::-1], v), 8),
+    "td_mutual_information_curve.tau_max":
+        (lambda v: dk.td_mutual_information_curve(X, v), 3),
+    "td_mutual_information_curve.bins":
+        (lambda v: dk.td_mutual_information_curve(X, 3, v), 8),
+    "ksg_mutual_information.k": (lambda v: dk.ksg_mutual_information(X, X[::-1], v), 4),
+    "active_information_storage.m": (lambda v: dk.active_information_storage(X, v, 1), 2),
+    "active_information_storage.tau":
+        (lambda v: dk.active_information_storage(X, 2, v), 2),
+    "active_information_storage.h":
+        (lambda v: dk.active_information_storage(X, 2, 1, h=v), 2),
+    "active_information_storage.k":
+        (lambda v: dk.active_information_storage(X, 2, 1, k=v), 3),
+    "active_information_storage.max_samples":
+        (lambda v: dk.active_information_storage(X, 2, 1, max_samples=v), 100),
+    "atau_surface.m_range": (lambda v: dk.atau_surface(X, [1, v], [2]).values, 2),
+    "atau_surface.tau_range": (lambda v: dk.atau_surface(X, [2], [1, v]).values, 2),
+    "atau_surface.h": (lambda v: dk.atau_surface(X, [2], [1], h=v).values, 2),
+    "atau_surface.k": (lambda v: dk.atau_surface(X, [2], [1], k=v).values, 3),
+    "atau_surface.max_samples":
+        (lambda v: dk.atau_surface(X, [2], [1], max_samples=v).values, 100),
+    "atau_surface.jobs": (lambda v: dk.atau_surface(X, [2], [1, 2], jobs=v).values, 2),
+    "autocorrelation.tau": (lambda v: dk.autocorrelation(X, v), 2),
+    "permutation_entropy.ell": (lambda v: dk.permutation_entropy(X, v), 3),
+    "weighted_permutation_entropy.ell":
+        (lambda v: dk.weighted_permutation_entropy(X, v), 3),
+    "select_word_length.n": (lambda v: dk.select_word_length(v), 1000),
+    "select_word_length.lo": (lambda v: dk.select_word_length(1000, lo=v), 2),
+    "select_word_length.hi": (lambda v: dk.select_word_length(1000, hi=v), 8),
+    "select_word_length.counts_per_pattern":
+        (lambda v: dk.select_word_length(1000, counts_per_pattern=v), 100),
+    "FnnConfig.m_max": (lambda v: dk.FnnConfig(m_max=v).m_max, 4),
+    "ParamChoice.m": (lambda v: dk.ParamChoice(v, 1, "given", 0.0).m, 2),
+    "ParamChoice.tau": (lambda v: dk.ParamChoice(1, v, "given", 0.0).tau, 2),
+    "tau_first_min_mi.tau_max": (lambda v: dk.tau_first_min_mi(X, v).tau, 20),
+    "tau_first_zero_autocorr.tau_max":
+        (lambda v: dk.tau_first_zero_autocorr(X, v).tau, 20),
+    "fnn_fraction.m": (lambda v: dk.fnn_fraction(X, v, 2), 2),
+    "fnn_fraction.tau": (lambda v: dk.fnn_fraction(X, 2, v), 2),
+    "estimate_m_fnn.tau": (lambda v: dk.estimate_m_fnn(X, v, FNN).score, 5),
+    "forecast_ar.order": (lambda v: dk.forecast_ar(X, v), 4),
+    "forecast_lma.m": (lambda v: dk.forecast_lma(X, v, 1, steps=3), 2),
+    "forecast_lma.tau": (lambda v: dk.forecast_lma(X, 2, v, steps=3), 2),
+    "forecast_lma.steps": (lambda v: dk.forecast_lma(X, 2, 1, steps=v), 3),
+    "forecast_lma.theiler": (lambda v: dk.forecast_lma(X, 2, 1, theiler=v), 3),
+    "rolling_evaluate.h":
+        (lambda v: dk.rolling_evaluate(X, 0.9, "naive", h=v).predictions, 2),
+    "rolling_evaluate.m":
+        (lambda v: dk.rolling_evaluate(X, 0.9, "lma", m=v, tau=1).predictions, 2),
+    "rolling_evaluate.tau":
+        (lambda v: dk.rolling_evaluate(X, 0.9, "lma", m=2, tau=v).predictions, 2),
+    "rolling_evaluate.theiler": (lambda v: dk.rolling_evaluate(
+        X, 0.9, "lma", m=2, tau=1, theiler=v).predictions, 3),
+    "rolling_evaluate.order":
+        (lambda v: dk.rolling_evaluate(X, 0.9, "ar", order=v).predictions, 4),
+    "rolling_evaluate.refit_every": (lambda v: dk.rolling_evaluate(
+        X, 0.9, "ar", h=2, refit_every=v).predictions, 3),
+    "h_mase.h": (lambda v: dk.h_mase(X[-5:], X[-6:-1], X[:200], v).value, 2),
+    "MaseScore.h": (lambda v: dk.MaseScore(1.0, v, 1.0).h, 2),
+    "FlowSpec.steps": (lambda v: lorenz_trace(steps=v), 20),
+    "FlowSpec.transient": (lambda v: lorenz_trace(transient=v), 5),
+    "FlowSpec.observed_index": (lambda v: lorenz_trace(observed_index=v), 1),
+    "MapSpec.n": (lambda v: logistic_trace(n=v), 20),
+    "MapSpec.transient": (lambda v: logistic_trace(transient=v), 5),
+    "integrate_rk4.steps": (lambda v: dk.integrate_rk4(
+        dk.FlowSpec("lorenz63").field_function(), np.ones(3), 0.01, v), 20),
+    "select_landmarks.ell":
+        (lambda v: dk.select_landmarks(CLOUD, v, "max_min").indices, 5),
+    "edge_lifespan_diagram.m_range":
+        (lambda v: dk.edge_lifespan_diagram(X, [1, v], 1, 0.1, 5), 2),
+    "edge_lifespan_diagram.tau":
+        (lambda v: dk.edge_lifespan_diagram(X, [1, 2], v, 0.1, 5), 2),
+    "edge_lifespan_diagram.ell":
+        (lambda v: dk.edge_lifespan_diagram(X, [1, 2], 1, 0.1, v), 5),
+}
+
+
+def count_name(entry: str) -> str:
+    """The name an error message gives the entry's count; a range of
+    dimensions or delays names each member."""
+    param = entry.rpartition(".")[2]
+    return {"m_range": "m", "tau_range": "tau"}.get(param, param)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+@pytest.mark.parametrize("entry", NON_INTEGER_COUNTS)
+def test_non_integer_counts_rejected(entry, bad):
+    call, _ = NON_INTEGER_COUNTS[entry]
+    with pytest.raises(ValidationError, match=rf"^{count_name(entry)} must be an "
+                                              rf"integer\b"):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", NON_INTEGER_COUNTS)
+def test_numpy_integer_counts_match_python_ints(entry):
+    call, valid = NON_INTEGER_COUNTS[entry]
+    np.testing.assert_array_equal(call(np.int64(valid)), call(valid))
 
 
 def test_select_word_length_sampling_rule():

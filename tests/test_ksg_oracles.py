@@ -202,13 +202,17 @@ class TestNonFiniteInput:
             with pytest.raises(ValidationError, match="finite"):
                 dk.ksg_mutual_information(xs, ys)
 
-    def test_atau_cell_records_reason(self):
+    def test_atau_cell_records_reason(self, monkeypatch):
+        # the series is checked once, before any cell runs
+        def fail(*args, **kwargs):
+            raise AssertionError("a cell ran on non-finite input")
+
+        monkeypatch.setattr(estimators, "active_information_storage", fail)
         values = np.sin(0.3 * np.arange(400))
         values[123] = np.nan
-        grid = dk.atau_surface(values, [1, 2], [1, 2])
-        assert np.all(np.isnan(grid.values))
-        assert set(grid.cell_errors) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-        assert all("finite" in msg for msg in grid.cell_errors.values())
+        with pytest.raises(ValidationError) as err:
+            dk.atau_surface(values, [1, 2], [1, 2])
+        assert str(err.value) == "series must hold only finite values"
 
     def test_fnn_rejects(self):
         values = np.sin(0.3 * np.arange(400))

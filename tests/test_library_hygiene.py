@@ -1,7 +1,9 @@
 """Library modules never print: only the CLI writes to stdout or stderr.
 No module starts processes: grids run their cells on threads. Only the flow
 stepper generator compiles code, and the code it generates obeys the same
-rules. Only the edge-filtration kernel passes over the witnesses."""
+rules. Only the edge-filtration kernel passes over the witnesses. Only
+``timeseries`` scans inputs for non-finite values. The public namespace
+holds the names listed here and no others."""
 
 import ast
 from pathlib import Path
@@ -85,26 +87,38 @@ def test_guard_catches_process_pools():
                                     "5: .ProcessPoolExecutor"]
 
 
-def call_sites(source: str, names, attributes: bool = False) -> list[str]:
-    """Each call of one of ``names``, as ``function: name`` with the
-    innermost enclosing function; with ``attributes``, ``x.name(...)``
-    counts too."""
-    found = []
+def called(func, attributes: bool = False):
+    """The name a call's ``func`` node calls: ``name(...)``, and with
+    ``attributes`` also ``x.name(...)``; None otherwise."""
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if attributes and isinstance(func, ast.Attribute) else None
 
-    def called(func):
-        if isinstance(func, ast.Name):
-            return func.id
-        return func.attr if attributes and isinstance(func, ast.Attribute) else None
+
+def labelled_calls(source: str, label) -> list[str]:
+    """Each call that ``label(call)`` names, as ``function: name`` with the
+    innermost enclosing function."""
+    found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and called(child.func) in names:
-                found.append(f"{where}: {called(child.func)}")
+            if isinstance(child, ast.Call) and label(child):
+                found.append(f"{where}: {label(child)}")
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_function else where)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def call_sites(source: str, names, attributes: bool = False) -> list[str]:
+    """Each call of one of ``names``, as ``function: name``; with
+    ``attributes``, ``x.name(...)`` counts too."""
+    def label(call):
+        name = called(call.func, attributes)
+        return name if name in names else None
+
+    return labelled_calls(source, label)
 
 
 def code_generation_uses(source: str) -> list[str]:
@@ -159,3 +173,70 @@ def test_generated_steppers_obey_the_library_rules():
         assert console_uses(source) == []
         assert process_uses(source) == []
         assert code_generation_uses(source) == []
+
+
+def finiteness_scans(source: str) -> list[str]:
+    """Each ``all(isfinite(...))`` call, by name or attribute, such as
+    ``np.all(np.isfinite(x))``."""
+    def label(call):
+        inner = call.args[0] if call.args else None
+        if (called(call.func, True) == "all" and isinstance(inner, ast.Call)
+                and called(inner.func, True) == "isfinite"):
+            return "all(isfinite)"
+        return None
+
+    return labelled_calls(source, label)
+
+
+def test_only_timeseries_scans_for_non_finite_values():
+    uses = {module: finiteness_scans((PACKAGE / module).read_text(encoding="utf-8"))
+            for module in MODULES}
+    assert {module: found for module, found in uses.items() if found} == {
+        "timeseries.py": ["_finite_array: all(isfinite)"]}
+
+
+def test_guard_catches_finiteness_scans():
+    source = ("import numpy as np\ndef f(x):\n    return np.all(np.isfinite(x))\n"
+              "def g(x):\n    return all(isfinite(x)) or np.all(x)\n"
+              "np.all(np.isnan(x))\nnp.isfinite(x)\n")
+    assert finiteness_scans(source) == ["f: all(isfinite)", "g: all(isfinite)"]
+
+
+PUBLIC_NAMES = {
+    # errors
+    "CapacityError", "DegenerateSeriesError", "DelayKitError", "DivergenceError",
+    "NoEmbeddingFoundError", "NoMinimumError", "NoNeighborError",
+    "NoZeroCrossingError", "SeriesFormatError", "ValidationError",
+    # timeseries
+    "DelayReconstruction", "ScalarSeries", "TrainTestSplit", "delay_reconstruct",
+    "load_series", "save_series", "split",
+    # systems
+    "FlowSpec", "MapSpec", "default_initial_state", "generate_flow_trace",
+    "generate_map_trace", "integrate_rk4",
+    # estimators
+    "SweepGrid", "active_information_storage", "atau_surface", "autocorrelation",
+    "binned_mutual_information", "ksg_mutual_information", "permutation_entropy",
+    "select_word_length", "td_mutual_information_curve",
+    "weighted_permutation_entropy",
+    # embedding_params
+    "FnnConfig", "ParamChoice", "atau_optimal_params", "estimate_m_fnn",
+    "fnn_fraction", "tau_first_min_mi", "tau_first_zero_autocorr",
+    # forecast and metrics
+    "ForecastRun", "forecast_ar", "forecast_lma", "rolling_evaluate",
+    "MaseScore", "h_mase",
+    # topology
+    "Barcode", "LandmarkSet", "WitnessComplexSnapshot", "betti_numbers",
+    "build_complex", "edge_lifespan_diagram", "epsilon_barcode", "scaled_epsilon",
+    "select_landmarks",
+    # the library modules themselves
+    "embedding_params", "errors", "estimators", "forecast", "metrics", "systems",
+    "timeseries", "topology",
+}
+
+
+def test_public_namespace_is_pinned():
+    # a new public name is a design decision: add it here on purpose. The
+    # CLI module joins the package namespace once anything imports it.
+    names = {name for name in dir(delaykit) if not name.startswith("_")} - {"cli"}
+    assert names == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 63

@@ -13,6 +13,15 @@ def test_series_rejects_non_finite():
         dk.ScalarSeries(np.array([np.inf]))
 
 
+def test_series_must_be_flat_reals():
+    with pytest.raises(ValidationError, match="^series must hold real numbers$"):
+        dk.delay_reconstruct(["a", "b"], 1, 1)
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        dk.split(np.zeros((3, 2)), 0.5)
+    with pytest.raises(ValidationError, match="^point cloud must be a one- or two-"):
+        dk.ksg_mutual_information(np.zeros((5, 2, 2)), np.zeros(5), 2)
+
+
 def test_series_rejects_empty():
     with pytest.raises(ValidationError):
         dk.ScalarSeries(np.array([]))
@@ -72,6 +81,13 @@ class TestDelayReconstruct:
         with pytest.raises(ValidationError):
             dk.delay_reconstruct(s, 2, 0)
 
+    def test_raw_array_accepted(self):
+        values = np.arange(10.0)
+        r = dk.delay_reconstruct(values, 3, 2)
+        assert np.array_equal(r.points,
+                              dk.delay_reconstruct(dk.ScalarSeries(values), 3, 2).points)
+        assert r.source_length == 10
+
 
 class TestSplit:
     def test_ninety_ten(self):
@@ -103,6 +119,12 @@ class TestSplit:
             dk.split(s, 1.0)
         with pytest.raises(ValidationError):
             dk.split(s, 0.0)
+
+    def test_raw_array_wrapped(self):
+        parts = dk.split(np.arange(10.0), 0.7)
+        assert isinstance(parts.train, dk.ScalarSeries)
+        assert parts.train.values.tolist() == list(range(7))
+        assert parts.test.values.tolist() == [7.0, 8.0, 9.0]
 
 
 class TestSeriesFiles:

@@ -11,7 +11,6 @@ internally and is converted once at the end.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from .errors import (
     DelayKitError,
     ValidationError,
 )
-from .timeseries import as_count, as_points, as_values, delay_matrix
+from .timeseries import _usable_cores, as_count, as_points, as_values, delay_matrix
 
 __all__ = [
     "SweepGrid",
@@ -178,12 +177,6 @@ def _mark_cell_worker():
 
 def _query_workers() -> int:
     return 1 if getattr(_cell_worker, "active", False) else -1
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _sorted_counts(values: np.ndarray, radii: np.ndarray) -> np.ndarray:

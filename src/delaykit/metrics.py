@@ -72,12 +72,11 @@ def h_mase(predictions, truth, train, h: int) -> MaseScore:
     DegenerateSeriesError
         If the training signal is constant (zero scaling term).
     ValidationError
-        On length mismatches or h >= n.
+        On non-finite or non-vector inputs, length mismatches or h >= n.
     """
-    p = np.asarray(predictions, dtype=np.float64)
-    c = np.asarray(truth, dtype=np.float64)
+    p, c = as_values(predictions, "predictions"), as_values(truth, "truth")
     x = as_values(train)
-    if p.shape != c.shape or p.ndim != 1:
+    if p.size != c.size:
         raise ValidationError("predictions and truth must be equal-length vectors")
     k = p.size
     if k < 1:

@@ -348,14 +348,14 @@ def _henon_escapes(x0: np.ndarray, a: float, b: float) -> bool:
 def default_initial_state(name: str, params: dict, seed: int) -> np.ndarray:
     """Draw a reproducible initial condition for the named system.
 
-    Ensemble runs perturb a generic on-basin base point with a seeded
-    generator so every experiment can be replayed exactly. Lorenz 96
-    ``params`` are completed and checked as by ``FlowSpec``. A Henon draw
-    whose orbit escapes to infinity (seeds 231, 785 and 1823 among them)
-    is replaced by the generator's next draw; every other seed keeps its
-    first draw.
+    Ensemble runs perturb a generic on-basin base point with a generator
+    seeded by ``seed``, an integer >= 0, so every experiment can be
+    replayed exactly. Lorenz 96 ``params`` are completed and checked as by
+    ``FlowSpec``. A Henon draw whose orbit escapes to infinity (seeds 231,
+    785 and 1823 among them) is replaced by the generator's next draw;
+    every other seed keeps its first draw.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed", low=0))
     if name == "lorenz63":
         return np.array([1.0, 1.0, 1.0]) + rng.standard_normal(3)
     if name == "lorenz96":

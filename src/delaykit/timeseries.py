@@ -7,12 +7,14 @@ numpy allows it. Series and point clouds hold only finite reals, and
 counts (dimensions, delays, horizons, neighbour, landmark and step
 counts) are integers: every entry point coerces its inputs through
 ``as_values``, ``as_points`` and ``as_count``, which raise
-ValidationError naming what they reject.
+ValidationError naming what they reject. The modules that run threads
+size them by the one count of usable cores kept here.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,14 +168,15 @@ def _finite_array(data, what: str) -> np.ndarray:
     return array
 
 
-def as_values(series) -> np.ndarray:
+def as_values(series, name: str = "series") -> np.ndarray:
     """The float64 samples of a ScalarSeries, unchanged, or of any other
-    input, which must be a one-dimensional array of finite reals."""
+    input, which must be a one-dimensional array of finite reals; errors
+    name the input as ``name``."""
     if isinstance(series, ScalarSeries):
         return series.values
-    values = _finite_array(series, "series")
+    values = _finite_array(series, name)
     if values.ndim != 1:
-        raise ValidationError("series values must be one-dimensional")
+        raise ValidationError(f"{name} must be one-dimensional")
     return values
 
 
@@ -197,6 +200,14 @@ def as_count(value, name: str, low: int | None = 1) -> int:
             return int(value)
     bound = "" if low is None else f" >= {low}"
     raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: the thread count of a grid's cell
+    pool and whether the witness pass takes a helper thread."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def read_rows(path, width: int | None = None) -> np.ndarray:

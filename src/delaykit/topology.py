@@ -10,7 +10,9 @@ GF(2) arithmetic throughout.
 
 Each complex or filtration is built in one pass over the witnesses in
 fixed-size blocks, so no landmark-by-witness matrix is held for the whole
-cloud; each pass fills the same two buffers for every block. Squared
+cloud; each pass reuses the same three block buffers. With two usable
+cores the pass runs one block ahead: a helper thread computes the next
+block's distances while the caller reduces this one. Squared
 distances are taken on coordinates centred on the landmark mean, so a
 translated cloud gives the same distances to rounding. Only each witness's
 nearest distance is a square root: a test ``sqrt(sq) <= t`` becomes the
@@ -24,12 +26,13 @@ whose edges are the pairs at level 0. Clouds must be finite.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .timeseries import as_count, as_points, as_values, delay_matrix
+from .timeseries import _usable_cores, as_count, as_points, as_values, delay_matrix
 
 __all__ = [
     "LandmarkSet",
@@ -54,8 +57,8 @@ class LandmarkSet:
     strategy: str
 
     def __post_init__(self):
-        if not all(isinstance(i, (int, np.integer)) for i in self.indices):
-            raise ValidationError("landmark indices must be integers")
+        for i in self.indices:
+            as_count(i, "landmark index", low=None)
         if len(set(self.indices)) != len(self.indices):
             raise ValidationError("landmark indices must be distinct")
         if len(self.indices) < 1:
@@ -105,9 +108,10 @@ def select_landmarks(cloud: np.ndarray, ell: int, strategy: str = "equally_space
     equally_spaced strides the cloud in temporal order (every
     floor(N/ell)-th point); max_min greedily adds the point farthest from
     the landmarks so far, seeded at index 0; random draws with the given
-    seed. Everything is deterministic; distance ties resolve to the
-    smallest index. max_min needs ``ell`` distinct points (points closer
-    than about 1e-162 count as one, their squared distance being 0).
+    seed, an integer >= 0. Everything is deterministic; distance ties
+    resolve to the smallest index. max_min needs ``ell`` distinct points
+    (points closer than about 1e-162 count as one, their squared distance
+    being 0).
     """
     cloud = as_points(cloud)
     n = cloud.shape[0]
@@ -133,7 +137,7 @@ def select_landmarks(cloud: np.ndarray, ell: int, strategy: str = "equally_space
     elif strategy == "random":
         if seed is None:
             raise ValidationError("random landmark selection requires a seed")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(as_count(seed, "seed", low=0))
         indices = tuple(sorted(int(i) for i in rng.choice(n, size=ell, replace=False)))
     else:
         raise ValidationError(f"unknown landmark strategy {strategy!r}")
@@ -154,17 +158,26 @@ def _distances_to(cloud: np.ndarray, point: np.ndarray) -> np.ndarray:
 
 
 # Witnesses per block of the landmark-witness pass. A pass fills two
-# ell-by-_CHUNK float64 buffers for every block, so memory is
-# O(ell * _CHUNK + ell^2) whatever the cloud size; at ell = 200 a buffer
-# is 1.6 MB, which stays in cache across the steps of a block.
+# ell-by-_CHUNK float64 buffers of squared distances in turn and one of
+# products, so memory is O(ell * _CHUNK + ell^2) whatever the cloud size;
+# at ell = 200 a buffer is 1.6 MB, which stays in cache across the steps
+# of a block. BLAS rounds differently at another block width, so the
+# outputs depend on _CHUNK bit for bit.
 _CHUNK = 1024
 
 
 def _witness_blocks(cloud: np.ndarray, landmarks: LandmarkSet):
     """Yield (sq, nearest) for consecutive blocks of witnesses: the ell-by-c
     squared landmark-witness distances and each witness's distance to its
-    nearest landmark, ``sqrt(max(min sq, 0))``. ``sq`` is a view of a buffer
-    that the next block overwrites."""
+    nearest landmark, ``sqrt(max(min sq, 0))``. ``sq`` is a view of one of
+    two buffers, which the block after next overwrites.
+
+    With at least two usable cores and two blocks, a helper thread
+    computes the next block while the caller reduces this one; otherwise
+    each block is computed when it is asked for. Both ways run the same
+    arithmetic on the same blocks, so the values are identical. Closing
+    the generator (as collecting it does) or an error in the helper
+    cancels the block ahead and joins the helper."""
     cloud = as_points(cloud)
     n = cloud.shape[0]
     if not all(0 <= i < n for i in landmarks.indices):
@@ -179,10 +192,13 @@ def _witness_blocks(cloud: np.ndarray, landmarks: LandmarkSet):
     size = min(_CHUNK, n)
     block_buf = np.empty((size, cloud.shape[1]))
     w_sq_buf = np.empty(size)
-    # one allocation for both: glibc keeps a freed block of a few MB on
-    # its heap, so the next pass reuses it without page faults
-    sq_buf, dot_buf = np.empty((2, ell * size))
-    for start in range(0, n, size):
+    # one allocation for all three: glibc keeps a freed block of a few MB
+    # on its heap, so the next pass reuses it without page faults
+    *sq_bufs, dot_buf = np.empty((3, ell * size))
+
+    def geometry(start, sq_buf):
+        # the block, w_sq and dot buffers are used only here, so only by
+        # the thread that computes blocks
         c = min(size, n - start)
         block = np.subtract(cloud[start:start + c], centre, out=block_buf[:c])
         # |l - w|^2 = (|l|^2 + |w|^2) - 2 l.w via BLAS, in that order;
@@ -196,7 +212,24 @@ def _witness_blocks(cloud: np.ndarray, landmarks: LandmarkSet):
         sq += w_sq
         sq -= dot
         nearest = sq.min(axis=0)
-        yield sq, np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
+        return sq, np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
+
+    starts = range(0, n, size)
+    if len(starts) < 2 or _usable_cores() < 2:
+        for start in starts:
+            yield geometry(start, sq_bufs[0])
+        return
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        ahead = helper.submit(geometry, starts[0], sq_bufs[0])
+        for b in range(1, len(starts) + 1):
+            sq, nearest = ahead.result()
+            if b < len(starts):
+                # into the buffer of the block the caller reduced last
+                ahead = helper.submit(geometry, starts[b], sq_bufs[b % 2])
+            yield sq, nearest
+    finally:
+        helper.shutdown(cancel_futures=True)
 
 
 def _root_bound(t: np.ndarray) -> np.ndarray:
@@ -437,9 +470,11 @@ def epsilon_barcode(cloud: np.ndarray, landmarks: LandmarkSet,
     if cycles.size:
         faces = _triangle_faces(ell, edges, _triangles_from_adjacency(levels < top, edges))
         # a triangle is born with its youngest edge
-        faces = faces[np.argsort(faces.max(axis=1), kind="stable")]
+        youngest = faces.max(axis=1)
+        order = np.argsort(youngest, kind="stable")
+        faces, youngest = faces[order], youngest[order]
         for e, t in _reduce_coboundaries(faces, edges.shape[0], cycles[::-1].tolist()):
-            deaths[e] = level[faces[t].max()]
+            deaths[e] = level[youngest[t]]
     return (_level_barcode(grid, np.zeros(ell, dtype=np.int64), h0_deaths, 0),
             _level_barcode(grid, level[cycles], deaths[cycles], 1))
 

@@ -653,6 +653,8 @@ MISUSE = {
                                 "--steps", "10", "--seed", "1", "-o", "{out}"],
     "generate_forcing_inf": ["generate", "--system", "lorenz96", "--F", "inf",
                              "--steps", "10", "--seed", "1", "-o", "{out}"],
+    "generate_seed_negative": ["generate", "--system", "lorenz63", "--seed", "-1",
+                               "--steps", "10", "-o", "{out}"],
     "sweep_max_samples_zero": ["sweep", "--mode", "atau", "--m", "1:2", "--tau", "1",
                                "--max-samples", "0", "-i", "{series}", "-o", "{out}"],
     "sweep_max_samples_negative": ["sweep", "--mode", "atau", "--m", "1:2",
@@ -680,6 +682,10 @@ MISUSE = {
     "lifespan_seed": ["topology", "--mode", "lifespan", "--series", "{series}",
                       "--m-range", "1:2", "--tau", "1", "--xi", "0.01",
                       "--ell", "5", "--seed", "3", "-o", "{out}"],
+    "random_landmarks_seed_negative": ["topology", "--mode", "betti",
+                                       "--series", "{series}", "--m", "2",
+                                       "--tau", "1", "--xi", "0.01", "--ell", "5",
+                                       "--landmarks", "random", "--seed", "-3"],
     "cloud_nan_row": ["topology", "--mode", "betti", "--cloud", "{cloud}",
                       "--xi", "0.01", "--ell", "2"],
     "max_min_too_few_distinct_points": ["topology", "--mode", "barcode",

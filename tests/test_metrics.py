@@ -75,6 +75,24 @@ class TestHMase:
         worse[7] += np.sign(worse[7] - truth[7] + 1e-30) * 0.5
         assert dk.h_mase(worse, truth, train, 1).value >= base
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_predictions_or_truth_rejected(self, bad):
+        # a NaN score would compare neither better nor worse than any other
+        train = np.arange(10.0)
+        with pytest.raises(ValidationError, match="^predictions must hold only finite"):
+            dk.h_mase([bad], [1.0], train, 1)
+        with pytest.raises(ValidationError, match="^truth must hold only finite"):
+            dk.h_mase([1.0, 2.0], [2.0, bad], train, 1)
+
+    def test_predictions_and_truth_must_be_equal_length_vectors(self):
+        train = np.arange(10.0)
+        with pytest.raises(ValidationError, match="equal-length"):
+            dk.h_mase([1.0, 2.0], [1.0], train, 1)
+        with pytest.raises(ValidationError, match="^predictions must be one-dimensional"):
+            dk.h_mase(np.ones((2, 2)), np.ones((2, 2)), train, 1)
+        with pytest.raises(ValidationError, match="^predictions must hold real numbers"):
+            dk.h_mase(["a"], [1.0], train, 1)
+
     def test_constant_train_rejected(self):
         with pytest.raises(DegenerateSeriesError):
             dk.h_mase(np.ones(3), np.ones(3), np.full(100, 2.0), 1)

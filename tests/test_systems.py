@@ -172,6 +172,17 @@ def test_seeded_initial_states_replayable():
         assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, np.bool_(True), "3", None])
+def test_seed_must_be_an_integer_of_at_least_zero(seed):
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        dk.default_initial_state("lorenz63", {}, seed)
+
+
+def test_numpy_integer_seed_draws_as_the_python_int():
+    assert np.array_equal(dk.default_initial_state("rossler", {}, np.int32(7)),
+                          dk.default_initial_state("rossler", {}, 7))
+
+
 # the seeds below 4,000 whose first Henon draw diverges within 11 steps
 HENON_ESCAPING_SEEDS = [231, 785, 1823, 1885, 1916, 2963, 3110]
 

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -348,6 +350,11 @@ class TestSelectLandmarks:
         with pytest.raises(ValidationError):
             dk.select_landmarks(np.zeros((5, 2)), 2, "random")
 
+    @pytest.mark.parametrize("seed", [-3, 1.5, 2.0, True, "1"])
+    def test_random_seed_must_be_an_integer_of_at_least_zero(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            dk.select_landmarks(np.arange(50.0), 5, "random", seed=seed)
+
     def test_max_min_matches_the_summed_formula(self):
         rng = np.random.default_rng(22)
         for d in range(1, 11):
@@ -415,8 +422,8 @@ class TestLandmarkIndices:
             dk.build_complex(np.zeros((0, 2)), dk.LandmarkSet((0,), "random"), 0.1)
 
     def test_non_integer_indices_rejected(self):
-        for indices in ((1.5, 2), (0, 2.0), ("0", 1)):
-            with pytest.raises(ValidationError, match="must be integers"):
+        for indices in ((1.5, 2), (0, 2.0), ("0", 1), (True, 2), (0, np.bool_(False))):
+            with pytest.raises(ValidationError, match="landmark index must be an integer"):
                 dk.LandmarkSet(indices=indices, strategy="equally_spaced")
         lm = dk.LandmarkSet(indices=(np.int64(0), np.int32(5)), strategy="random")
         cloud = np.arange(10.0)[:, None]
@@ -971,10 +978,124 @@ class TestTranslationInvariance:
                                   dk.build_complex(cloud, lm, eps).edges)
 
 
+def blocks_and_levels(cloud, lm, grid):
+    """Copies of every (sq, nearest) block of one pass, then the edge
+    levels on ``grid`` and on its first value alone."""
+    blocks = [(sq.tobytes(), nearest.tobytes())
+              for sq, nearest in topology._witness_blocks(cloud, lm)]
+    return (blocks, topology._edge_levels(cloud, lm, grid).tobytes(),
+            topology._edge_levels(cloud, lm, grid[:1]).tobytes())
+
+
+def assert_pipeline_matches_inline(monkeypatch, cloud, lm, grid):
+    """The pass one block ahead on a helper thread gives the bytes of the
+    pass that computes each block when it is asked for."""
+    monkeypatch.setattr(topology, "_usable_cores", lambda: 1)
+    inline = blocks_and_levels(cloud, lm, grid)
+    monkeypatch.setattr(topology, "_usable_cores", lambda: 2)
+    assert blocks_and_levels(cloud, lm, grid) == inline
+
+
+def many_block_cloud():
+    """A Henon cloud of 10 full blocks and a ragged one."""
+    x = dk.generate_map_trace(dk.MapSpec("henon", x0=(0.1, 0.1), n=10_501,
+                                         transient=100))
+    return delay_matrix(x.values, 2, 1)
+
+
+class TestPipelinedPass:
+    def test_hypothesis_clouds(self, monkeypatch):
+        monkeypatch.setattr(topology, "_CHUNK", 7)
+
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(clouds_and_grids())
+        def run(case):
+            cloud, lm, grid, _ = case
+            assert_pipeline_matches_inline(monkeypatch, cloud, lm, grid)
+
+        run()
+
+    def test_lattice_ties(self, monkeypatch, small_chunks):
+        xs, ys = np.meshgrid(np.arange(9.0), np.arange(7.0))
+        lattice = np.column_stack([xs.ravel(), ys.ravel()])
+        for cloud in (lattice, lattice * 0.1 + 3.0, lattice + 1e7):
+            lm = dk.select_landmarks(cloud, 12, "equally_spaced")
+            geom = DenseWitnessGeometry(cloud, lm)
+            grid = np.unique(geom.dist - geom.nearest[None, :]).tolist()
+            assert_pipeline_matches_inline(monkeypatch, cloud, lm, grid)
+
+    def test_many_blocks(self, monkeypatch):
+        cloud = many_block_cloud()
+        lm = dk.select_landmarks(cloud, 60, "max_min")
+        assert_pipeline_matches_inline(monkeypatch, cloud, lm, bench_grid(cloud, 20))
+
+    @pytest.mark.parametrize("cores, n, helpers", [(2, 2049, 1), (8, 1025, 1),
+                                                   (1, 2049, 0), (2, 1024, 0)])
+    def test_helper_only_with_two_cores_and_two_blocks(self, monkeypatch, cores,
+                                                       n, helpers):
+        monkeypatch.setattr(topology, "_usable_cores", lambda: cores)
+        cloud = np.random.default_rng(30).normal(size=(n, 2))
+        lm = dk.select_landmarks(cloud, 10)
+        threads = threading.active_count()
+        running = [threading.active_count() - threads
+                   for _ in topology._witness_blocks(cloud, lm)]
+        assert running == [helpers] * len(running)
+        assert threading.active_count() == threads
+
+    def test_early_close_joins_the_helper(self, monkeypatch):
+        monkeypatch.setattr(topology, "_usable_cores", lambda: 2)
+        cloud = many_block_cloud()
+        lm = dk.select_landmarks(cloud, 40)
+        threads = threading.active_count()
+        blocks = topology._witness_blocks(cloud, lm)
+        next(blocks)
+        assert threading.active_count() == threads + 1
+        blocks.close()
+        assert threading.active_count() == threads
+
+    def test_helper_error_reaches_the_caller_and_joins_the_helper(self, monkeypatch):
+        monkeypatch.setattr(topology, "_usable_cores", lambda: 2)
+        cloud = many_block_cloud()
+        lm = dk.select_landmarks(cloud, 40)
+        matmul, calls = np.matmul, []
+
+        def failing_on_the_third_block(*args, **kwargs):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise MemoryError("third block")
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", failing_on_the_third_block)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="third block"):
+            topology._edge_levels(cloud, lm, [0.01, 0.02])
+        assert threading.active_count() == threads
+        # every block was computed off the calling thread
+        assert threading.current_thread() not in calls
+
+    def test_caller_error_joins_the_helper_once_the_pass_is_collected(self,
+                                                                      monkeypatch):
+        monkeypatch.setattr(topology, "_usable_cores", lambda: 2)
+        cloud = many_block_cloud()
+        lm = dk.select_landmarks(cloud, 40)
+        threads = threading.active_count()
+
+        def reduce_first_block():
+            for _ in topology._witness_blocks(cloud, lm):
+                raise ArithmeticError
+
+        try:
+            reduce_first_block()
+        except ArithmeticError:
+            pass
+        gc.collect()
+        assert threading.active_count() == threads
+
+
 def test_build_complex_memory_is_bounded():
     # the dense geometry would hold 13 B per landmark-witness pair: 520 MB.
-    # A pass holds two 200-by-_CHUNK float64 block buffers (3.1 MiB at
-    # _CHUNK = 1024) and peaks at 4.6 MiB.
+    # A pass holds three 200-by-_CHUNK float64 block buffers (4.7 MiB at
+    # _CHUNK = 1024), two of them filled in turn, and peaks at ~6.1 MiB.
     cloud = np.random.default_rng(19).uniform(size=(200_000, 2))
     lm = dk.select_landmarks(cloud, 200)
     eps = dk.scaled_epsilon(0.01, cloud)

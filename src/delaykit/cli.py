@@ -39,6 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
+    DEFAULT_MAX_SAMPLES,
     _autocorrelation_at,
     atau_surface,
     permutation_entropy,
@@ -145,7 +146,7 @@ _INPUT.add_argument("-i", "--input", required=True, help="series file")
 _GRID = argparse.ArgumentParser(add_help=False)
 _GRID.add_argument("--h", type=int, default=1, help="prediction horizon")
 _GRID.add_argument("--k", type=int, default=4, help="KSG neighbor count (atau)")
-_GRID.add_argument("--max-samples", type=int, default=20000,
+_GRID.add_argument("--max-samples", type=int, default=DEFAULT_MAX_SAMPLES,
                    help="per-cell subsample cap for atau (uniform stride)")
 _GRID.add_argument("--jobs", type=int, default=1, help="grid cells run on threads: "
                    "1 = one per usable core; N > 1 = N threads")

@@ -15,6 +15,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
+    DEFAULT_MAX_SAMPLES,
     _autocorrelation_at,
     atau_surface,
     binned_mutual_information,
@@ -194,7 +195,7 @@ def estimate_m_fnn(series, tau: int,
 
 
 def atau_optimal_params(series, m_range, tau_range, h: int = 1, k: int = 4,
-                        max_samples: int | None = 20000,
+                        max_samples: int | None = DEFAULT_MAX_SAMPLES,
                         jobs: int = 1) -> ParamChoice:
     """Grid argmax of active information storage over (m, tau).
 

@@ -158,12 +158,21 @@ def td_mutual_information_curve(series, tau_max: int,
             for tau in range(1, tau_max + 1)]
 
 
-# Leaf size of the ball-count tree of marginals wider than one coordinate.
-# Counts do not depend on the tree layout. Wide, unbalanced leaves were the
-# fastest of leaf sizes 16-512 on Henon, logistic and Lorenz-96 delay
-# vectors, m = 2-8, N = 1,200-20,000; the Henon (8, 10) x-count fell from
-# 32 to 10 ms at N = 1,200 and from 1.42 to 0.50 s at N = 20,000.
-_BALL_TREE_LEAFSIZE = 128
+# The counting tree of marginals wider than one coordinate, and its kNN
+# queries; counts do not depend on these. Summed over the x-counts of the
+# benchmark's A_tau grids (Henon m 2-8 x tau 1-10, logistic m 2-8 x tau
+# 1-5, Lorenz-96 m 2 x tau 1-30; N ~ 1,200, mean count 4-7, one thread,
+# best of 5), ball counts on an unbalanced leaf-128 tree took 423, 128
+# and 125 ms; 16 first neighbours in groups of 128 on an unbalanced
+# leaf-32 tree took 252, 64 and 78 ms. Leaf 16 was as fast, leaf 64 and
+# 128 6-33 % slower; groups of 64, 256 or 512 up to 13 % slower; a first
+# k of 8 or 12 up to 66 % slower, 24 or 32 within 5 %. A call on every
+# core starts threads in each scipy call, so it takes larger groups: the
+# x-count of a standalone m = 2, N = 20,000 Henon A_tau took 21 ms as ball
+# counts, 38 ms in groups of 128 and 16 ms in groups of 1,024.
+_COUNT_LEAFSIZE = 32
+_COUNT_FIRST_K = 16
+_COUNT_GROUP = {1: 128, -1: 1024}  # queries per kNN call, by its workers
 
 # Set in the threads of a grid pool of more than one worker. Those already
 # spread the cells over the cores, so their tree queries run on one thread
@@ -214,16 +223,47 @@ def _marginal_counts(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Neighbors within and on the boundary of each point's max-norm radius,
     excluding the point itself.
 
-    One-dimensional marginals use the exact sorted counter; wider ones a
-    ball-count ``cKDTree`` with wide, unbalanced leaves. Both apply the
-    predicate max_d |p_jd - p_id| <= r_i to the rounded differences, so
+    One-dimensional marginals use the exact sorted counter. Wider ones
+    share one tree and take their queries in ascending order of radius,
+    in groups. Each group is one kNN query for the first k neighbors
+    (self included), with scipy's bound, which admits distances strictly
+    below it, one ulp above the group's largest radius, so it admits every
+    distance up to each query's own radius. A query with fewer than k
+    returned distances within its radius is settled: a point it did not
+    get lies no nearer than its k-th neighbor, or at or beyond the bound,
+    and both lie beyond its radius.
+    The queries that are not settled, and every later one once a group
+    leaves more than half of its queries unsettled (large counts, as on
+    coarsely quantised series), are ball counts, exact at any count.
+    Both routes compare scipy's max-norm distance, max_d |p_jd - p_id|
+    with no power transform, against r_i on the rounded differences, so
     every count equals the brute-force one.
     """
     if points.shape[1] == 1:
         return _sorted_counts(points[:, 0], radii) - 1
-    tree = cKDTree(points, leafsize=_BALL_TREE_LEAFSIZE, balanced_tree=False)
-    counts = tree.query_ball_point(points, radii, p=np.inf,
-                                   workers=_query_workers(), return_length=True)
+    workers = _query_workers()
+    tree = cKDTree(points, leafsize=_COUNT_LEAFSIZE, balanced_tree=False)
+    k = min(_COUNT_FIRST_K, points.shape[0])
+    group = _COUNT_GROUP[workers]
+    order = np.argsort(radii, kind="stable")
+    counts = np.empty(points.shape[0], dtype=np.intp)
+    unsettled = []
+    for start in range(0, order.size, group):
+        rows = order[start : start + group]
+        r = radii[rows]
+        dist, _ = tree.query(points[rows], k=k, p=np.inf, workers=workers,
+                             distance_upper_bound=np.nextafter(r[-1], np.inf))
+        hits = np.count_nonzero(dist <= r[:, None], axis=1)
+        settled = hits < k
+        counts[rows[settled]] = hits[settled]
+        unsettled.append(rows[~settled])
+        if 2 * unsettled[-1].size > rows.size:
+            unsettled.append(order[start + group :])
+            break
+    rows = np.concatenate(unsettled)
+    if rows.size:
+        counts[rows] = tree.query_ball_point(points[rows], radii[rows], p=np.inf,
+                                             workers=workers, return_length=True)
     return counts - 1
 
 

@@ -385,6 +385,13 @@ def workers_log(monkeypatch):
     return read
 
 
+def query_workers(entries):
+    """The ``workers=`` values of recorded kNN and ball-count queries; none
+    may be missing."""
+    assert any(e.startswith("knn:") for e in entries)
+    return {int(e.split(":")[1]) for e in entries}
+
+
 class TestRunGridPools:
     """``run_grid`` runs ``jobs=1`` on one thread per usable core and
     ``jobs=N > 1`` on N threads; both must equal the serial loop."""
@@ -544,8 +551,10 @@ class TestRunGridPools:
         x = np.random.default_rng(3).normal(size=600)
         dk.atau_surface(x, [2, 3], [1, 2], jobs=jobs)
         entries = workers_log()
-        # one kNN and one multi-coordinate x-count per cell
-        assert sorted(entries) == ["ball:1"] * 4 + ["knn:1"] * 4
+        # each cell's joint kNN and its x-count's grouped kNN queries, plus
+        # a ball count for any query those leave unsettled
+        assert entries.count("knn:1") >= 8
+        assert set(entries) <= {"knn:1", "ball:1"}
 
     def test_standalone_calls_query_on_every_core(self, monkeypatch, workers_log):
         monkeypatch.setattr(estimators, "_usable_cores", lambda: 2)
@@ -553,12 +562,12 @@ class TestRunGridPools:
         x, y = rng.normal(size=(500, 3)), rng.normal(size=500)
         threads = threading.active_count()
         dk.ksg_mutual_information(x, y)
-        assert sorted(workers_log()) == ["ball:-1", "knn:-1"]
+        assert query_workers(workers_log()) == {-1}
         # a grid run in between leaves the calling thread unmarked
         dk.atau_surface(y, [2, 3], [1, 2], jobs=1)
-        assert set(workers_log()) == {"ball:1", "knn:1"}
+        assert query_workers(workers_log()) == {1}
         dk.active_information_storage(y, 3, 2)
-        assert sorted(workers_log()) == ["ball:-1", "knn:-1"]
+        assert query_workers(workers_log()) == {-1}
         # and its pool's threads are gone
         assert threading.active_count() == threads
 
@@ -567,7 +576,7 @@ class TestRunGridPools:
         monkeypatch.setattr(estimators, "_usable_cores", lambda: 2)
         x = np.random.default_rng(5).normal(size=500)
         dk.atau_surface(x, [3], [2], jobs=2)
-        assert sorted(workers_log()) == ["ball:-1", "knn:-1"]
+        assert query_workers(workers_log()) == {-1}
 
 
 class TestHorizonInfoRatio:

@@ -1,11 +1,12 @@
 """Brute-force oracles for the KSG estimator's neighbor counts.
 
 ``_marginal_counts`` counts 1-D marginals with a sorted counter and wider
-ones with a wide-leaf tree; both must agree exactly with an O(N^2)
-max-norm count. ``tree_ksg_mutual_information`` is the earlier estimator
-that counted every marginal with a default ``cKDTree``; the current one
-must reproduce it bit for bit, including cells where the k-th joint
-neighbor is tied.
+ones with grouped kNN queries, falling back to ball counts; every route
+must agree exactly with an O(N^2) max-norm count. ``ball_counts`` is the
+earlier counter that took a ball count for every wider query.
+``tree_ksg_mutual_information`` is the earlier estimator that counted
+every marginal with a default ``cKDTree``; the current one must reproduce
+it bit for bit, including cells where the k-th joint neighbor is tied.
 """
 
 import numpy as np
@@ -25,10 +26,26 @@ from conftest import make_map_trace
 
 
 def brute_counts(points, radii):
-    """Points within and on each point's max-norm radius, self excluded."""
+    """Points within and on each point's max-norm radius, self excluded;
+    256 query rows at a time."""
     points = as_points(points)
-    dist = np.max(np.abs(points[:, None, :] - points[None, :, :]), axis=2)
-    return np.sum(dist <= radii[:, None], axis=1) - 1
+    counts = []
+    for start in range(0, points.shape[0], 256):
+        block = points[start : start + 256]
+        dist = np.max(np.abs(block[:, None, :] - points[None, :, :]), axis=2)
+        counts.append(np.sum(dist <= radii[start : start + 256, None], axis=1))
+    return np.concatenate(counts) - 1
+
+
+def ball_counts(points, radii):
+    """The earlier marginal counter: the sorted counter for 1-D marginals
+    and, for wider ones, a ball count of every query on a tree with
+    unbalanced leaves of 128."""
+    if points.shape[1] == 1:
+        return _sorted_counts(points[:, 0], radii) - 1
+    tree = cKDTree(points, leafsize=128, balanced_tree=False)
+    return tree.query_ball_point(points, radii, p=np.inf, workers=-1,
+                                 return_length=True) - 1
 
 
 def tree_counts(points, radii):
@@ -124,6 +141,178 @@ class TestMarginalCountOracle:
         assert set(counts.tolist()) == {999, 1499}
 
 
+def routed_counts(points, radii, workers):
+    """``_marginal_counts`` as called with ``workers``, and its tree calls
+    in order: ("knn", queries, k) or ("ball", queries, None)."""
+    calls = []
+
+    class RecordingTree(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            assert kwargs["workers"] == workers
+            calls.append(("knn", len(x), k))
+            return super().query(x, k=k, **kwargs)
+
+        def query_ball_point(self, x, r, **kwargs):
+            assert kwargs["workers"] == workers
+            calls.append(("ball", len(x), None))
+            return super().query_ball_point(x, r, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "cKDTree", RecordingTree)
+        mp.setattr(estimators, "_query_workers", lambda: workers)
+        counts = _marginal_counts(points, radii)
+    return counts, calls
+
+
+def expected_calls(counts, radii, workers):
+    """The tree calls of a grouped count, derived from the brute-force
+    counts: kNN queries in ascending-radius groups, where a query is
+    settled when fewer than k points, itself included, lie within its
+    radius; then one ball count of the rest, which takes every later
+    query once a group leaves more than half of its own unsettled."""
+    group = estimators._COUNT_GROUP[workers]
+    k = min(estimators._COUNT_FIRST_K, counts.size)
+    unsettled = counts[np.argsort(radii, kind="stable")] + 1 >= k
+    calls, balls = [], 0
+    for start in range(0, unsettled.size, group):
+        part = unsettled[start : start + group]
+        calls.append(("knn", part.size, k))
+        balls += int(part.sum())
+        if 2 * part.sum() > part.size:
+            balls += unsettled.size - start - part.size
+            break
+    return calls + [("ball", balls, None)] * (balls > 0)
+
+
+def check_routes(points, radii, workers):
+    """The grouped count equals the brute-force one and takes the routes
+    those counts imply; returns its tree calls."""
+    counts, calls = routed_counts(points, radii, workers)
+    expected = brute_counts(points, radii)
+    assert np.array_equal(counts, expected)
+    assert np.array_equal(counts, ball_counts(points, radii))
+    assert calls == expected_calls(expected, radii, workers)
+    return calls
+
+
+def rank_radii(pts, rng, top):
+    """Per point, its max-norm distance to the neighbor of a random rank
+    below ``top`` (rank 0 is the point itself)."""
+    n = pts.shape[0]
+    dist = np.sort(np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2), axis=1)
+    return dist[np.arange(n), rng.integers(0, min(top, n), size=n)]
+
+
+@st.composite
+def settled_clouds(draw):
+    """Uniform clouds, no ties, and radii that take in fewer than 16
+    points, so every kNN query settles; N < 16 caps k at N."""
+    d, n = draw(st.integers(2, 4)), draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, size=(n, d)) * draw(st.sampled_from([1.0, 1e-3]))
+    radii = rank_radii(pts, rng, min(15, n - 1))
+    if draw(st.booleans()):
+        radii[rng.random(n) < 0.3] = 0.0
+    return pts, radii
+
+
+@st.composite
+def tripping_clouds(draw):
+    """Duplicate-heavy clouds (a few points) or lattices ({-1, 0, 1}^d),
+    each point repeated at least 16 times, so that every query has 16 or
+    more points within any radius and the first group trips the switch."""
+    d = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.sampled_from(["duplicates", "lattice"])) == "duplicates":
+        distinct = rng.uniform(-1.0, 1.0, size=(draw(st.integers(1, 5)), d))
+    else:
+        distinct = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * d), -1).reshape(-1, d)
+    n = distinct.shape[0] * draw(st.integers(16, 40)) + draw(st.integers(0, 5))
+    pts = distinct[rng.permutation(np.arange(n) % distinct.shape[0])]
+    pts = pts * draw(st.sampled_from([1.0, 0.3])) + draw(st.sampled_from([0.0, 1e3]))
+    dist = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
+    radii = {
+        "zero": np.zeros(n),
+        "pick": dist[np.arange(n), rng.integers(0, n, size=n)],
+    }[draw(st.sampled_from(["zero", "pick"]))]
+    return pts, radii
+
+
+@st.composite
+def mixed_clouds(draw, sizes):
+    """A uniform cloud with a duplicate-heavy cluster, and radii that are
+    zero, neighbor distances of low or high rank, or a mix of these."""
+    d, n = draw(st.integers(2, 4)), draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, size=(n, d))
+    dup = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    pts[dup] = pts[0]
+    top = draw(st.sampled_from([2, 16, 40, n]))
+    radii = rank_radii(pts, rng, top)
+    radii[rng.random(n) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    return pts, radii
+
+
+ROUTE_SETTINGS = settings(ORACLE_SETTINGS, max_examples=60)
+
+
+@pytest.mark.parametrize("workers", [1, -1])
+class TestGroupedCountRoutes:
+    """``_marginal_counts`` on clouds wider than one coordinate: each route
+    of the grouped count, at both group sizes (one thread and every
+    core), equals the brute-force and the all-ball-count counters."""
+
+    @ROUTE_SETTINGS
+    @given(settled_clouds())
+    def test_every_query_settled(self, workers, case):
+        calls = check_routes(*case, workers)
+        assert {kind for kind, _, _ in calls} == {"knn"}
+
+    @ROUTE_SETTINGS
+    @given(tripping_clouds())
+    def test_first_group_trips_the_switch(self, workers, case):
+        pts, radii = case
+        calls = check_routes(pts, radii, workers)
+        assert [kind for kind, _, _ in calls] == ["knn", "ball"]
+        assert calls[1][1] == pts.shape[0]
+
+    @ROUTE_SETTINGS
+    @given(mixed_clouds(st.integers(2, 400)))
+    def test_mixed_clouds(self, workers, case):
+        check_routes(*case, workers)
+
+    @settings(ROUTE_SETTINGS, max_examples=12)
+    @given(mixed_clouds(st.integers(1100, 2600)))
+    def test_several_large_groups(self, workers, case):
+        calls = check_routes(*case, workers)
+        assert calls[0][1] == estimators._COUNT_GROUP[workers]
+
+    @ROUTE_SETTINGS
+    @given(point_sets(st.integers(2, 4)))
+    def test_ties_offsets_and_rounded_radii(self, workers, case):
+        check_routes(*case, workers)
+
+    def test_later_group_trips_the_switch(self, workers):
+        # 500 queries settle; 500 with radius 2 hold every point
+        rng = np.random.default_rng(1)
+        pts = rng.uniform(-1.0, 1.0, size=(1000, 2))
+        radii = rank_radii(pts, rng, 8)
+        radii[rng.permutation(1000)[:500]] = 2.0
+        calls = check_routes(pts, radii, workers)
+        # groups of 128: the 4th settles 116 queries, the 5th trips the
+        # switch; one group of 1,024: half its queries settle
+        groups = {1: [("knn", 128, 16)] * 5, -1: [("knn", 1000, 16)]}[workers]
+        assert calls == groups + [("ball", 500, None)]
+
+    def test_fewer_points_than_first_k(self, workers):
+        rng = np.random.default_rng(2)
+        pts = rng.uniform(size=(9, 3))
+        radii = rank_radii(pts, rng, 8)
+        radii[:3] = [0.0, 1.0, 1.0]  # two queries hold every point
+        calls = check_routes(pts, radii, workers)
+        assert calls == [("knn", 9, 9), ("ball", 2, None)]
+
+
 def delay_cell(series, m, tau, n):
     """The first ``n`` (state, next value) pairs of an (m, tau) reconstruction."""
     values = as_values(series)
@@ -165,6 +354,25 @@ class TestKsgOracle:
         for m, tau in cells:
             x, y = delay_cell(traces[system], m, tau, 2000)
             assert dk.ksg_mutual_information(x, y) == tree_ksg_mutual_information(x, y)
+
+    def test_quantised_logistic_cells_bit_identical(self, monkeypatch):
+        # rounded to two decimals, as a quantising sensor records it: most
+        # x-counts are 16 or more, so the ball count takes them
+        values = np.round(make_map_trace("logistic", seed=1, n=7000).values, 2)
+        ball_queries = []
+
+        class RecordingTree(cKDTree):
+            def query_ball_point(self, x, *args, **kwargs):
+                ball_queries.append(len(x))
+                return super().query_ball_point(x, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "cKDTree", RecordingTree)
+        for m, tau in [(2, 1), (2, 3), (3, 2), (4, 1)]:
+            ball_queries.clear()
+            x, y = delay_cell(values, m, tau, values.size)
+            assert (dk.active_information_storage(values, m, tau)
+                    == tree_ksg_mutual_information(x, y))
+            assert ball_queries[0] > 0.9 * x.shape[0]
 
     def test_marginal_counts_match_default_tree(self, traces):
         x, y = delay_cell(traces["henon"], 8, 10, 3000)

@@ -19,9 +19,10 @@ nearest distance is a square root: a test ``sqrt(sq) <= t`` becomes the
 exact test ``sq <= c``, c the largest float whose root is at most t.
 Every analysis reads one kernel: the pass records, for each landmark pair,
 the first grid level at which the pair shares a witness, an edge
-filtration on a grid of scales. A scale sweep reads the persistence pairs
-of the clique complexes off it; a single scale is a grid of one level,
-whose edges are the pairs at level 0. Clouds must be finite.
+filtration on a grid of scales, for ell times each block's memberships in
+work. A scale sweep reads the persistence pairs of the clique complexes
+off it; a single scale is a grid of one level, whose edges are the pairs
+at level 0. Clouds must be finite.
 """
 
 from __future__ import annotations
@@ -276,7 +277,8 @@ def _edge_levels(cloud: np.ndarray, landmarks: LandmarkSet, grid) -> np.ndarray:
     max(a_iw, a_jw) with a the membership level. Pairs that never connect
     on the grid, the diagonal and the lower triangle hold ``len(grid)``.
     On a grid of one level, the pairs that share a witness are those whose
-    block Gram products of memberships are nonzero."""
+    block Gram products of memberships are nonzero; on longer grids, row i
+    is the min-max over the level rows of landmark i's witnesses."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValidationError("eps_grid must be nonempty")
@@ -287,47 +289,42 @@ def _edge_levels(cloud: np.ndarray, landmarks: LandmarkSet, grid) -> np.ndarray:
             raise ValidationError(f"epsilon must be finite, got {eps!r}")
         if eps < 0:
             raise ValidationError("epsilon must be >= 0")
-    ell = len(landmarks)
-    levels = np.full((ell, ell), grid.size, dtype=np.int64)
+    ell, top = len(landmarks), grid.size
+    levels = np.full((ell, ell), top, dtype=np.min_scalar_type(top))
     shared = np.zeros((ell, ell), dtype=bool)
-    flat = levels.reshape(-1)
     for sq, nearest in _witness_blocks(cloud, landmarks):
         # memberships at the grid's end
         member = sq <= _root_bound(nearest + grid[-1])[None, :]
-        if grid.size == 1:
+        if top == 1:
             # exact: a float32 sum of at most _CHUNK ones
             member = member.astype(np.float32)
             shared |= (member @ member.T) > 0.0
             continue
-        # grouped by witness, landmarks ascending
-        w, lm = np.nonzero(member.T)
+        lm, w = np.nonzero(member)  # grouped by landmark, witnesses ascending
         dist = np.sqrt(np.maximum(sq[lm, w], 0.0))
-        level = _membership_levels(dist, nearest[w], grid)
-        counts = np.bincount(w, minlength=sq.shape[1])
-        starts = np.cumsum(counts) - counts
-        for k in np.unique(counts[counts > 1]).tolist():
-            first = starts[counts == k]
-            iu, ju = np.triu_indices(k, 1)
-            # batches of about ell * _CHUNK landmark pairs, like a distance block
-            step = max(1, ell * _CHUNK // iu.size)
-            for s in range(0, first.size, step):
-                rows = first[s:s + step, None] + np.arange(k)
-                pl, pv = lm[rows], level[rows]
-                np.minimum.at(flat, pl[:, iu] * ell + pl[:, ju],
-                              np.maximum(pv[:, iu], pv[:, ju]))
+        level = _membership_levels(dist, nearest[w], grid).astype(levels.dtype)
+        # witness by landmark, non-members at top
+        a = np.full((sq.shape[1], ell), top, dtype=levels.dtype)
+        a[w, lm] = level
+        bounds = np.searchsorted(lm, np.arange(ell + 1)).tolist()
+        for i, lo, hi in zip(range(ell - 1), bounds, bounds[1:]):
+            # a pair (i, j) in a witness of i is born at the later level
+            row = np.maximum(a[w[lo:hi], i + 1:], level[lo:hi, None])
+            dst = levels[i, i + 1:]
+            np.minimum(dst, np.minimum.reduce(row, axis=0, initial=top), out=dst)
     # a one-level grid's pairs (none on longer grids), written once, upper
     # triangle only: a write per block is slower, and so is np.triu's mask
     r = np.arange(ell)
     levels[shared & (r[:, None] < r)] = 0
-    return levels
+    return levels.astype(np.int64)
 
 
 def _edges_by_level(levels: np.ndarray, top: int):
     """(E, 2) edges with a level below ``top`` in (level, i, j) order, and
     their levels."""
-    i, j = np.nonzero(levels < top)
+    i, j = np.nonzero(levels < top)  # in (i, j) order
     level = levels[i, j]
-    order = np.lexsort((j, i, level))
+    order = np.argsort(level, kind="stable")
     return np.column_stack([i[order], j[order]]), level[order]
 
 

@@ -519,6 +519,23 @@ class TestTopology:
         spans = [int(r.split(",")[2]) for r in rows[1:]]
         assert max(spans) <= 4
 
+    def test_barcode_of_a_zero_diameter_cloud_names_the_diameter(self, tmp_path,
+                                                                 capsys):
+        cloud, out = tmp_path / "same.csv", tmp_path / "bc.csv"
+        cloud.write_text("0.5,-2\n" * 50)
+        code, _, err = run_cli(capsys, "topology", "--mode", "barcode",
+                               "--cloud", str(cloud), "--ell", "5", "-o", str(out))
+        assert code == 1
+        assert err.startswith("error: the cloud has zero diameter")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        # a grid of one scale is the complex at 0
+        code, _, _ = run_cli(capsys, "topology", "--mode", "barcode",
+                             "--cloud", str(cloud), "--ell", "5", "--xi-grid", "1",
+                             "-o", str(out))
+        assert code == 0
+        assert data_lines(out) == ["dim,birth,death", "0,0.0,inf"]
+
     def test_cloud_and_series_mutually_exclusive(self, lorenz_cloud_file,
                                                  tmp_path, capsys):
         code, _, _ = run_cli(capsys, "topology", "--mode", "betti",

@@ -1,9 +1,10 @@
 """Library modules never print: only the CLI writes to stdout or stderr.
 No module starts processes: grids run their cells on threads. Only the flow
 stepper generator compiles code, and the code it generates obeys the same
-rules. Only the edge-filtration kernel passes over the witnesses. Only
-``timeseries`` scans inputs for non-finite values. The public namespace
-holds the names listed here and no others."""
+rules. Only the edge-filtration kernel passes over the witnesses. No
+module scatters with a ufunc's unbuffered ``at``. Only ``timeseries``
+scans inputs for non-finite values. The public namespace holds the names
+listed here and no others."""
 
 import ast
 from pathlib import Path
@@ -158,6 +159,28 @@ def test_guard_catches_witness_passes():
     assert witness_passes(source) == ["f: _witness_blocks", "g: _witness_blocks"]
 
 
+def ufunc_at_uses(source: str) -> list[str]:
+    """Each use of an ``at`` attribute, such as ``np.minimum.at``, called
+    or not, as ``line: what``."""
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "at"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_scatters_with_ufunc_at(module):
+    # a pair scatter's work grows as k^2 per witness in k fuzzy sets
+    assert ufunc_at_uses((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_guard_catches_ufunc_at():
+    source = ("import numpy as np\nnp.minimum.at(a, i, v)\ndef f(a, i):\n"
+              "    scatter = np.add.at\n    scatter(a, i, 1)\n"
+              "from numpy import maximum\nmaximum.at(a, i, v)\n"
+              "np.minimum(a, v)\nx.attach(a)\n")
+    assert ufunc_at_uses(source) == ["2: np.minimum.at", "4: np.add.at",
+                                     "7: maximum.at"]
+
+
 def generated_sources() -> list[str]:
     """The source of every stepper ``FlowSpec`` fields can compile."""
     specs = [systems.FlowSpec("lorenz63"), systems.FlowSpec("rossler")]
@@ -173,6 +196,7 @@ def test_generated_steppers_obey_the_library_rules():
         assert console_uses(source) == []
         assert process_uses(source) == []
         assert code_generation_uses(source) == []
+        assert ufunc_at_uses(source) == []
 
 
 def finiteness_scans(source: str) -> list[str]:

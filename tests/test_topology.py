@@ -174,6 +174,40 @@ def float_edge_births(cloud, landmarks, eps_max):
     return births
 
 
+def pair_scatter_levels(cloud, landmarks, grid):
+    """Oracle: the edge filtration by the per-witness pair scatter that the
+    landmark rows replaced. Each block's memberships are grouped by
+    witness; every pair of a witness's k landmarks takes the later of its
+    two levels, and ``np.minimum.at`` keeps each pair's earliest, so the
+    work grows as k^2 per witness."""
+    grid = np.asarray(grid, dtype=np.float64)
+    ell = len(landmarks)
+    levels = np.full((ell, ell), grid.size, dtype=np.int64)
+    flat = levels.reshape(-1)
+    for sq, nearest in topology._witness_blocks(cloud, landmarks):
+        member = sq <= topology._root_bound(nearest + grid[-1])[None, :]
+        # grouped by witness, landmarks ascending
+        w, lm = np.nonzero(member.T)
+        level = topology._membership_levels(np.sqrt(np.maximum(sq[lm, w], 0.0)),
+                                            nearest[w], grid)
+        counts = np.bincount(w, minlength=sq.shape[1])
+        starts = np.cumsum(counts) - counts
+        for k in np.unique(counts[counts > 1]).tolist():
+            rows = starts[counts == k][:, None] + np.arange(k)
+            iu, ju = np.triu_indices(k, 1)
+            pl, pv = lm[rows], level[rows]
+            np.minimum.at(flat, pl[:, iu] * ell + pl[:, ju],
+                          np.maximum(pv[:, iu], pv[:, ju]))
+    return levels
+
+
+def assert_levels_match_the_pair_scatter(cloud, lm, grid):
+    levels = topology._edge_levels(cloud, lm, grid)
+    assert levels.dtype == np.int64
+    assert np.array_equal(levels, pair_scatter_levels(cloud, lm, grid))
+    return levels
+
+
 def assert_levels_threshold_to_the_dense_adjacency(cloud, lm, grid):
     levels = topology._edge_levels(cloud, lm, np.asarray(grid))
     geom = DenseWitnessGeometry(cloud, lm)
@@ -182,8 +216,9 @@ def assert_levels_threshold_to_the_dense_adjacency(cloud, lm, grid):
 
 
 def assert_one_level_grids_match_the_filtration(cloud, lm, grid):
-    """The one-level block strategy against the pair scatter: each grid
-    value alone connects the pairs the whole grid connects by its level."""
+    """The one-level block strategy against the landmark rows of longer
+    grids: each grid value alone connects the pairs the whole grid
+    connects by its level."""
     levels = topology._edge_levels(cloud, lm, grid)
     upper = np.triu(np.ones(levels.shape, dtype=bool), 1)
     for g, eps in enumerate(grid):
@@ -864,14 +899,20 @@ class TestExactThresholds:
                 assert [bc.count_at(e) for bc in got] == [bc.count_at(e) for bc in want]
 
 
+def lattice_clouds():
+    """A 9-by-7 lattice, scaled and shifted, and shifted by 10^7, with
+    twelve landmarks and a grid of every membership scale: exact ties."""
+    xs, ys = np.meshgrid(np.arange(9.0), np.arange(7.0))
+    lattice = np.column_stack([xs.ravel(), ys.ravel()])
+    for cloud in (lattice, lattice * 0.1 + 3.0, lattice + 1e7):
+        lm = dk.select_landmarks(cloud, 12, "equally_spaced")
+        geom = DenseWitnessGeometry(cloud, lm)
+        yield cloud, lm, np.unique(geom.dist - geom.nearest[None, :]).tolist()
+
+
 class TestOneLevelKernel:
     def test_lattice_ties(self, small_chunks):
-        xs, ys = np.meshgrid(np.arange(9.0), np.arange(7.0))
-        lattice = np.column_stack([xs.ravel(), ys.ravel()])
-        for cloud in (lattice, lattice * 0.1 + 3.0, lattice + 1e7):
-            lm = dk.select_landmarks(cloud, 12, "equally_spaced")
-            geom = DenseWitnessGeometry(cloud, lm)
-            grid = np.unique(geom.dist - geom.nearest[None, :]).tolist()
+        for cloud, lm, grid in lattice_clouds():
             assert_one_level_grids_match_the_filtration(cloud, lm, grid)
 
     def test_cloud_translated_by_ten_million(self, small_chunks):
@@ -880,6 +921,47 @@ class TestOneLevelKernel:
         moved = cloud + 1e7
         grid = bench_grid(moved, 30, 1e-3, 0.5)
         assert_one_level_grids_match_the_filtration(moved, lm, grid)
+
+
+class TestLandmarkRowsMatchThePairScatter:
+    def test_lattice_ties(self, small_chunks):
+        sizes = []
+        for cloud, lm, grid in lattice_clouds():
+            sizes.append(len(grid))
+            assert_levels_match_the_pair_scatter(cloud, lm, grid)
+        # level matrices of uint8 and uint16
+        assert sizes[:2] == [254, 298]
+
+    def test_cloud_translated_by_ten_million(self, small_chunks):
+        cloud = np.random.default_rng(27).uniform(-10.0, 10.0, size=(80, 3))
+        lm = dk.select_landmarks(cloud, 14, "max_min")
+        moved = cloud + 1e7
+        for hi in (0.5, 1.0):
+            assert_levels_match_the_pair_scatter(moved, lm, bench_grid(moved, 30, 1e-3, hi))
+
+    def test_random_clouds(self, small_chunks):
+        for cloud, lm, grid in random_cases():
+            assert_levels_match_the_pair_scatter(cloud, lm, grid)
+            # up to the diameter every witness holds every landmark
+            levels = assert_levels_match_the_pair_scatter(
+                cloud, lm, bench_grid(cloud, 40, 1e-3, 1.0))
+            assert np.all(levels[np.triu_indices(len(lm), 1)] < 40)
+
+    def test_lorenz_clouds_up_to_the_diameter(self, lorenz63_traj_20k):
+        for cloud, lm, _ in lorenz_cases(lorenz63_traj_20k):
+            for hi in (0.05, 0.2, 1.0):
+                assert_levels_match_the_pair_scatter(cloud, lm, bench_grid(cloud, 100, 2e-4, hi))
+
+    @pytest.mark.parametrize("size, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_level_matrix_dtype_boundary(self, small_chunks, size, dtype):
+        cloud = np.random.default_rng(31).normal(size=(200, 2))
+        lm = dk.select_landmarks(cloud, 30, "max_min")
+        births = float_edge_births(cloud, lm, np.inf)
+        # every grid value is some pair's birth, so every level is used
+        grid = np.unique(births[np.isfinite(births)])[:size]
+        assert grid.size == size and np.min_scalar_type(size) == dtype
+        levels = assert_levels_match_the_pair_scatter(cloud, lm, grid)
+        assert np.array_equal(np.unique(levels), np.arange(size + 1))
 
 
 @st.composite
@@ -1016,12 +1098,7 @@ class TestPipelinedPass:
         run()
 
     def test_lattice_ties(self, monkeypatch, small_chunks):
-        xs, ys = np.meshgrid(np.arange(9.0), np.arange(7.0))
-        lattice = np.column_stack([xs.ravel(), ys.ravel()])
-        for cloud in (lattice, lattice * 0.1 + 3.0, lattice + 1e7):
-            lm = dk.select_landmarks(cloud, 12, "equally_spaced")
-            geom = DenseWitnessGeometry(cloud, lm)
-            grid = np.unique(geom.dist - geom.nearest[None, :]).tolist()
+        for cloud, lm, grid in lattice_clouds():
             assert_pipeline_matches_inline(monkeypatch, cloud, lm, grid)
 
     def test_many_blocks(self, monkeypatch):
@@ -1108,3 +1185,24 @@ def test_build_complex_memory_is_bounded():
     assert snap.edges.shape[0] > 0
     assert peak < 8 * 2**20
 
+
+def test_edge_levels_memory_does_not_grow_with_the_cloud():
+    # Up to the diameter every witness holds every landmark, so a block of
+    # 100-by-_CHUNK memberships peaks at ~93 bytes per membership whatever
+    # the cloud size; the dense geometry would hold 13 B per landmark-witness
+    # pair, 104 MB at N = 8*10^4.
+    peaks = []
+    for n in (20_000, 80_000):
+        cloud = np.random.default_rng(19).uniform(size=(n, 2))
+        lm = dk.select_landmarks(cloud, 100)
+        grid = bench_grid(cloud, 100, 1e-3, 1.0)
+        tracemalloc.start()
+        try:
+            levels = topology._edge_levels(cloud, lm, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(levels[np.triu_indices(100, 1)] < 100)
+        peaks.append(peak)
+    assert max(peaks) < 128 * 100 * topology._CHUNK
+    assert abs(peaks[1] - peaks[0]) < 0.05 * peaks[0]

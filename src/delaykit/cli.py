@@ -542,10 +542,10 @@ def run_topology(args) -> int:
     # comparisons with nan are false, so this also rejects non-finite ends
     if args.xi_grid < 1 or not 0 < args.xi_min < args.xi_max < np.inf:
         raise ValidationError("need xi_grid >= 1 and 0 < xi_min < xi_max < inf")
-    if args.xi_grid > 1 and scaled_epsilon(1.0, cloud) == 0.0:
+    diameter = scaled_epsilon(1.0, cloud)
+    if args.xi_grid > 1 and diameter == 0.0:
         raise ValidationError("the cloud has zero diameter, so every scale is 0")
-    xis = np.geomspace(args.xi_min, args.xi_max, args.xi_grid)
-    eps_grid = [scaled_epsilon(x, cloud) for x in xis]
+    eps_grid = np.geomspace(args.xi_min, args.xi_max, args.xi_grid) * diameter
     bc0, bc1 = epsilon_barcode(cloud, landmarks, eps_grid)
     rows = list(bc0.to_csv_rows()) + list(bc1.to_csv_rows())[1:]
     write_lines(args.output, header, rows)

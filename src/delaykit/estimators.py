@@ -69,7 +69,9 @@ class SweepGrid:
         """Grid arg-optimum as (m, tau, value); ties prefer the smallest m,
         then the smallest tau. A grid with no valid cell raises
         ValidationError, naming the first failed cell and its reason when
-        every cell failed."""
+        every cell failed; so does a mode other than "max" or "min"."""
+        if mode not in ("max", "min"):
+            raise ValidationError(f"mode must be 'max' or 'min', got {mode!r}")
         vals = self.values
         if np.all(np.isnan(vals)):
             if len(self.cell_errors) == vals.size:
@@ -82,9 +84,11 @@ class SweepGrid:
         return self.m_values[i], self.tau_values[j], float(vals[i, j])
 
     def value_at(self, m: int, tau: int) -> float:
-        i = self.m_values.index(m)
-        j = self.tau_values.index(tau)
-        return float(self.values[i, j])
+        """The cell at (m, tau); ValidationError names an absent m or tau."""
+        for name, value, values in (("m", m, self.m_values), ("tau", tau, self.tau_values)):
+            if value not in values:
+                raise ValidationError(f"{name}={value!r} is not on the grid")
+        return float(self.values[self.m_values.index(m), self.tau_values.index(tau)])
 
     def to_csv_rows(self):
         """Rows for the ``m,tau,value`` schema; missing cells emit an

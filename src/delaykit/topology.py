@@ -71,7 +71,9 @@ class LandmarkSet:
 
 @dataclass(frozen=True, eq=False)
 class WitnessComplexSnapshot:
-    """The complex at one scale: vertex count, edges, clique triangles."""
+    """The complex at one scale: vertex count, edges, clique triangles.
+    Betti numbers are those of the clique complex of ``edges``;
+    ``triangles`` is reported, not read."""
 
     epsilon: float
     vertices: int
@@ -377,56 +379,65 @@ def _merging_edges(vertices: int, edges: np.ndarray) -> np.ndarray:
     return merges
 
 
-def _triangle_faces(vertices: int, edges: np.ndarray,
-                    triangles: np.ndarray) -> np.ndarray:
-    """(T, 3) positions in ``edges`` of each triangle's three edges."""
-    pos = np.full((vertices, vertices), -1, dtype=np.int64)
-    pos[edges[:, 0], edges[:, 1]] = np.arange(edges.shape[0])
-    a, b, c = triangles.T
-    return np.column_stack([pos[a, b], pos[a, c], pos[b, c]])
+def _reduce_cofaces(vertices: int, edges: np.ndarray, columns: np.ndarray):
+    """Persistent cohomology reduction over GF(2) of the coboundaries of
+    ``columns``, the cycle-opening edges youngest first (merging edges
+    reduce to zero, so they are cleared), in the clique complex of
+    ``edges``, which are in filtration order. A triangle is keyed
+    ``youngest * E + second`` by the positions of its two youngest edges
+    among E, refining "born with its youngest edge"; a diagram's levels do
+    not depend on the refinement. While a column's pivot, its oldest key,
+    is taken, the owner's column is added. Yields (edge, youngest edge of
+    the pivot triangle) for each column left nonzero: the persistence
+    pairs, as many as the triangle boundary rank. Columns are read off two
+    rows of the edge positions, and most are apparent pairs: the oldest
+    coface's youngest edge is the column's, so no younger column holds it.
+    A test over a block of columns settles them, and such a column is built
+    only if an older one meets its pivot."""
+    count = edges.shape[0]
+    # absent pairs and the diagonal hold count; int32 halves a block's rows
+    pos = np.full((vertices, vertices), count, dtype=np.int32)
+    pos[edges[:, 0], edges[:, 1]] = pos[edges[:, 1], edges[:, 0]] = np.arange(count)
 
+    def coboundary(e):
+        # triangle (i, j, k) has edges e, pos[i, k] and pos[j, k]
+        a, b = pos[edges[e]]
+        lo, hi = np.minimum(a, b).astype(np.int64), np.maximum(a, b).astype(np.int64)
+        keys = np.maximum(hi, e) * count + np.maximum(lo, np.minimum(hi, e))
+        return np.sort(keys[hi < count])
 
-def _reduce_coboundaries(faces: np.ndarray, edge_count: int, columns: list):
-    """Persistent cohomology reduction over GF(2) of edge coboundaries.
-
-    ``faces`` holds each triangle's three edge positions, triangles in
-    filtration order; ``columns`` lists the cycle-opening edges, youngest
-    first (merging edges would reduce to zero, so they are cleared). A
-    column is the set of triangles on its edge, its pivot the oldest; a
-    column whose pivot is taken gets the owner's column added until its
-    pivot is free or it is empty. Yields (edge, pivot triangle) for every
-    column left nonzero: their number is the rank of the triangle boundary
-    matrix, and they are its persistence pairs (the edge's cycle dies at
-    the triangle). Most pivots are free at once, so this does far less
-    work than reducing the boundary matrix's triangle columns.
-    """
-    flat = faces.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    bounds = np.searchsorted(flat[order], np.arange(edge_count + 1)).tolist()
-    cofaces = order // 3  # grouped by edge, triangles ascending
-    del order  # the generator's locals live until its last column
-    pivots: dict = {}
-    for e in columns:
-        col = cofaces[bounds[e]:bounds[e + 1]]
-        while col.size:
-            p = int(col[0])  # columns stay sorted: the pivot is the oldest
-            other = pivots.get(p)
-            if other is None:
-                pivots[p] = col
-                yield e, p
-                break
-            col = np.setxor1d(col, other, assume_unique=True)
+    owner, built = {}, {}  # pivot key -> edge; edge -> its column, once built
+    for start in range(0, len(columns), _CHUNK):
+        block = columns[start:start + _CHUNK]
+        # min over k of the younger of edges (i, k) and (j, k): where it is
+        # below the column's edge, the oldest coface is keyed e * E + it
+        second = np.maximum(pos[edges[block, 0]], pos[edges[block, 1]]).min(axis=1)
+        apparent = second < block
+        settled = block[apparent].tolist()
+        owner.update(zip((block[apparent] * count + second[apparent]).tolist(), settled))
+        yield from ((e, e) for e in settled)
+        for e in block[~apparent].tolist():
+            col = coboundary(e)
+            while col.size:
+                p = int(col[0])  # columns stay sorted: the pivot is the oldest
+                other = owner.get(p)
+                if other is None:
+                    owner[p], built[e] = e, col
+                    yield e, p // count
+                    break
+                if other not in built:
+                    built[other] = coboundary(other)
+                col = np.setxor1d(col, built[other], assume_unique=True)
 
 
 def betti_numbers(snapshot: WitnessComplexSnapshot) -> tuple[int, int]:
-    """(beta_0, beta_1): components of the edge graph, and independent
-    1-cycles after the GF(2) triangle boundaries are quotiented out."""
-    v = snapshot.vertices
-    edges = snapshot.edges
+    """(beta_0, beta_1) of the clique complex of ``snapshot.edges``:
+    components of the edge graph, and independent 1-cycles after the GF(2)
+    boundaries of its 3-cliques are quotiented out. ``snapshot.triangles``
+    is reported, not read."""
+    v, edges = snapshot.vertices, snapshot.edges
     cycles = np.flatnonzero(~_merging_edges(v, edges))
-    faces = _triangle_faces(v, edges, snapshot.triangles)
-    rank = sum(1 for _ in _reduce_coboundaries(faces, edges.shape[0],
-                                               cycles[::-1].tolist()))
+    rank = sum(1 for _ in _reduce_cofaces(v, edges, cycles[::-1]))
     return v - (edges.shape[0] - cycles.size), cycles.size - rank
 
 
@@ -464,14 +475,8 @@ def epsilon_barcode(cloud: np.ndarray, landmarks: LandmarkSet,
 
     cycles = np.flatnonzero(~merges)
     deaths = np.full(edges.shape[0], top)
-    if cycles.size:
-        faces = _triangle_faces(ell, edges, _triangles_from_adjacency(levels < top, edges))
-        # a triangle is born with its youngest edge
-        youngest = faces.max(axis=1)
-        order = np.argsort(youngest, kind="stable")
-        faces, youngest = faces[order], youngest[order]
-        for e, t in _reduce_coboundaries(faces, edges.shape[0], cycles[::-1].tolist()):
-            deaths[e] = level[youngest[t]]
+    for e, youngest in _reduce_cofaces(ell, edges, cycles[::-1]):
+        deaths[e] = level[youngest]
     return (_level_barcode(grid, np.zeros(ell, dtype=np.int64), h0_deaths, 0),
             _level_barcode(grid, level[cycles], deaths[cycles], 1))
 

@@ -504,6 +504,21 @@ class TestTopology:
         alive = [sum(1 for b, d in dim1 if b <= s < d) for s in scan]
         assert 2 in alive
 
+    def test_barcode_mode_scans_the_cloud_once(self, lorenz_cloud_file, tmp_path,
+                                               capsys, monkeypatch):
+        calls = []
+
+        def counting(xi, cloud):
+            calls.append(xi)
+            return dk.scaled_epsilon(xi, cloud)
+
+        monkeypatch.setattr(cli, "scaled_epsilon", counting)
+        code, _, _ = run_cli(capsys, "topology", "--mode", "barcode",
+                             "--cloud", str(lorenz_cloud_file), "--ell", "20",
+                             "--xi-grid", "30", "-o", str(tmp_path / "bc.csv"))
+        assert code == 0
+        assert calls == [1.0]
+
     def test_lifespan_mode(self, tmp_path, capsys, lorenz63_20k):
         series_path = tmp_path / "x.txt"
         dk.save_series(dk.ScalarSeries(lorenz63_20k.values[:4000]), series_path)

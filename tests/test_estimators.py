@@ -306,6 +306,21 @@ class TestAtauSurface:
         with pytest.raises(ValidationError, match="^grid has no valid cells$"):
             bare.argbest("min")
 
+    def test_argbest_rejects_an_unknown_mode(self):
+        grid = dk.SweepGrid((1, 2), (1,), np.array([[0.5], [0.9]]))
+        assert grid.argbest("max") == (2, 1, 0.9)
+        for mode in ("maximum", "MAX", ""):
+            with pytest.raises(ValidationError, match=r"^mode must be 'max' or 'min'"):
+                grid.argbest(mode)
+
+    def test_value_at_names_an_absent_m_or_tau(self):
+        grid = dk.SweepGrid((1, 2), (3,), np.array([[0.5], [0.9]]))
+        assert grid.value_at(2, 3) == 0.9
+        with pytest.raises(ValidationError, match=r"^m=5 is not on the grid$"):
+            grid.value_at(5, 3)
+        with pytest.raises(ValidationError, match=r"^tau=1 is not on the grid$"):
+            grid.value_at(1, 1)
+
     def test_argbest_tie_breaks_to_smallest(self):
         values = np.array([[1.0, 2.0], [2.0, 2.0]])
         grid = dk.SweepGrid((1, 2), (1, 2), values)

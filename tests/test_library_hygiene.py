@@ -1,10 +1,10 @@
 """Library modules never print: only the CLI writes to stdout or stderr.
 No module starts processes: grids run their cells on threads. Only the flow
 stepper generator compiles code, and the code it generates obeys the same
-rules. Only the edge-filtration kernel passes over the witnesses. No
-module scatters with a ufunc's unbuffered ``at``. Only ``timeseries``
-scans inputs for non-finite values. The public namespace holds the names
-listed here and no others."""
+rules. Only the edge-filtration kernel passes over the witnesses, and
+only ``build_complex`` lists triangles. No module scatters with a ufunc's
+unbuffered ``at``. Only ``timeseries`` scans inputs for non-finite values.
+The public namespace holds the names listed here and no others."""
 
 import ast
 from pathlib import Path
@@ -157,6 +157,29 @@ def test_guard_catches_witness_passes():
               "def g(c, lm):\n    topology._witness_blocks(c, lm)\n"
               "def h():\n    return _witness_blocks\n")
     assert witness_passes(source) == ["f: _witness_blocks", "g: _witness_blocks"]
+
+
+def triangle_listings(source: str) -> list[str]:
+    """Each call of ``topology._triangles_from_adjacency``, by name or
+    attribute."""
+    return call_sites(source, ("_triangles_from_adjacency",), attributes=True)
+
+
+def test_only_build_complex_lists_triangles():
+    # analyses read the clique complex off the edge positions: a triangle
+    # list grows as ell^3
+    uses = {module: triangle_listings((PACKAGE / module).read_text(encoding="utf-8"))
+            for module in MODULES}
+    assert {module: found for module, found in uses.items() if found} == {
+        "topology.py": ["build_complex: _triangles_from_adjacency"]}
+
+
+def test_guard_catches_triangle_listings():
+    source = ("def f(adj, e):\n    return _triangles_from_adjacency(adj, e)\n"
+              "def g(adj, e):\n    topology._triangles_from_adjacency(adj, e)\n"
+              "def h():\n    return _triangles_from_adjacency\n")
+    assert triangle_listings(source) == ["f: _triangles_from_adjacency",
+                                         "g: _triangles_from_adjacency"]
 
 
 def ufunc_at_uses(source: str) -> list[str]:

@@ -15,14 +15,11 @@ from delaykit.timeseries import delay_matrix
 from delaykit.topology import WitnessComplexSnapshot
 
 
-def snapshot_from_edges(vertices, edges, fill_cliques=True):
+def snapshot_from_edges(vertices, edges):
     """Build a snapshot directly from an edge list (clique-filled)."""
     pairs = {tuple(sorted(e)) for e in edges}
-    triangles = []
-    if fill_cliques:
-        for a, b, c in itertools.combinations(range(vertices), 3):
-            if {(a, b), (a, c), (b, c)} <= pairs:
-                triangles.append((a, b, c))
+    triangles = [(a, b, c) for a, b, c in itertools.combinations(range(vertices), 3)
+                 if {(a, b), (a, c), (b, c)} <= pairs]
     edges_arr = (np.array(sorted(pairs), dtype=np.int64)
                  if pairs else np.empty((0, 2), dtype=np.int64))
     tri_arr = (np.array(triangles, dtype=np.int64)
@@ -327,6 +324,60 @@ def boundary_reduction_barcode(births, grid):
     return bars
 
 
+def triangle_faces(vertices, edges, triangles):
+    """(T, 3) positions in ``edges`` of each triangle's three edges."""
+    pos = np.full((vertices, vertices), -1, dtype=np.int64)
+    pos[edges[:, 0], edges[:, 1]] = np.arange(edges.shape[0])
+    a, b, c = triangles.T
+    return np.column_stack([pos[a, b], pos[a, c], pos[b, c]])
+
+
+def reduce_coboundaries(faces, edge_count, columns):
+    """Persistent cohomology reduction over GF(2) of edge coboundaries
+    grouped from a listed face array: ``faces`` holds each triangle's
+    three edge positions, triangles in filtration order; ``columns`` the
+    cycle-opening edges, youngest first. Yields (edge, pivot triangle)
+    for every column left nonzero."""
+    flat = faces.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    bounds = np.searchsorted(flat[order], np.arange(edge_count + 1)).tolist()
+    cofaces = order // 3  # grouped by edge, triangles ascending
+    pivots = {}
+    for e in columns:
+        col = cofaces[bounds[e]:bounds[e + 1]]
+        while col.size:
+            p = int(col[0])
+            other = pivots.get(p)
+            if other is None:
+                pivots[p] = col
+                yield e, p
+                break
+            col = np.setxor1d(col, other, assume_unique=True)
+
+
+def triangle_list_barcode(cloud, landmarks, grid):
+    """Oracle: barcodes of the edge filtration whose cycles are reduced
+    over a list of every clique triangle, each born with its youngest
+    edge and sorted stably by it."""
+    grid = [float(e) for e in grid]
+    ell, top = len(landmarks), len(grid)
+    levels = topology._edge_levels(cloud, landmarks, grid)
+    edges, level = topology._edges_by_level(levels, top)
+    merges = topology._merging_edges(ell, edges)
+    h0_deaths = np.concatenate([level[merges], np.full(ell - merges.sum(), top)])
+    cycles = np.flatnonzero(~merges)
+    deaths = np.full(edges.shape[0], top)
+    triangles = topology._triangles_from_adjacency(levels < top, edges)
+    faces = triangle_faces(ell, edges, triangles)
+    youngest = faces.max(axis=1)
+    order = np.argsort(youngest, kind="stable")
+    faces, youngest = faces[order], youngest[order]
+    for e, t in reduce_coboundaries(faces, edges.shape[0], cycles[::-1].tolist()):
+        deaths[e] = level[youngest[t]]
+    return (topology._level_barcode(grid, np.zeros(ell, dtype=np.int64), h0_deaths, 0),
+            topology._level_barcode(grid, level[cycles], deaths[cycles], 1))
+
+
 @pytest.fixture()
 def small_chunks(monkeypatch):
     """Several witness blocks per cloud, the last one ragged."""
@@ -570,6 +621,17 @@ class TestBettiNumbers:
             snap = random_clique_snapshot(rng)
             b0, b1, _ = brute_force_homology(snap)
             assert dk.betti_numbers(snap) == (b0, b1)
+
+    def test_reads_the_clique_complex_of_the_edges(self):
+        # triangles are reported, not read: a snapshot that lists none or
+        # only some of its 3-cliques has the Betti numbers of all of them
+        for v, edges in ((3, [(0, 1), (1, 2), (0, 2)]),
+                         (4, list(itertools.combinations(range(4), 2)))):
+            filled = snapshot_from_edges(v, edges)
+            for keep in (0, 2):
+                snap = WitnessComplexSnapshot(epsilon=0.0, vertices=v, edges=filled.edges,
+                                              triangles=filled.triangles[:keep])
+                assert dk.betti_numbers(snap) == brute_force_homology(filled)[:2] == (1, 0)
 
     def test_euler_consistency(self):
         rng = np.random.default_rng(8)
@@ -964,6 +1026,30 @@ class TestLandmarkRowsMatchThePairScatter:
         assert np.array_equal(np.unique(levels), np.arange(size + 1))
 
 
+class TestCofaceReductionMatchesTheTriangleList:
+    def test_lattice_ties(self, small_chunks):
+        for cloud, lm, grid in lattice_clouds():
+            assert dk.epsilon_barcode(cloud, lm, grid) == \
+                triangle_list_barcode(cloud, lm, grid)
+
+    def test_cloud_translated_by_ten_million(self, small_chunks):
+        cloud = np.random.default_rng(27).uniform(-10.0, 10.0, size=(80, 3))
+        lm = dk.select_landmarks(cloud, 14, "max_min")
+        moved = cloud + 1e7
+        for hi in (0.5, 1.0):
+            grid = bench_grid(moved, 30, 1e-3, hi)
+            assert dk.epsilon_barcode(moved, lm, grid) == \
+                triangle_list_barcode(moved, lm, grid)
+
+    def test_lorenz_clouds_up_to_the_diameter(self, lorenz63_traj_20k):
+        for cloud, lm, _ in lorenz_cases(lorenz63_traj_20k):
+            for hi in (0.05, 0.2, 1.0):
+                grid = bench_grid(cloud, 100, 2e-4, hi)
+                got = dk.epsilon_barcode(cloud, lm, grid)
+                assert got == triangle_list_barcode(cloud, lm, grid)
+                assert got[1].intervals
+
+
 @st.composite
 def clouds_and_grids(draw):
     n = draw(st.integers(2, 24))
@@ -989,6 +1075,8 @@ class TestBarcodeProperties:
             cloud, lm, grid, finer = case
             bars = dk.epsilon_barcode(cloud, lm, grid)
             finer_bars = dk.epsilon_barcode(cloud, lm, finer)
+            assert bars == triangle_list_barcode(cloud, lm, grid)
+            assert finer_bars == triangle_list_barcode(cloud, lm, finer)
             for eps in grid:
                 counts = [bc.count_at(eps) for bc in bars]
                 snap = dk.build_complex(cloud, lm, eps)
@@ -1206,3 +1294,23 @@ def test_edge_levels_memory_does_not_grow_with_the_cloud():
         peaks.append(peak)
     assert max(peaks) < 128 * 100 * topology._CHUNK
     assert abs(peaks[1] - peaks[0]) < 0.05 * peaks[0]
+
+
+def test_saturated_barcode_memory_grows_as_ell_squared(lorenz63_traj_20k):
+    # a list of every clique triangle grows as ell^3 (14.2 -> 112.8 MiB
+    # here); the pass's block buffers, the level and position matrices and
+    # a block of columns' position rows grow as ell * _CHUNK and ell^2
+    cloud = lorenz63_traj_20k[:2000]
+    grid = bench_grid(cloud, 100, 2e-4, 1.0)
+    peaks = []
+    for ell in (100, 200):
+        lm = dk.select_landmarks(cloud, ell, "max_min")
+        tracemalloc.start()
+        try:
+            bc0, _ = dk.epsilon_barcode(cloud, lm, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bc0.count_at(grid[-1]) == 1
+        peaks.append(peak)
+    assert peaks[1] <= 4 * peaks[0]

@@ -428,7 +428,8 @@ def run_forecast(args) -> int:
     if args.csv:
         rows = ["index,prediction,truth"] + [
             f"{run.train_length + i},{p:.17g},{c:.17g}"
-            for i, (p, c) in enumerate(zip(run.predictions, run.truth))
+            for i, (p, c) in enumerate(zip(run.predictions.tolist(),
+                                           run.truth.tolist()))
         ]
         write_lines(args.csv, header, rows)
     print(text)

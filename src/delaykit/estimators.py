@@ -446,28 +446,53 @@ def autocorrelation(series, tau: int) -> float:
     return _autocorrelation_at(values)(tau)
 
 
-def _ordinal_ranks(series, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every length-``ell`` window and its ranks: each row lists the
-    window's time indices sorted by value, equal values keeping temporal
-    order, so the earlier sample gets the lower rank."""
+# Windows per block of the ordinal-pattern pass: a block's ranks and
+# variance temporaries hold a few ell-wide rows of 2^16, whatever the
+# series length, while the codes and weights keep one entry per window.
+_PATTERN_BLOCK = 1 << 16
+
+
+def _ordinal_windows(series, ell: int) -> np.ndarray:
+    """Every length-``ell`` window of the series, as a strided view."""
     values = as_values(series)
     ell = as_count(ell, "ell", low=2)
     if values.size < ell:
         raise CapacityError(ell, values.size)
-    windows = np.lib.stride_tricks.sliding_window_view(values, ell)
-    return windows, np.argsort(windows, axis=1, kind="stable")
+    return np.lib.stride_tricks.sliding_window_view(values, ell)
 
 
-def _pattern_labels(ranks: np.ndarray) -> np.ndarray:
+def _ordinal_ranks(windows: np.ndarray) -> np.ndarray:
+    """Each window's ranks: each row lists the window's time indices sorted
+    by value, equal values keeping temporal order, so the earlier sample
+    gets the lower rank."""
+    return np.argsort(windows, axis=1, kind="stable")
+
+
+def _pattern_labels(windows: np.ndarray, weighted: bool = False
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
     """Each window's ordinal pattern as a dense label 0, 1, ... in packed
     base-ell code order, so count tables stay as short as the number of
-    distinct patterns rather than ell**ell long."""
-    ell = ranks.shape[1]
+    distinct patterns rather than ell**ell long; with ``weighted``, also
+    each window's variance about its mean, else None.
+
+    Ranks, codes and variances are computed a block of windows at a time;
+    each row's result does not depend on the blocking."""
+    n, ell = windows.shape
     if ell > 15:
         raise ValidationError("word length must be <= 15, the longest whose "
                               "packed pattern code fits in 64 bits")
-    codes = ranks @ ell ** np.arange(ell, dtype=np.int64)
-    return np.unique(codes, return_inverse=True)[1]
+    place = ell ** np.arange(ell, dtype=np.int64)
+    codes = np.empty(n, dtype=np.int64)
+    weights = np.empty(n) if weighted else None
+    for start in range(0, n, _PATTERN_BLOCK):
+        block = windows[start:start + _PATTERN_BLOCK]
+        codes[start:start + len(block)] = _ordinal_ranks(block) @ place
+        if weighted:
+            weights[start:start + len(block)] = np.var(block, axis=1)
+    # a label is the code's place among the distinct codes: looked up, not
+    # taken from np.unique's inverse, whose argsort and cumsum each hold
+    # one more entry per window
+    return np.searchsorted(np.unique(codes), codes), weights
 
 
 def permutation_entropy(series, ell: int, normalized: bool = True) -> float:
@@ -475,10 +500,11 @@ def permutation_entropy(series, ell: int, normalized: bool = True) -> float:
 
     Normalization divides by log2(ell!) so the result lies in [0, 1].
     """
-    _, ranks = _ordinal_ranks(series, ell)
-    h = _entropy_from_counts(np.bincount(_pattern_labels(ranks)))
+    windows = _ordinal_windows(series, ell)
+    labels, _ = _pattern_labels(windows)
+    h = _entropy_from_counts(np.bincount(labels))
     if normalized:
-        h /= math.log2(math.factorial(ell))
+        h /= math.log2(math.factorial(windows.shape[1]))
     return h
 
 
@@ -489,16 +515,16 @@ def weighted_permutation_entropy(series, ell: int, normalized: bool = True) -> f
     A series whose every window is constant has zero total weight; that
     case is defined as 0 (maximally structured).
     """
-    windows, ranks = _ordinal_ranks(series, ell)
-    weights = np.var(windows, axis=1)
+    windows = _ordinal_windows(series, ell)
+    labels, weights = _pattern_labels(windows, weighted=True)
     total = weights.sum()
     if total == 0.0:
         return 0.0
-    mass = np.bincount(_pattern_labels(ranks), weights=weights)
+    mass = np.bincount(labels, weights=weights)
     p = mass[mass > 0] / total
     h = max(0.0, float(-np.sum(p * np.log2(p))))
     if normalized:
-        h /= math.log2(math.factorial(ell))
+        h /= math.log2(math.factorial(windows.shape[1]))
     return h
 
 

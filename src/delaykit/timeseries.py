@@ -210,6 +210,12 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+# Characters of text the reader takes at a time (the ``readlines`` hint):
+# about 1 MB once held as line strings, less than the array of a
+# 2*10^5-line file, so reading peaks near twice the array.
+_CHUNK_CHARS = 1 << 18
+
+
 def read_rows(path, width: int | None = None) -> np.ndarray:
     """Read a text file of comma-separated reals as a (rows, width) float64
     array; blank lines and ``#`` lines are skipped.
@@ -218,28 +224,73 @@ def read_rows(path, width: int | None = None) -> np.ndarray:
     unparseable token, the wrong number of values or a non-finite value
     raises SeriesFormatError carrying its 1-based line number; so does a
     file with no data rows (line 0).
+
+    A token is whatever Python's ``float()`` accepts, surrounding
+    whitespace included: ``1_000``, ``+.5``, ``5.``, exponents, and
+    full-width or other Unicode decimal digits. ``nan`` and ``inf``
+    (``infinity``) parse but are refused as non-finite. Hexadecimal
+    (``0x10``), a bare exponent (``1e``), an empty token and an embedded
+    NUL are refused.
+
+    The file is read in chunks of about 1 MB of line strings, each
+    converted at once; a chunk that fails goes through the line parser,
+    which names the first bad line. Memory stays near twice the array.
     """
-    rows = []
+    parts = []
+    lineno = 0
     # undecodable bytes become U+FFFD, which fails to parse with a line number
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                raise SeriesFormatError(
-                    lineno, f"cannot parse {line!r} as real numbers") from None
-            width = width or len(row)
-            if len(row) != width:
-                raise SeriesFormatError(
-                    lineno, f"expected {width} values, got {len(row)}")
-            if not all(map(math.isfinite, row)):
-                raise SeriesFormatError(lineno, f"non-finite value in {line!r}")
-            rows.append(row)
-    if not rows:
+        while lines := fh.readlines(_CHUNK_CHARS):
+            data = [line for line in lines if line.lstrip()[:1] not in ("", "#")]
+            if data:
+                block = _convert_chunk(data, width or data[0].count(",") + 1)
+                if block is None:
+                    block = _parse_lines(lines, lineno + 1, width)
+                width = block.shape[1]
+                parts.append(block)
+            lineno += len(lines)
+            # free this chunk's strings before the next chunk is read
+            del lines, data
+    if not parts:
         raise SeriesFormatError(0, "file contains no data lines")
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _convert_chunk(data: list[str], width: int) -> np.ndarray | None:
+    """The data lines of a chunk as a (rows, width) array in one
+    conversion, or None if any of them is malformed, ragged or
+    non-finite."""
+    tokens = data if width == 1 else [line.split(",") for line in data]
+    try:
+        block = _finite_array(tokens, "chunk")
+    except ValidationError:
+        return None
+    if block.size != len(data) * width:
+        return None  # rows of another width
+    return block.reshape(len(data), width)
+
+
+def _parse_lines(lines: list[str], first: int, width: int | None) -> np.ndarray:
+    """The rows of ``lines``, numbered from ``first``, parsed one line at a
+    time; the first bad line raises SeriesFormatError. Without ``width``
+    the first row sets it."""
+    rows = []
+    for lineno, raw in enumerate(lines, start=first):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            raise SeriesFormatError(
+                lineno, f"cannot parse {line!r} as real numbers") from None
+        width = width or len(row)
+        if len(row) != width:
+            raise SeriesFormatError(
+                lineno, f"expected {width} values, got {len(row)}")
+        if not all(map(math.isfinite, row)):
+            raise SeriesFormatError(lineno, f"non-finite value in {line!r}")
+        rows.append(row)
     return np.array(rows, dtype=np.float64)
 
 
@@ -264,4 +315,5 @@ def write_lines(path, header_lines, rows) -> None:
 
 def save_series(series: ScalarSeries, path, header_lines: list[str] | None = None) -> None:
     """Write a series file; 17 significant digits so a round trip is exact."""
-    write_lines(path, header_lines or [], (f"{x:.17g}" for x in series.values))
+    # Python floats format faster than numpy scalars, to the same text
+    write_lines(path, header_lines or [], (f"{x:.17g}" for x in series.values.tolist()))

@@ -2,6 +2,7 @@ import math
 import pickle
 import threading
 import time
+import tracemalloc
 from functools import partial
 from typing import NamedTuple
 
@@ -19,6 +20,7 @@ from delaykit.estimators import (
     _entropy_from_counts,
     _grid_cell,
     _ordinal_ranks,
+    _ordinal_windows,
     _pattern_labels,
 )
 from delaykit.timeseries import as_values
@@ -654,21 +656,21 @@ class TestAutocorrelation:
 
 class TestOrdinalPatterns:
     def test_reference_window(self):
-        _, ranks = _ordinal_ranks(np.array([9.0, 1.0, 7.0]), 3)
+        ranks = _ordinal_ranks(_ordinal_windows(np.array([9.0, 1.0, 7.0]), 3))
         # x2 <= x3 <= x1 in one-based labels: time indices (1, 2, 0)
         assert ranks.tolist() == [[1, 2, 0]]
 
     def test_increasing_is_identity(self):
-        _, ranks = _ordinal_ranks(np.arange(5.0), 3)
+        ranks = _ordinal_ranks(_ordinal_windows(np.arange(5.0), 3))
         assert ranks.tolist() == [[0, 1, 2]] * 3
 
     def test_ties_break_temporally(self):
-        _, ranks = _ordinal_ranks(np.array([5.0, 5.0, 5.0]), 3)
+        ranks = _ordinal_ranks(_ordinal_windows(np.array([5.0, 5.0, 5.0]), 3))
         assert ranks.tolist() == [[0, 1, 2]]
 
     def test_count(self):
-        windows, ranks = _ordinal_ranks(np.arange(10.0), 4)
-        assert windows.shape == ranks.shape == (7, 4)
+        windows = _ordinal_windows(np.arange(10.0), 4)
+        assert windows.shape == _ordinal_ranks(windows).shape == (7, 4)
 
 
 class TestPermutationEntropy:
@@ -753,8 +755,40 @@ class TestPatternLabels:
         # packed codes at ell=9 reach ~9**9; the labels count distinct patterns
         windows = np.lib.stride_tricks.sliding_window_view(
             np.random.default_rng(27).normal(size=40), 9)
-        labels = _pattern_labels(np.argsort(windows, axis=1, kind="stable"))
+        labels, weights = _pattern_labels(windows)
+        assert weights is None
         assert labels.max() < windows.shape[0]
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_blocks_match_one_pass(self, monkeypatch, block):
+        # per window, the blocked codes, labels and variances are bit for bit
+        # those of one pass over every window
+        x = np.round(np.random.default_rng(29).normal(size=3000), 1)
+        windows = np.lib.stride_tricks.sliding_window_view(x, 5)
+        codes = np.argsort(windows, axis=1, kind="stable") @ 5 ** np.arange(5)
+        monkeypatch.setattr(estimators, "_PATTERN_BLOCK", block)
+        labels, weights = _pattern_labels(windows, weighted=True)
+        assert np.array_equal(labels, np.unique(codes, return_inverse=True)[1])
+        assert weights.tobytes() == np.var(windows, axis=1).tobytes()
+        pe, wpe = _packed_code_entropies(x, 5)
+        assert dk.permutation_entropy(x, 5) == pe
+        assert dk.weighted_permutation_entropy(x, 5) == wpe
+
+    def test_long_series_memory_is_bounded(self):
+        # one int64 code and one float64 weight per window, plus the sorted
+        # copy np.unique takes; ranks and variance temporaries stay within a
+        # block. Whole-series ranks peaked at 13x (PE) and 16x (WPE).
+        x = np.random.default_rng(30).standard_normal(1_000_000)
+        for entropy, bound in [(dk.permutation_entropy, 2.5),
+                               (dk.weighted_permutation_entropy, 3.5)]:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                entropy(x, 7)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * x.nbytes, entropy.__name__
 
     def test_overflowing_word_length_rejected(self):
         x = np.random.default_rng(28).normal(size=100)

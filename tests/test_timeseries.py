@@ -1,7 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delaykit as dk
+from delaykit import timeseries
 from delaykit.errors import CapacityError, SeriesFormatError, ValidationError
 from delaykit.timeseries import read_rows
 
@@ -186,3 +192,148 @@ class TestSeriesFiles:
         dk.save_series(s, p, header_lines=["made by the round-trip test"])
         back = dk.load_series(p)
         assert np.array_equal(back.values, s.values)
+
+
+def oracle_read_rows(path, width=None):
+    """The line-by-line reader ``read_rows`` replaced: one float() per
+    token, one row list per line, one array at the end."""
+    rows = []
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError:
+                raise SeriesFormatError(
+                    lineno, f"cannot parse {line!r} as real numbers") from None
+            width = width or len(row)
+            if len(row) != width:
+                raise SeriesFormatError(
+                    lineno, f"expected {width} values, got {len(row)}")
+            if not all(map(math.isfinite, row)):
+                raise SeriesFormatError(lineno, f"non-finite value in {line!r}")
+            rows.append(row)
+    if not rows:
+        raise SeriesFormatError(0, "file contains no data lines")
+    return np.array(rows, dtype=np.float64)
+
+
+def outcome(reader, path, width):
+    """The array a reader returns, as shape and bytes, or its error."""
+    try:
+        rows = reader(path, width)
+    except SeriesFormatError as exc:
+        return ("error", exc.line, str(exc))
+    return ("rows", rows.shape, rows.tobytes())
+
+
+# Spellings float() and numpy's string conversion must treat alike; the
+# chunked reader hands whole chunks of them to numpy.
+SPELLINGS = ["1_000", " 2.5 ", "+.5", "5.", "-0", "1e-400", "1e400", "1e5_0",
+             "\uff11\uff12", "\u0663.\u0663", "\U0001d7cf", "\u20281", "1\xa0",
+             "infinity", "-Infinity", "nan", "-nAn", "0x10", "1e", "", " ",
+             "1\x00", "1__0", "_1", "+-1", "1 2", "1,2", "\x1c1\x1f", "\ufffd"]
+
+
+def numpy_float(token):
+    return np.asarray([token], dtype=np.float64)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from(SPELLINGS),
+                 st.floats().map(repr),
+                 st.text(alphabet="0123456789+-._eEinfatyx ,\t\n\u0663\uff11",
+                         max_size=8),
+                 st.text(max_size=4)))
+def test_numpy_parses_tokens_as_float_does(token):
+    try:
+        expected = float(token)
+    except ValueError:
+        with pytest.raises(ValueError):
+            numpy_float(token)
+        return
+    got = numpy_float(token)
+    assert np.float64(expected).tobytes() == got.tobytes() or (
+        math.isnan(expected) and np.isnan(got))
+
+
+VALID = ["0", "1.5", "-2", "3e2", "+.5", "5.", "1_000", " 2.5 ", "\t7",
+         "\uff11\uff12", "\u0663", "\x1c4"]
+INVALID = ["x", "", "0x10", "1e", "1\x00", "1__0"]
+NON_FINITE = ["nan", "inf", "-Infinity", "1e400"]
+
+good = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                 st.sampled_from(VALID)).map(str.encode)
+bad = st.one_of(st.sampled_from(INVALID + NON_FINITE).map(str.encode),
+                st.just(b"\xff\xfe"))           # undecodable: becomes U+FFFD
+skipped = st.sampled_from([b"", b"   ", b"# note", b"  # x,y"])
+ending = st.sampled_from([b"\n", b"\r\n", b"\r"])
+
+
+@st.composite
+def text_files(draw):
+    """A file of rows of one width, with blank and comment lines; half of
+    them also hold bad tokens and ragged rows, each about one in 20."""
+    width = draw(st.integers(1, 3))
+    clean = draw(st.booleans())
+
+    def fault():
+        return not clean and draw(st.integers(0, 19)) == 0
+
+    body = b""
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.integers(0, 5)) == 0:
+            text = draw(skipped)
+        else:
+            count = draw(st.integers(1, 4)) if fault() else width
+            text = b",".join(draw(bad) if fault() else draw(good)
+                             for _ in range(count))
+        body += text + draw(ending)
+    if draw(st.booleans()):
+        body = body.rstrip(b"\r\n")             # no newline at the end
+    return body
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(body=text_files(), chunk=st.integers(1, 64), width=st.sampled_from([None, 1]))
+def test_chunked_reader_matches_line_oracle(tmp_path_factory, body, chunk, width):
+    # small chunks put chunk edges, and bad lines in later chunks, inside
+    # short files
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    path.write_bytes(body)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timeseries, "_CHUNK_CHARS", chunk)
+        got = outcome(read_rows, path, width)
+    assert got == outcome(oracle_read_rows, path, width)
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 1 << 18])
+def test_bad_line_in_a_later_chunk(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(timeseries, "_CHUNK_CHARS", chunk)
+    lines = ["# header"] + [f"{i}.5" for i in range(200)]
+    lines[150] = "1.0,2.0"
+    p = tmp_path / "s.txt"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SeriesFormatError, match="^line 151: expected 1 values, got 2$"):
+        read_rows(p, width=1)
+    lines[150] = "  # a comment in the middle"
+    p.write_text("\n".join(lines) + "\n")
+    assert read_rows(p).tolist() == [[i + 0.5] for i in range(200) if i != 149]
+
+
+def test_long_file_reads_in_twice_the_array(tmp_path):
+    # the row-list reader peaked at 20x the array on this file
+    rng = np.random.default_rng(4)
+    p = tmp_path / "long.txt"
+    dk.save_series(dk.ScalarSeries(rng.standard_normal(200_000)), p, ["long"])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        series = dk.load_series(p)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 200_000
+    assert peak <= 2.5 * series.values.nbytes

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -153,11 +153,11 @@ _GRID.add_argument("--jobs", type=int, default=1, help="grid cells run on thread
 
 
 def _command(sub, name: str, run, help: str, *parents) -> argparse.ArgumentParser:
-    """The parser of subcommand ``name``, which calls ``run(args)``; the
+    """The parser of subcommand ``name``, which calls ``run`` by name; the
     flags of ``parents``, then ``--dump-config``, come first."""
     p = sub.add_parser(name, help=help, formatter_class=_DefaultsHelp,
                        parents=[*parents, _DUMP_CONFIG])
-    p.set_defaults(func=run)
+    p.set_defaults(func=run.__name__)
     return p
 
 
@@ -556,7 +556,9 @@ def run_topology(args) -> int:
 
 # --------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: a parser is a cycle only gc.collect frees."""
     parser = _Parser(prog="delaykit",
                      description="nonlinear time-series reconstruction, "
                                  "forecasting, and topology toolkit")
@@ -578,7 +580,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        # by name at call time, so a replaced ``run_*`` is the one called
+        return globals()[args.func](args)
     except (ValidationError, SeriesFormatError, CapacityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

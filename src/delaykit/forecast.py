@@ -54,8 +54,7 @@ def _ar_rows(x: np.ndarray, order: int, start: int, stop: int) -> np.ndarray:
     """Rows ``[1, x[t-1], ..., x[t-order], x[t]]`` of the AR design and
     target for the targets ``start <= t < stop``."""
     rows = np.ones((stop - start, order + 2))
-    for lag in range(1, order + 1):
-        rows[:, lag] = x[start - lag : stop - lag]
+    rows[:, 1:-1] = delay_matrix(x[start - order : stop - 1], order, 1)
     rows[:, -1] = x[start:stop]
     return rows
 

@@ -336,24 +336,15 @@ _HENON_SCREEN = 1000
 _HENON_DRAWS = 100
 
 
-def _henon_escapes(x0: np.ndarray, a: float, b: float) -> bool:
-    x, y = float(x0[0]), float(x0[1])
-    for _ in range(_HENON_SCREEN):
-        x, y = 1.0 - a * x * x + y, b * x
-        if not (abs(x) <= DIVERGENCE_LIMIT and abs(y) <= DIVERGENCE_LIMIT):
-            return True
-    return False
-
-
 def default_initial_state(name: str, params: dict, seed: int) -> np.ndarray:
     """Draw a reproducible initial condition for the named system.
 
     Ensemble runs perturb a generic on-basin base point with a generator
     seeded by ``seed``, an integer >= 0, so every experiment can be
     replayed exactly. Lorenz 96 ``params`` are completed and checked as by
-    ``FlowSpec``. A Henon draw whose orbit escapes to infinity (seeds 231,
-    785 and 1823 among them) is replaced by the generator's next draw;
-    every other seed keeps its first draw.
+    ``FlowSpec``, Henon ones as by ``MapSpec``. A Henon draw whose orbit
+    escapes to infinity (seeds 231, 785 and 1823 among them) is replaced
+    by the generator's next draw; every other seed keeps its first draw.
     """
     rng = np.random.default_rng(as_count(seed, "seed", low=0))
     if name == "lorenz63":
@@ -364,11 +355,13 @@ def default_initial_state(name: str, params: dict, seed: int) -> np.ndarray:
     if name == "rossler":
         return np.array([10.0, 0.0, 0.0]) + 0.5 * rng.standard_normal(3)
     if name == "henon":
-        p = {**MAP_DEFAULTS["henon"], **params}
         for _ in range(_HENON_DRAWS):
             x0 = 0.1 * rng.standard_normal(2)
-            if not _henon_escapes(x0, p["a"], p["b"]):
+            try:
+                generate_map_trace(MapSpec("henon", params, x0=x0, n=_HENON_SCREEN))
                 break
+            except DivergenceError:
+                pass
         return x0
     if name == "logistic":
         return np.array([rng.uniform(0.05, 0.95)])

@@ -2,8 +2,8 @@
 and the toolkit's one input policy.
 
 Everything downstream of this module works on 64-bit floats. A series is
-immutable after construction; reconstructions are read-only views where
-numpy allows it. Series and point clouds hold only finite reals, and
+immutable after construction; its reconstructions are read-only views of
+its values. Series and point clouds hold only finite reals, and
 counts (dimensions, delays, horizons, neighbour, landmark and step
 counts) are integers: every entry point coerces its inputs through
 ``as_values``, ``as_points`` and ``as_count``, which raise
@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, SeriesFormatError, ValidationError
 
@@ -63,7 +64,8 @@ class DelayReconstruction:
 
     Point ``i`` is ``[x_{j}, x_{j-tau}, ..., x_{j-(m-1)tau}]`` anchored at
     ``j = i + (m-1)*tau``, so every coordinate is observed data (no padding).
-    Column 0 holds the most recent sample.
+    Column 0 holds the most recent sample. From ``delay_reconstruct``, ``points``
+    is a read-only view of the series values, not C-contiguous, that keeps them alive.
     """
 
     m: int
@@ -98,7 +100,7 @@ def delay_reconstruct(series, m: int, tau: int) -> DelayReconstruction:
     Parameters
     ----------
     series : ScalarSeries or array-like
-        Source observations.
+        Source observations; any other input than a ScalarSeries is copied.
     m : int
         Reconstruction dimension, >= 1. With ``m=1`` the result is the
         series itself as 1-vectors and ``tau`` is ignored.
@@ -111,6 +113,8 @@ def delay_reconstruct(series, m: int, tau: int) -> DelayReconstruction:
         If ``(m-1)*tau >= len(series)`` so no complete vector exists.
     """
     values = as_values(series)
+    if not isinstance(series, ScalarSeries):  # the points never alias the caller's array
+        values = values.copy()
     m, tau = as_count(m, "m"), as_count(tau, "tau")
     n = values.size
     span = (m - 1) * tau
@@ -122,17 +126,16 @@ def delay_reconstruct(series, m: int, tau: int) -> DelayReconstruction:
 
 
 def delay_matrix(values: np.ndarray, m: int, tau: int) -> np.ndarray:
-    """Delay vectors of a raw value array as an (n - (m-1)*tau, m) matrix.
+    """Delay vectors of a raw value array as an (n - (m-1)*tau, m) matrix,
+    for ``(m-1)*tau < n``.
 
     Column c is the series lagged by c*tau; rows are anchored so that
-    row i, column 0 is ``values[i + (m-1)*tau]``.
+    row i, column 0 is ``values[i + (m-1)*tau]``. The matrix is a
+    read-only view of ``values``, not C-contiguous, that keeps the array
+    alive: row i is window i of length ``(m-1)*tau + 1`` read backwards in
+    steps of tau, so no memory grows with n.
     """
-    n = values.shape[0]
-    count = n - (m - 1) * tau
-    cols = [values[(m - 1 - c) * tau : (m - 1 - c) * tau + count] for c in range(m)]
-    out = np.column_stack(cols)
-    out.flags.writeable = False
-    return out
+    return sliding_window_view(values, (m - 1) * tau + 1)[:, ::-tau]
 
 
 def split(series, fraction: float) -> TrainTestSplit:

@@ -641,6 +641,23 @@ def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
 
 
+def test_one_parser_calls_the_current_run_function(henon_file, capsys, monkeypatch):
+    # the parser is built once; a run_* replaced after that is still the
+    # one main calls, as the benchmark's tracing needs
+    parser = cli.build_parser()
+    calls = []
+
+    def counting(args, _original=cli.run_wpe):
+        calls.append(args.command)
+        return _original(args)
+
+    monkeypatch.setattr(cli, "run_wpe", counting)
+    for _ in range(2):
+        assert run_cli(capsys, "wpe", "-i", str(henon_file))[0] == 0
+    assert calls == ["wpe", "wpe"]
+    assert cli.build_parser() is parser
+
+
 @pytest.fixture()
 def small_files(tmp_path):
     rng = np.random.default_rng(11)

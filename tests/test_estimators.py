@@ -251,6 +251,20 @@ class TestActiveInformationStorage:
         with pytest.raises(CapacityError):
             dk.active_information_storage(np.arange(10.0), 4, 3, h=2)
 
+    def test_long_series_cell_never_holds_the_delay_matrix(self):
+        # a sweep cell on 10^6 samples at m = 8 keeps 20,000 rows; copying
+        # the N x m delay matrix first peaked at 74 MiB
+        x = np.cumsum(np.random.default_rng(5).standard_normal(10**6))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dk.active_information_storage(x, 8, 1,
+                                          max_samples=estimators.DEFAULT_MAX_SAMPLES)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes * 8 / 4
+
 
 class TestAtauSurface:
     def test_single_cell_matches_scalar_op(self):

@@ -198,6 +198,31 @@ def test_henon_escaping_draw_is_redrawn(seed):
     assert np.max(np.abs(trace.values)) < 2.0
 
 
+def oracle_henon_draw(seed, a=1.4, b=0.3):
+    """The Henon draw screened by its own copy of the step, as first
+    written: the first of 100 draws that stays bounded for 1,000 steps."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        x0 = 0.1 * rng.standard_normal(2)
+        x, y = float(x0[0]), float(x0[1])
+        for _ in range(1000):
+            x, y = 1.0 - a * x * x + y, b * x
+            if not (abs(x) <= 1e12 and abs(y) <= 1e12):
+                break
+        else:
+            return x0
+    return x0
+
+
+@pytest.mark.parametrize("a", [1.4, 1.43, 1.45])
+def test_henon_draw_matches_the_screening_oracle(a):
+    # past a = 1.427 the attractor is gone: most first draws escape, some
+    # only after hundreds of steps
+    for seed in [231, 785, 1823, *range(100)]:
+        x0 = dk.default_initial_state("henon", {"a": a}, seed)
+        assert x0.tobytes() == oracle_henon_draw(seed, a=a).tobytes()
+
+
 def test_henon_bounded_draws_keep_their_first_draw():
     for seed in sorted(set(range(300)) - set(HENON_ESCAPING_SEEDS)):
         first = 0.1 * np.random.default_rng(seed).standard_normal(2)

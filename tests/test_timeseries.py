@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import delaykit as dk
 from delaykit import timeseries
-from delaykit.errors import CapacityError, SeriesFormatError, ValidationError
+from delaykit.errors import (
+    CapacityError,
+    DelayKitError,
+    SeriesFormatError,
+    ValidationError,
+)
 from delaykit.timeseries import read_rows
 
 
@@ -93,6 +98,58 @@ class TestDelayReconstruct:
         assert np.array_equal(r.points,
                               dk.delay_reconstruct(dk.ScalarSeries(values), 3, 2).points)
         assert r.source_length == 10
+        # the points view a copy, not the caller's array
+        values[4] = -1.0
+        assert r.points[:, 0].tolist() == list(range(4, 10))
+
+
+def oracle_delay_matrix(values, m, tau):
+    """The delay matrix as m column copies, stacked."""
+    count = values.shape[0] - (m - 1) * tau
+    return np.column_stack([values[(m - 1 - c) * tau : (m - 1 - c) * tau + count]
+                            for c in range(m)])
+
+
+@st.composite
+def delay_shapes(draw):
+    """(n, m, tau) with span (m - 1) * tau <= n - 1, the last included."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 8))
+    if m == 1:
+        return n, m, draw(st.integers(1, 100))
+    tau = draw(st.integers(1, max(1, (n - 1) // (m - 1))))
+    if (m - 1) * tau >= n or draw(st.booleans()):
+        n = (m - 1) * tau + 1  # span = n - 1: one delay vector
+    return n, m, tau
+
+
+@given(shape=delay_shapes(), seed=st.integers(0, 2**32 - 1),
+       writeable=st.booleans())
+def test_delay_matrix_is_a_read_only_view_of_the_oracle(shape, seed, writeable):
+    n, m, tau = shape
+    values = np.random.default_rng(seed).standard_normal(n)
+    values.flags.writeable = writeable
+    view = timeseries.delay_matrix(values, m, tau)
+    expected = oracle_delay_matrix(values, m, tau)
+    assert view.shape == expected.shape == (n - (m - 1) * tau, m)
+    assert view.tobytes() == expected.tobytes()
+    assert np.shares_memory(view, values)
+    assert not view.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        view[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: dk.delay_reconstruct(x, 3, 5),
+    lambda x: dk.active_information_storage(x, 3, 5),
+    lambda x: dk.fnn_fraction(x, 2, 10),
+    lambda x: dk.rolling_evaluate(x, 0.5, "lma", m=3, tau=5),
+    lambda x: dk.edge_lifespan_diagram(x, [1, 3], 5, 0.1, 1),
+], ids=["delay_reconstruct", "ais", "fnn", "lma", "lifespan"])
+def test_span_of_the_whole_series_is_a_toolkit_error(call):
+    # ten samples, span 10: no delay vector, and no numpy error either
+    with pytest.raises(DelayKitError):
+        call(np.random.default_rng(0).standard_normal(10))
 
 
 class TestSplit:

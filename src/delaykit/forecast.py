@@ -164,17 +164,20 @@ def _scan_distances(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _nearest_rows(tree: cKDTree, points: np.ndarray, queries: np.ndarray,
-                  last: np.ndarray, k: int):
-    """For each query, the nearest row among ``points[: last + 1]`` (every
-    ``last`` is >= 0) and its distance, the smallest row winning ties.
+                  excluded, k: int):
+    """For each query, the nearest admissible row of ``points`` (the rows
+    ``tree`` was built on) and its distance, the smallest row winning ties.
 
-    The tree proposes the k nearest rows by its own distance; admissible
-    ones are re-ranked by the scan formula. A query is settled once its
-    k-th proposal lies farther than the best exact distance by a relative
-    margin far above rounding, so no unproposed row can be closer or tied;
-    unsettled queries ask again with k four times larger, up to every row.
-    Queries go in chunks of at most 2**19 candidate coordinates, so memory
-    stays bounded however far k grows.
+    ``excluded(idx, part)`` flags the inadmissible rows among the candidate
+    rows ``idx``, shape (len(part), k'), of the queries ``queries[part]``.
+    Every query must have at least one admissible row. The tree proposes
+    the k nearest rows by its own distance; admissible ones are re-ranked
+    by the scan formula. A query is settled once its k-th proposal lies
+    farther than the best exact distance by a relative margin far above
+    rounding, so no unproposed row can be closer or tied; unsettled
+    queries ask again with k four times larger, up to every row. Queries
+    go in chunks of at most 2**19 candidate coordinates, so memory stays
+    bounded however far k grows.
     """
     total, m = points.shape
     best = np.empty(queries.shape[0])
@@ -190,7 +193,7 @@ def _nearest_rows(tree: cKDTree, points: np.ndarray, queries: np.ndarray,
             tree_d = tree_d.reshape(part.size, k)
             idx = idx.reshape(part.size, k)
             d = _scan_distances(points[idx], queries[part])
-            d[idx > last[part, None]] = np.inf
+            d[excluded(idx, part)] = np.inf
             d_min = d.min(axis=1)
             settled = (k == total) | (tree_d[:, -1] > d_min * (1.0 + 1e-9))
             best[part[settled]] = d_min[settled]
@@ -248,7 +251,9 @@ def _lma_blocks(x: np.ndarray, n: int, total: int, h: int, m: int, tau: int,
         # never none, as the first query has the fewest. The query's own
         # temporal neighbours, excluded or future, tend to be nearest.
         last = starts[:live] - 2 - max(0, theiler - s) - span
-        dist, rows = _nearest_rows(tree, points, queries, last, 16 + 2 * theiler)
+        dist, rows = _nearest_rows(tree, points, queries,
+                                   lambda idx, part: idx > last[part, None],
+                                   16 + 2 * theiler)
         pred = x[rows + span + 1]
         # anchors pos - 1 + j hold predictions or have one as their image
         extra = s - theiler

@@ -1,7 +1,14 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import delaykit as dk
+from delaykit import embedding_params
 from delaykit.errors import (
     DegenerateSeriesError,
     NoEmbeddingFoundError,
@@ -93,6 +100,33 @@ def brute_force_fnn(values, m, tau, r_tol=10.0, a_tol=2.0):
     return np.mean(flags) if used else 0.0
 
 
+def quantised_logistic():
+    """A logistic trace as a sensor with two decimals would record it: x0 =
+    0.3, r = 3.65, 6,000 iterates with the first 1,000 dropped."""
+    x = [0.3]
+    for _ in range(5999):
+        x.append(3.65 * x[-1] * (1.0 - x[-1]))
+    return np.round(np.array(x[1000:]), 2)
+
+
+@st.composite
+def tied_series(draw, samples):
+    """(values, m, tau): ``samples(n)`` draws the n values from a lattice,
+    so that neighbors tie."""
+    m, tau = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(m * tau + 2, 90))
+    return np.asarray(draw(samples(n)), dtype=np.float64), m, tau
+
+
+def integers(n):
+    return st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+
+
+def rounded(n):
+    return st.tuples(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                     st.integers(1, 2)).map(lambda drawn: np.round(*drawn))
+
+
 class TestFnnFraction:
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(3)
@@ -101,6 +135,46 @@ class TestFnnFraction:
             fast = dk.fnn_fraction(values, m, tau)
             slow = brute_force_fnn(values, m, tau)
             assert fast == pytest.approx(slow, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(tied_series(integers))
+    def test_ties_on_integer_lattices_go_to_the_smallest_index(self, case):
+        values, m, tau = case
+        assert dk.fnn_fraction(values, m, tau) == brute_force_fnn(values, m, tau)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(tied_series(rounded))
+    def test_ties_on_rounded_series_go_to_the_smallest_index(self, case):
+        values, m, tau = case
+        assert dk.fnn_fraction(values, m, tau) == brute_force_fnn(values, m, tau)
+
+    def test_quantised_logistic_matches_the_oracle(self):
+        values = quantised_logistic()
+        fractions = [dk.fnn_fraction(values, m, 1) for m in range(1, 5)]
+        assert fractions == [brute_force_fnn(values, m, 1) for m in range(1, 5)]
+        assert fractions == [0.0, 0.0, 0.0, 0.04]
+
+    def test_tied_fractions_do_not_depend_on_the_tree_build(self, monkeypatch):
+        draws = np.random.default_rng(0).integers(0, 20, 1500).astype(np.float64)
+        cases = [(quantised_logistic(), m, 1) for m in range(1, 5)]
+        cases += [(draws, m, 2) for m in range(1, 4)]
+        default = [dk.fnn_fraction(*case) for case in cases]
+        monkeypatch.setattr(embedding_params, "cKDTree",
+                            functools.partial(cKDTree, leafsize=1, balanced_tree=False))
+        assert [dk.fnn_fraction(*case) for case in cases] == default
+
+    def test_memory_is_bounded_on_long_series(self):
+        # the neighbors are found in blocks: one query of every point at
+        # once peaked at 9.1 times the series, the blocks at 5.2
+        values = np.random.default_rng(6).uniform(size=200_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dk.fnn_fraction(values, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * values.nbytes
 
     @pytest.mark.parametrize("m, tau", [(3, 100), (3, 120), (5, 100)])
     def test_too_short_series_rejected(self, m, tau):

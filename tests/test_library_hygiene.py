@@ -2,8 +2,9 @@
 No module starts processes: grids run their cells on threads. Only the flow
 stepper generator compiles code, and the code it generates obeys the same
 rules. Only the edge-filtration kernel passes over the witnesses, and
-only ``build_complex`` lists triangles. No module scatters with a ufunc's
-unbuffered ``at``. Only ``timeseries`` scans inputs for non-finite values.
+only ``build_complex`` lists triangles. Only the exact-neighbour helper of
+``forecast`` queries a tree in ``forecast`` and ``embedding_params``. No
+module scatters with a ufunc's unbuffered ``at``. Only ``timeseries`` scans inputs for non-finite values.
 The public namespace holds the names listed here and no others."""
 
 import ast
@@ -180,6 +181,28 @@ def test_guard_catches_triangle_listings():
               "def h():\n    return _triangles_from_adjacency\n")
     assert triangle_listings(source) == ["f: _triangles_from_adjacency",
                                          "g: _triangles_from_adjacency"]
+
+
+def tree_queries(source: str) -> list[str]:
+    """Each ``x.query(...)`` call, such as a ``cKDTree`` nearest-neighbour
+    search."""
+    return call_sites(source, ("query",), attributes=True)
+
+
+def test_only_the_exact_neighbour_helper_queries_trees():
+    # analogue forecasts and false neighbours share one tie rule: the scan
+    # distance re-ranks the tree's proposals and the smallest row wins
+    uses = {module: tree_queries((PACKAGE / module).read_text(encoding="utf-8"))
+            for module in ("forecast.py", "embedding_params.py")}
+    assert uses == {"forecast.py": ["_nearest_rows: query"],
+                    "embedding_params.py": []}
+
+
+def test_guard_catches_tree_queries():
+    source = ("def f(base):\n    return cKDTree(base).query(base, k=2)\n"
+              "def g(tree, q):\n    d, i = tree.query(q, k=3, workers=-1)\n"
+              "def h(tree, q):\n    return tree.query_ball_point(q, 1.0), query\n")
+    assert tree_queries(source) == ["f: query", "g: query"]
 
 
 def ufunc_at_uses(source: str) -> list[str]:

@@ -35,9 +35,9 @@ __all__ = [
 ]
 
 # The false-neighbor test asks for the neighbors of this many points at a
-# time. At m = 1 its tracemalloc peak on a 2*10^5-sample series was 5.2
-# times the series (11.9 at 2**16, 9.1 for one query of every point), and
-# 4.0 times at 10^6 samples (9.1 for one query), at the same speed.
+# time. At m = 1 its tracemalloc peak on a 2*10^5-sample series was 5.4
+# times the series (12.4 at 2**16, 24.7 for one query of every point), and
+# 4.1 times at 10^6 samples (12.2 for one query), at the same speed.
 _FNN_BLOCK = 2**14
 
 
@@ -178,13 +178,15 @@ def fnn_fraction(series, m: int, tau: int,
     tree = cKDTree(points)
     r_a = float(np.std(values))
     flagged = used = 0
-    for start in range(0, lone.size, _FNN_BLOCK):
-        rows = lone[start : start + _FNN_BLOCK]
+    for start in range(0, first.size, _FNN_BLOCK):
+        rows = start + np.flatnonzero(lone[start : start + _FNN_BLOCK])
         # k = 3 proposes the point itself, its neighbor and one more, which
         # shows whether the neighbor is tied; a point without a copy among
-        # at least two points always has another point to pair with
+        # at least two points always has another point to pair with. The
+        # test runs alone, not inside threaded grid cells, so its queries
+        # use every core.
         d_m, nbr = _nearest_rows(tree, points, points[rows],
-                                 lambda idx, part: idx == rows[part, None], 3)
+                                 lambda idx, part: idx == rows[part, None], 3, -1)
         usable = d_m > 0.0
         d_m = d_m[usable]
         gap = np.abs(added[first[rows]] - added[first[nbr]])[usable]
@@ -196,12 +198,8 @@ def fnn_fraction(series, m: int, tau: int,
 
 
 def _first_copies(rows: np.ndarray):
-    """Indices of the first copy of each distinct row, ascending, and the
-    positions among them of the rows that have no other copy."""
-    column = np.sort(rows[:, 0])
-    if np.all(column[1:] != column[:-1]):  # distinct in one column, so no copies
-        every = np.arange(len(rows))
-        return every, every
+    """Indices of the first copy of each distinct row, ascending, and a
+    mask over them of the rows that have no other copy."""
     order = np.lexsort(rows.T)  # stable: a row's copies in index order
     same = np.ones(len(rows) - 1, dtype=bool)
     for c in range(rows.shape[1]):
@@ -209,9 +207,11 @@ def _first_copies(rows: np.ndarray):
         same &= col[1:] == col[:-1]
     starts = np.concatenate(([True], ~same))
     ends = np.concatenate((~same, [True]))
-    first = order[starts]
-    ranks = np.argsort(first)
-    return first[ranks], np.flatnonzero(ends[starts][ranks])
+    first = np.zeros(len(rows), dtype=bool)
+    first[order[starts]] = True
+    alone = np.zeros(len(rows), dtype=bool)
+    alone[order[starts & ends]] = True
+    return np.flatnonzero(first), alone[first]
 
 
 def estimate_m_fnn(series, tau: int,

@@ -164,7 +164,7 @@ def _scan_distances(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _nearest_rows(tree: cKDTree, points: np.ndarray, queries: np.ndarray,
-                  excluded, k: int):
+                  excluded, k: int, workers: int):
     """For each query, the nearest admissible row of ``points`` (the rows
     ``tree`` was built on) and its distance, the smallest row winning ties.
 
@@ -177,7 +177,7 @@ def _nearest_rows(tree: cKDTree, points: np.ndarray, queries: np.ndarray,
     rounding, so no unproposed row can be closer or tied; unsettled
     queries ask again with k four times larger, up to every row. Queries
     go in chunks of at most 2**19 candidate coordinates, so memory stays
-    bounded however far k grows.
+    bounded however far k grows. ``workers`` goes to the tree's queries.
     """
     total, m = points.shape
     best = np.empty(queries.shape[0])
@@ -189,7 +189,7 @@ def _nearest_rows(tree: cKDTree, points: np.ndarray, queries: np.ndarray,
         unsettled = []
         for at in range(0, todo.size, chunk):
             part = todo[at : at + chunk]
-            tree_d, idx = tree.query(queries[part], k=k)
+            tree_d, idx = tree.query(queries[part], k=k, workers=workers)
             tree_d = tree_d.reshape(part.size, k)
             idx = idx.reshape(part.size, k)
             d = _scan_distances(points[idx], queries[part])
@@ -253,7 +253,7 @@ def _lma_blocks(x: np.ndarray, n: int, total: int, h: int, m: int, tau: int,
         last = starts[:live] - 2 - max(0, theiler - s) - span
         dist, rows = _nearest_rows(tree, points, queries,
                                    lambda idx, part: idx > last[part, None],
-                                   16 + 2 * theiler)
+                                   16 + 2 * theiler, 1)
         pred = x[rows + span + 1]
         # anchors pos - 1 + j hold predictions or have one as their image
         extra = s - theiler

@@ -165,7 +165,7 @@ class TestFnnFraction:
 
     def test_memory_is_bounded_on_long_series(self):
         # the neighbors are found in blocks: one query of every point at
-        # once peaked at 9.1 times the series, the blocks at 5.2
+        # once peaked at 24.7 times the series, the blocks at 5.4
         values = np.random.default_rng(6).uniform(size=200_000)
         tracemalloc.start()
         try:

@@ -182,11 +182,9 @@ def fnn_fraction(series, m: int, tau: int,
         rows = start + np.flatnonzero(lone[start : start + _FNN_BLOCK])
         # k = 3 proposes the point itself, its neighbor and one more, which
         # shows whether the neighbor is tied; a point without a copy among
-        # at least two points always has another point to pair with. The
-        # test runs alone, not inside threaded grid cells, so its queries
-        # use every core.
+        # at least two points always has another point to pair with.
         d_m, nbr = _nearest_rows(tree, points, points[rows],
-                                 lambda idx, part: idx == rows[part, None], 3, -1)
+                                 lambda idx, part: idx == rows[part, None], 3)
         usable = d_m > 0.0
         d_m = d_m[usable]
         gap = np.abs(added[first[rows]] - added[first[nbr]])[usable]

@@ -11,7 +11,6 @@ internally and is converted once at the end.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -26,7 +25,8 @@ from .errors import (
     DelayKitError,
     ValidationError,
 )
-from .timeseries import _usable_cores, as_count, as_points, as_values, delay_matrix
+from .timeseries import (_mark_cell_worker, _query_workers, _usable_cores, as_count,
+                         as_points, as_values, delay_matrix)
 
 __all__ = [
     "SweepGrid",
@@ -177,20 +177,6 @@ def td_mutual_information_curve(series, tau_max: int,
 _COUNT_LEAFSIZE = 32
 _COUNT_FIRST_K = 16
 _COUNT_GROUP = {1: 128, -1: 1024}  # queries per kNN call, by its workers
-
-# Set in the threads of a grid pool of more than one worker. Those already
-# spread the cells over the cores, so their tree queries run on one thread
-# each; every other KSG call splits its queries over all cores.
-_cell_worker = threading.local()
-
-
-def _mark_cell_worker():
-    _cell_worker.active = True
-
-
-def _query_workers() -> int:
-    return 1 if getattr(_cell_worker, "active", False) else -1
-
 
 def _sorted_counts(values: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Points j with |values[j] - values[i]| <= radii[i], self included,
@@ -353,7 +339,7 @@ def run_grid(cell_fn, series, m_range, tau_range, jobs: int,
 
     Cells are independent and run on threads of this process: one per
     usable core at ``jobs=1``, N threads at ``jobs=N > 1``. Inside a
-    pool of more than one thread, KSG tree queries run on one thread.
+    pool of more than one thread, tree queries run on one thread.
     A cell that raises a toolkit error is flagged missing (NaN) with its
     message in ``cell_errors``; the rest of the grid is still returned.
     Any other error stops the grid: cells not yet started are dropped

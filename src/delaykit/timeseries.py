@@ -7,14 +7,15 @@ its values. Series and point clouds hold only finite reals, and
 counts (dimensions, delays, horizons, neighbour, landmark and step
 counts) are integers: every entry point coerces its inputs through
 ``as_values``, ``as_points`` and ``as_count``, which raise
-ValidationError naming what they reject. The modules that run threads
-size them by the one count of usable cores kept here.
+ValidationError naming what they reject. Thread pools and tree queries
+take their thread counts from the rules kept here.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +212,20 @@ def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# Set in the threads of a grid pool of more than one worker. Those already
+# spread the cells over the cores, so their tree queries run on one thread
+# each; every other call splits its queries over all cores.
+_cell_worker = threading.local()
+
+
+def _mark_cell_worker():
+    _cell_worker.active = True
+
+
+def _query_workers() -> int:
+    return 1 if getattr(_cell_worker, "active", False) else -1
 
 
 # Characters of text the reader takes at a time (the ``readlines`` hint):

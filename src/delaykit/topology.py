@@ -19,10 +19,10 @@ nearest distance is a square root: a test ``sqrt(sq) <= t`` becomes the
 exact test ``sq <= c``, c the largest float whose root is at most t.
 Every analysis reads one kernel: the pass records, for each landmark pair,
 the first grid level at which the pair shares a witness, an edge
-filtration on a grid of scales, for ell times each block's memberships in
-work. A scale sweep reads the persistence pairs of the clique complexes
-off it; a single scale is a grid of one level, whose edges are the pairs
-at level 0. Clouds must be finite.
+filtration on a grid of scales, in ell steps per batch of blocks and ell
+work per membership. A scale sweep reads the persistence pairs of the
+clique complexes off it; a single scale is a grid of one level, whose
+edges are the pairs at level 0. Clouds must be finite.
 """
 
 from __future__ import annotations
@@ -278,9 +278,8 @@ def _edge_levels(cloud: np.ndarray, landmarks: LandmarkSet, grid) -> np.ndarray:
     which landmarks i and j share a witness, min over witnesses w of
     max(a_iw, a_jw) with a the membership level. Pairs that never connect
     on the grid, the diagonal and the lower triangle hold ``len(grid)``.
-    On a grid of one level, the pairs that share a witness are those whose
-    block Gram products of memberships are nonzero; on longer grids, row i
-    is the min-max over the level rows of landmark i's witnesses."""
+    Memberships are gathered over batches of blocks; row i is the min-max
+    over the level rows of landmark i's witnesses in each batch."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size == 0:
         raise ValidationError("eps_grid must be nonempty")
@@ -293,34 +292,44 @@ def _edge_levels(cloud: np.ndarray, landmarks: LandmarkSet, grid) -> np.ndarray:
             raise ValidationError("epsilon must be >= 0")
     ell, top = len(landmarks), grid.size
     levels = np.full((ell, ell), top, dtype=np.min_scalar_type(top))
-    shared = np.zeros((ell, ell), dtype=bool)
+    batch, rows, count = [], 0, 0
     for sq, nearest in _witness_blocks(cloud, landmarks):
+        # the landmark loop takes ell Python steps per batch, and one block
+        # of ell * _CHUNK memberships bounds its memory. Eight blocks took a
+        # 100-level filtration of 10^5 Henon points (ell = 200, 2 cores) from
+        # 182-219 to 101-130 ms; build_complex's memory test peaks at 7.1 MiB.
+        if rows >= 8 * _CHUNK or count >= ell * _CHUNK:
+            _reduce_batch(levels, batch, rows, top)
+            batch, rows, count = [], 0, 0
         # memberships at the grid's end
         member = sq <= _root_bound(nearest + grid[-1])[None, :]
-        if top == 1:
-            # exact: a float32 sum of at most _CHUNK ones
-            member = member.astype(np.float32)
-            shared |= (member @ member.T) > 0.0
-            continue
-        # grouped by landmark, witnesses ascending: np.nonzero's arrays, at
-        # under a quarter of its cost on a 200 x 1,024 mask
-        lm, w = np.divmod(np.flatnonzero(member), member.shape[1])
+        # np.nonzero's arrays, grouped by landmark, witnesses ascending, at
+        # under a quarter of its cost; int32 halves a batch's index arrays
+        lm, w = np.divmod(np.flatnonzero(member).astype(np.int32), member.shape[1])
         dist = np.sqrt(np.maximum(sq[lm, w], 0.0))
         level = _membership_levels(dist, nearest[w], grid).astype(levels.dtype)
-        # witness by landmark, non-members at top
-        a = np.full((sq.shape[1], ell), top, dtype=levels.dtype)
-        a[w, lm] = level
-        bounds = np.searchsorted(lm, np.arange(ell + 1)).tolist()
-        for i, lo, hi in zip(range(ell - 1), bounds, bounds[1:]):
-            # a pair (i, j) in a witness of i is born at the later level
-            row = np.maximum(a[w[lo:hi], i + 1:], level[lo:hi, None])
-            dst = levels[i, i + 1:]
-            np.minimum(dst, np.minimum.reduce(row, axis=0, initial=top), out=dst)
-    # a one-level grid's pairs (none on longer grids), written once, upper
-    # triangle only: a write per block is slower, and so is np.triu's mask
-    r = np.arange(ell)
-    levels[shared & (r[:, None] < r)] = 0
+        batch.append((lm, w + rows, level))
+        rows, count = rows + member.shape[1], count + lm.size
+    _reduce_batch(levels, batch, rows, top)
     return levels.astype(np.int64)
+
+
+def _reduce_batch(levels: np.ndarray, batch: list, rows: int, top: int):
+    """Lower each pair's level in ``levels`` to its min-max over a batch of
+    ``rows`` witnesses, given as (landmark, witness, level) memberships."""
+    ell = levels.shape[0]
+    # grouped by landmark, witnesses ascending
+    order = np.argsort(np.concatenate([lm for lm, _, _ in batch]), kind="stable")
+    lm, w, level = (np.concatenate(parts)[order] for parts in zip(*batch))
+    # witness by landmark, non-members at top
+    a = np.full((rows, ell), top, dtype=levels.dtype)
+    a[w, lm] = level
+    starts = np.flatnonzero(np.diff(lm, prepend=-1)).tolist() + [lm.size]
+    for i, lo, hi in zip(lm[starts[:-1]].tolist(), starts, starts[1:]):
+        # a pair (i, j) in a witness of i is born at the later level
+        row = np.maximum(a[w[lo:hi], i + 1:], level[lo:hi, None])
+        dst = levels[i, i + 1:]
+        np.minimum(dst, np.minimum.reduce(row, axis=0), out=dst)
 
 
 def _edges_by_level(levels: np.ndarray, top: int):

@@ -12,7 +12,7 @@ from conftest import make_map_trace
 from scipy.spatial import cKDTree
 
 import delaykit as dk
-from delaykit import cli, estimators
+from delaykit import cli, embedding_params, estimators, forecast
 from delaykit.errors import CapacityError, DegenerateSeriesError, ValidationError
 from delaykit.estimators import (
     _autocorrelation_at,
@@ -608,6 +608,38 @@ class TestRunGridPools:
         x = np.random.default_rng(5).normal(size=500)
         dk.atau_surface(x, [3], [2], jobs=2)
         assert query_workers(workers_log()) == {-1}
+
+
+class TestNeighbourSearchThreads:
+    """Analogue forecasts and false neighbours follow the KSG rule: their
+    tree queries run on one thread inside a grid pool of more than one
+    worker and on every core otherwise."""
+
+    @pytest.fixture
+    def entries(self, monkeypatch):
+        log = []
+        monkeypatch.setattr(WorkersRecordingTree, "log", log)
+        for module in (forecast, embedding_params):
+            monkeypatch.setattr(module, "cKDTree", WorkersRecordingTree)
+        return log
+
+    def test_standalone_lma_queries_on_every_core(self, entries):
+        x = np.random.default_rng(6).normal(size=400)
+        dk.rolling_evaluate(x, 0.8, "lma", m=2, tau=1)
+        assert entries and set(entries) == {"knn:-1"}
+
+    def test_lma_in_a_mase_sweep_queries_on_one_thread(self, entries, tmp_path, capsys):
+        series = tmp_path / "x.txt"
+        np.savetxt(series, np.random.default_rng(7).normal(size=300))
+        assert cli.main(["sweep", "--mode", "mase", "-i", str(series), "--m", "1:2",
+                         "--tau", "1:2", "--jobs", "2",
+                         "-o", str(tmp_path / "grid.csv")]) == 0
+        assert entries and set(entries) == {"knn:1"}
+
+    def test_false_neighbours_query_on_every_core(self, entries):
+        x = np.random.default_rng(8).normal(size=400)
+        dk.fnn_fraction(x, 2, 1)
+        assert entries and set(entries) == {"knn:-1"}
 
 
 class TestHorizonInfoRatio:

@@ -1,10 +1,12 @@
 """Library modules never print: only the CLI writes to stdout or stderr.
 No module starts processes: grids run their cells on threads. Only the flow
 stepper generator compiles code, and the code it generates obeys the same
-rules. Only the edge-filtration kernel passes over the witnesses, and
-only ``build_complex`` lists triangles. Only the exact-neighbour helper of
-``forecast`` queries a tree in ``forecast`` and ``embedding_params``. No
-module scatters with a ufunc's unbuffered ``at``. Only ``timeseries`` scans inputs for non-finite values.
+rules. Only the edge-filtration kernel passes over the witnesses, only
+the pass multiplies matrices in ``topology``, and only ``build_complex``
+lists triangles. Only the exact-neighbour helper of ``forecast`` queries a
+tree in ``forecast`` and ``embedding_params``. No module scatters with a
+ufunc's unbuffered ``at``. Only ``timeseries`` scans inputs for non-finite
+values.
 The public namespace holds the names listed here and no others."""
 
 import ast
@@ -98,13 +100,13 @@ def called(func, attributes: bool = False):
 
 
 def labelled_calls(source: str, label) -> list[str]:
-    """Each call that ``label(call)`` names, as ``function: name`` with the
-    innermost enclosing function."""
+    """Each call (or other node) that ``label(node)`` names, as
+    ``function: name`` with the innermost enclosing function."""
     found = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and label(child):
+            if label(child):
                 found.append(f"{where}: {label(child)}")
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_function else where)
@@ -116,8 +118,8 @@ def labelled_calls(source: str, label) -> list[str]:
 def call_sites(source: str, names, attributes: bool = False) -> list[str]:
     """Each call of one of ``names``, as ``function: name``; with
     ``attributes``, ``x.name(...)`` counts too."""
-    def label(call):
-        name = called(call.func, attributes)
+    def label(node):
+        name = called(node.func, attributes) if isinstance(node, ast.Call) else None
         return name if name in names else None
 
     return labelled_calls(source, label)
@@ -158,6 +160,38 @@ def test_guard_catches_witness_passes():
               "def g(c, lm):\n    topology._witness_blocks(c, lm)\n"
               "def h():\n    return _witness_blocks\n")
     assert witness_passes(source) == ["f: _witness_blocks", "g: _witness_blocks"]
+
+
+def matrix_products(source: str) -> list[str]:
+    """Each matrix product: a call of ``matmul`` or ``dot``, by name or
+    attribute, and each ``@`` or ``@=``."""
+    def label(node):
+        if isinstance(node, ast.Call):
+            name = called(node.func, True)
+            return name if name in ("matmul", "dot") else None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            return "@"
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
+            return "@="
+        return None
+
+    return labelled_calls(source, label)
+
+
+def test_only_the_witness_pass_multiplies_matrices():
+    # the distances of the pass's geometry step, inside _witness_blocks;
+    # the edge filtration has one reducer, the landmark rows, and a Gram
+    # product of memberships would be a second
+    source = (PACKAGE / "topology.py").read_text(encoding="utf-8")
+    assert matrix_products(source) == ["geometry: matmul"]
+
+
+def test_guard_catches_matrix_products():
+    source = ("import numpy as np\ndef f(a, b):\n    return a @ b.T > 0\n"
+              "def g(a, b):\n    a @= b\n    return np.matmul(a, b), dot(a, b)\n"
+              "def h(a, b):\n    return np.matmul, a * b, a.dot(b)\n")
+    assert matrix_products(source) == ["f: @", "g: @=", "g: matmul", "g: dot",
+                                       "h: dot"]
 
 
 def triangle_listings(source: str) -> list[str]:
@@ -249,6 +283,8 @@ def finiteness_scans(source: str) -> list[str]:
     """Each ``all(isfinite(...))`` call, by name or attribute, such as
     ``np.all(np.isfinite(x))``."""
     def label(call):
+        if not isinstance(call, ast.Call):
+            return None
         inner = call.args[0] if call.args else None
         if (called(call.func, True) == "all" and isinstance(inner, ast.Call)
                 and called(inner.func, True) == "isfinite"):

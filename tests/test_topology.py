@@ -198,6 +198,20 @@ def pair_scatter_levels(cloud, landmarks, grid):
     return levels
 
 
+def gram_levels(cloud, landmarks, eps):
+    """Oracle: the one-level edge filtration by the block Gram products
+    that the landmark rows replaced. A pair is at level 0 where some
+    block's float32 product of the two landmarks' membership rows is
+    nonzero, which is exact: a sum of at most _CHUNK ones."""
+    ell = len(landmarks)
+    shared = np.zeros((ell, ell), dtype=bool)
+    for sq, nearest in topology._witness_blocks(cloud, landmarks):
+        member = sq <= topology._root_bound(nearest + eps)[None, :]
+        member = member.astype(np.float32)
+        shared |= (member @ member.T) > 0.0
+    return np.where(np.triu(shared, 1), 0, 1)
+
+
 def assert_levels_match_the_pair_scatter(cloud, lm, grid):
     levels = topology._edge_levels(cloud, lm, grid)
     assert levels.dtype == np.int64
@@ -213,14 +227,14 @@ def assert_levels_threshold_to_the_dense_adjacency(cloud, lm, grid):
 
 
 def assert_one_level_grids_match_the_filtration(cloud, lm, grid):
-    """The one-level block strategy against the landmark rows of longer
-    grids: each grid value alone connects the pairs the whole grid
-    connects by its level."""
+    """Each grid value alone connects the pairs the whole grid connects by
+    its level, and the pairs of the Gram oracle."""
     levels = topology._edge_levels(cloud, lm, grid)
     upper = np.triu(np.ones(levels.shape, dtype=bool), 1)
     for g, eps in enumerate(grid):
         one_level = topology._edge_levels(cloud, lm, [eps])
         assert np.array_equal(one_level == 0, (levels <= g) & upper)
+        assert np.array_equal(one_level, gram_levels(cloud, lm, eps))
 
 
 def snapshot_from_adjacency(adj, eps=0.0):
@@ -1090,6 +1104,50 @@ class TestBarcodeProperties:
         run()
 
 
+class TestBatchedLandmarkRows:
+    """Memberships are reduced in batches, flushed once they hold 8 blocks
+    of witnesses or ell * _CHUNK memberships, and at the end of the pass."""
+
+    def test_batches_match_the_gram_and_pair_scatter_oracles(self, monkeypatch):
+        chunk = 2
+        monkeypatch.setattr(topology, "_CHUNK", chunk)
+        reduce_batch, flushes = topology._reduce_batch, []
+
+        def recording(levels, batch, rows, top):
+            flushes.append((rows, [lm.size for lm, _, _ in batch]))
+            reduce_batch(levels, batch, rows, top)
+
+        monkeypatch.setattr(topology, "_reduce_batch", recording)
+        kinds = set()
+
+        @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @given(clouds_and_grids())
+        def run(case):
+            cloud, lm, grid, finer = case
+            for eps in grid:
+                flushes.clear()
+                assert np.array_equal(topology._edge_levels(cloud, lm, [eps]),
+                                      gram_levels(cloud, lm, eps))
+                assert sum(rows for rows, _ in flushes) == cloud.shape[0]
+                for pos, (rows, counts) in enumerate(flushes):
+                    last, count = pos == len(flushes) - 1, sum(counts)
+                    # a batch takes blocks until it reaches a bound
+                    assert rows <= 8 * chunk and count - counts[-1] < len(lm) * chunk
+                    if count >= len(lm) * chunk:
+                        kinds.add("memberships")
+                    elif rows == 8 * chunk and not last:
+                        kinds.add("witnesses")
+                    else:
+                        # only the batch at the end of the pass is short
+                        assert last
+                        kinds.add("ragged")
+            assert np.array_equal(topology._edge_levels(cloud, lm, finer),
+                                  pair_scatter_levels(cloud, lm, finer))
+
+        run()
+        assert kinds == {"witnesses", "memberships", "ragged"}
+
+
 # Witness distances after any translation of the cloud agree with direct
 # differences of the untranslated points within this many units of
 # 1 + max |coordinate|; the |l|^2 + |w|^2 - 2 l.w rounding reaches about
@@ -1260,7 +1318,8 @@ class TestPipelinedPass:
 def test_build_complex_memory_is_bounded():
     # the dense geometry would hold 13 B per landmark-witness pair: 520 MB.
     # A pass holds three 200-by-_CHUNK float64 block buffers (4.7 MiB at
-    # _CHUNK = 1024), two of them filled in turn, and peaks at ~6.1 MiB.
+    # _CHUNK = 1024), two of them filled in turn, and a batch's 8 * _CHUNK
+    # by 200 level matrix (1.6 MiB); it peaks at ~7.3 MiB.
     cloud = np.random.default_rng(19).uniform(size=(200_000, 2))
     lm = dk.select_landmarks(cloud, 200)
     eps = dk.scaled_epsilon(0.01, cloud)
@@ -1275,10 +1334,10 @@ def test_build_complex_memory_is_bounded():
 
 
 def test_edge_levels_memory_does_not_grow_with_the_cloud():
-    # Up to the diameter every witness holds every landmark, so a block of
-    # 100-by-_CHUNK memberships peaks at ~93 bytes per membership whatever
-    # the cloud size; the dense geometry would hold 13 B per landmark-witness
-    # pair, 104 MB at N = 8*10^4.
+    # Up to the diameter every witness holds every landmark, so a batch is
+    # one block of 100-by-_CHUNK memberships, and the pass peaks at ~84
+    # bytes per membership whatever the cloud size; the dense geometry
+    # would hold 13 B per landmark-witness pair, 104 MB at N = 8*10^4.
     peaks = []
     for n in (20_000, 80_000):
         cloud = np.random.default_rng(19).uniform(size=(n, 2))

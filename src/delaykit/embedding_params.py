@@ -3,6 +3,7 @@ the information-storage-optimal selector."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +158,9 @@ def fnn_fraction(series, m: int, tau: int,
     m-dimensional distance, or when its (m+1)-dimensional distance exceeds
     ``a_tol`` attractor sizes. Pairs at zero distance are skipped (the
     stretch ratio is undefined). Both criteria are ratios, so the result
-    is scale invariant.
+    is scale invariant. When every point is skipped, as when each has a
+    copy in a coarsely rounded series, the fraction is undefined and NaN
+    is returned: no pair gives evidence for or against m.
     """
     config = config or FnnConfig()
     values = as_values(series)
@@ -192,23 +195,38 @@ def fnn_fraction(series, m: int, tau: int,
         flagged += int(np.count_nonzero((gap / d_m > config.r_tol)
                                         | (d_m1 / r_a > config.a_tol)))
         used += d_m.size
-    return flagged / used if used else 0.0
+    return flagged / used if used else math.nan
 
 
 def _first_copies(rows: np.ndarray):
     """Indices of the first copy of each distinct row, ascending, and a
-    mask over them of the rows that have no other copy."""
-    order = np.lexsort(rows.T)  # stable: a row's copies in index order
-    same = np.ones(len(rows) - 1, dtype=bool)
+    mask over them of the rows that have no other copy.
+
+    Only a row whose first value repeats can have a copy, so only those
+    rows are sorted whole: the cost follows the copies. On a 10^6-sample
+    Henon series at m = 1 (medians of 11 interleaved calls): 35 ms against
+    211 ms sorting every row; rounded to 2 decimals, 231 against 123 ms,
+    where the search that follows holds a few hundred distinct points."""
+    lead = np.sort(rows[:, 0])
+    # the values that repeat, then the largest value, so that every search
+    # lands on an entry; rows that match only the largest are sorted idly
+    repeated = np.append(np.unique(lead[1:][lead[1:] == lead[:-1]]), lead[-1:])
+    maybe = np.flatnonzero(repeated[np.searchsorted(repeated, rows[:, 0])]
+                           == rows[:, 0])
+    order = maybe[np.lexsort(rows[maybe].T)]  # stable: copies in index order
+    same = True
     for c in range(rows.shape[1]):
         col = rows[order, c]
-        same &= col[1:] == col[:-1]
-    starts = np.concatenate(([True], ~same))
-    ends = np.concatenate((~same, [True]))
-    first = np.zeros(len(rows), dtype=bool)
+        same = same & (col[1:] == col[:-1])
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = ~same
+    ends = np.ones(order.size, dtype=bool)
+    ends[:-1] = ~same
+    first = np.ones(len(rows), dtype=bool)
+    first[maybe] = False
     first[order[starts]] = True
-    alone = np.zeros(len(rows), dtype=bool)
-    alone[order[starts & ends]] = True
+    alone = first.copy()
+    alone[order[starts & ~ends]] = False
     return np.flatnonzero(first), alone[first]
 
 

@@ -454,6 +454,32 @@ def _ordinal_ranks(windows: np.ndarray) -> np.ndarray:
     return np.argsort(windows, axis=1, kind="stable")
 
 
+def _row_sum(terms, ell: int) -> np.ndarray:
+    """The sum of ``ell`` arrays, 2 <= ell <= 15, in the order numpy sums a
+    row of ``ell`` values: left to right below 8; from 8, the first eight
+    pairwise, then the rest in turn. Python evaluates the left operand of
+    ``+`` first, so the terms are drawn in index order."""
+    terms = iter(terms)
+    if ell < 8:
+        total = next(terms) + next(terms)
+    else:
+        total = (next(terms) + next(terms)) + (next(terms) + next(terms))
+        total += (next(terms) + next(terms)) + (next(terms) + next(terms))
+    for term in terms:
+        total += term
+    return total
+
+
+def _window_variances(block: np.ndarray) -> np.ndarray:
+    """``np.var(block, axis=1)`` byte for byte, summed column by column:
+    each column of a window view is a contiguous slice of the series, where
+    numpy's reduction over a short row costs more than its arithmetic."""
+    ell = block.shape[1]
+    mean = _row_sum((block[:, j] for j in range(ell)), ell) / ell
+    deviations = (block[:, j] - mean for j in range(ell))
+    return _row_sum((np.square(d, out=d) for d in deviations), ell) / ell
+
+
 def _pattern_labels(windows: np.ndarray, weighted: bool = False
                     ) -> tuple[np.ndarray, np.ndarray | None]:
     """Each window's ordinal pattern as a dense label 0, 1, ... in packed
@@ -462,7 +488,9 @@ def _pattern_labels(windows: np.ndarray, weighted: bool = False
     each window's variance about its mean, else None.
 
     Ranks, codes and variances are computed a block of windows at a time;
-    each row's result does not depend on the blocking."""
+    each row's result does not depend on the blocking. The variances are
+    those of ``np.var`` over each window, summed over the block's columns
+    in the order numpy sums a row (``_window_variances``)."""
     n, ell = windows.shape
     if ell > 15:
         raise ValidationError("word length must be <= 15, the longest whose "
@@ -474,7 +502,7 @@ def _pattern_labels(windows: np.ndarray, weighted: bool = False
         block = windows[start:start + _PATTERN_BLOCK]
         codes[start:start + len(block)] = _ordinal_ranks(block) @ place
         if weighted:
-            weights[start:start + len(block)] = np.var(block, axis=1)
+            weights[start:start + len(block)] = _window_variances(block)
     # a label is the code's place among the distinct codes: looked up, not
     # taken from np.unique's inverse, whose argsort and cumsum each hold
     # one more entry per window

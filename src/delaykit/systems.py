@@ -9,6 +9,11 @@ The built-in flows are stepped on Python floats by straight-line RK4 code
 compiled once per field shape; wide Lorenz 96 fields and user-supplied ones
 take a loop over numpy state arrays. Both do the same IEEE operations in
 the same order, so a trajectory is byte-identical whichever produced it.
+
+A state past ``DIVERGENCE_LIMIT`` raises ``DivergenceError`` with the first
+step that failed. The float RK4 loop and the Henon loop test their states
+once per block of ``_CHECK_ROWS`` steps, so a diverging run stops at the
+end of its block; the array loop tests every step.
 """
 
 from __future__ import annotations
@@ -37,6 +42,23 @@ __all__ = [
 # Any |state component| beyond this aborts with a divergence error rather
 # than emitting a garbage series.
 DIVERGENCE_LIMIT = 1e12
+
+# Steps per divergence test in the float RK4 and Henon loops, which test a
+# block once with two reductions in place of a Python test per step. Best
+# of 9 on 2 shared cores, Python 3.11: Lorenz 96 (K = 22), 1,000 steps,
+# 6.39 ms tested per step; 6.10, 5.96, 5.93 and 6.00 ms in blocks of 64,
+# 256, 1,024 and 4,096. Henon, 11,000 iterates: 1.70 ms, then 1.25 ms.
+_CHECK_ROWS = 1024
+
+
+def _check_rows(rows: np.ndarray, first: int) -> None:
+    """Raise ``DivergenceError`` at the first of ``rows``, the states of
+    steps ``first, first + 1, ...``, with a component past
+    ``DIVERGENCE_LIMIT`` or not a number. min() and max() allocate nothing
+    and return NaN if any component is NaN, which fails both comparisons."""
+    if not (rows.min() >= -DIVERGENCE_LIMIT and rows.max() <= DIVERGENCE_LIMIT):
+        bounded = (np.abs(rows) <= DIVERGENCE_LIMIT).all(axis=1)
+        raise DivergenceError(first + int(np.argmin(bounded)))
 
 FLOW_DEFAULTS = {
     "lorenz63": {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
@@ -148,8 +170,11 @@ _FLOAT_MAX_DIMENSION = 48
 
 def _float_source(coefficients: tuple[str, ...], components: tuple[str, ...]) -> str:
     """Source of ``field(coef, v)``, the field of a state array on floats,
-    and ``rk4(coef, out, half, dt, sixth)``, which fills rows 1.. of ``out``
-    from row 0 with the array loop's float operations, in the same order."""
+    and ``rk4(coef, out, half, dt, sixth, rows)``, which fills rows 1.. of
+    ``out`` from row 0 with the array loop's float operations, in the same
+    order, and tests each block of ``rows`` steps once with ``_check_rows``.
+    Floats overflow to inf and NaN without raising or warning, so the steps
+    before the first failing one are those the array loop makes."""
     d = len(components)
     xs, ys = [f"x{j}" for j in range(d)], [f"y{j}" for j in range(d)]
     state, coef = ", ".join(xs), ", ".join(coefficients)
@@ -160,23 +185,24 @@ def _float_source(coefficients: tuple[str, ...], components: tuple[str, ...]) ->
         step += [f"y{j} = x{j} + {scale} * k{stage}_{j}" for j in range(d) if scale]
     step += [f"x{j} = x{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
              for j in range(d)]
-    # each comparison is False for NaN, as max() is in the array loop
-    checks = " and ".join(f"abs(x{j}) <= DIVERGENCE_LIMIT" for j in range(d))
-    step += [f"if not ({checks}):", "    raise DivergenceError(i)",
-             f"pack(out, {8 * d} * i, {state})"]
+    step += [f"pack(out, {8 * d} * i, {state})"]
     field = ", ".join(c.format(*xs) for c in components)
     return (f"def field(coef, v):\n    {coef}, = coef\n    {state}, = v.tolist()\n"
             f"    return np.array([{field}])\n"
-            f"def rk4(coef, out, half, dt, sixth):\n    {coef}, = coef\n"
-            f"    {state}, = out[0].tolist()\n    for i in range(1, len(out)):\n"
-            + "".join(f"        {line}\n" for line in step))
+            f"def rk4(coef, out, half, dt, sixth, rows):\n    {coef}, = coef\n"
+            f"    {state}, = out[0].tolist()\n    steps = len(out)\n"
+            f"    for start in range(1, steps, rows):\n"
+            f"        stop = min(start + rows, steps)\n"
+            f"        for i in range(start, stop):\n"
+            + "".join(f"            {line}\n" for line in step)
+            + "        check(out[start:stop], start)\n")
 
 
 @cache
 def _float_kernels(coefficients: tuple[str, ...], components: tuple[str, ...]):
     """``_float_source`` compiled once per shape: per 3-D flow and per K."""
-    namespace = {"np": np, "DivergenceError": DivergenceError, "DIVERGENCE_LIMIT":
-                 DIVERGENCE_LIMIT, "pack": struct.Struct(f"{len(components)}d").pack_into}
+    namespace = {"np": np, "check": _check_rows,
+                 "pack": struct.Struct(f"{len(components)}d").pack_into}
     exec(compile(_float_source(coefficients, components), "<rk4>", "exec"), namespace)
     return namespace["field"], namespace["rk4"]
 
@@ -253,9 +279,10 @@ def integrate_rk4(
         that is not a flat vector, or one whose length is not the
         dimension of a ``FlowSpec`` field.
     DivergenceError
-        After any step whose state fails ``max|x_i| <= 1e12``; the one
+        For any step whose state fails ``max|x_i| <= 1e12``; the one
         comparison also catches NaN and infinite components. Reports the
-        step at which it happened.
+        first step that failed. The float loop tests a block of
+        ``_CHECK_ROWS`` steps at once, so it stops at the end of the block.
     """
     if not 0 < dt < np.inf:
         raise ValidationError("dt must be positive and finite")
@@ -278,7 +305,7 @@ def integrate_rk4(
     # numpy does not widen to float64 (longdouble) keeps the array loop.
     half, sixth = dt / 2.0, dt / 6.0
     if stepper is not None and np.can_cast(np.asarray(dt).dtype, np.float64):
-        stepper(out, float(half), float(dt), float(sixth))
+        stepper(out, float(half), float(dt), float(sixth), _CHECK_ROWS)
         return out
     for i in range(1, steps):
         k1 = field(x)
@@ -308,6 +335,12 @@ def generate_map_trace(spec: MapSpec) -> ScalarSeries:
 
     The first sample of the (pre-transient) orbit is the initial condition
     itself, so ``spec.n`` counts it. Deterministic.
+
+    A Henon iterate, the final unstored one included, with a coordinate
+    past ``DIVERGENCE_LIMIT`` or not a number raises ``DivergenceError``
+    with its index. Iterates are tested once per block of ``_CHECK_ROWS``;
+    a block that may hold a failure is run again, testing each iterate, to
+    find the first. A diverging orbit so runs to the end of its block.
     """
     p = spec.params
     if spec.name == "logistic":
@@ -320,13 +353,32 @@ def generate_map_trace(spec: MapSpec) -> ScalarSeries:
         return ScalarSeries(xs[spec.transient :])
     # henon: observe x
     a, b = p["a"], p["b"]
-    xs = np.empty(spec.n, dtype=np.float64)
+    n = spec.n
+    xs = np.empty(n, dtype=np.float64)
+    # A block is tested on its stored x and on the x of the iterate after
+    # it. Each y is b * x of the iterate before, so when every such |x| is
+    # at most `bound`, every |y| is within the limit too, after rounding in
+    # any float type. A block that fails this test is run again from its
+    # start with the test per iterate, which finds the first that failed.
+    bound = DIVERGENCE_LIMIT / (2.0 * max(1.0, float(abs(b))))
     x, y = spec.x0
-    for i in range(spec.n):
-        xs[i] = x
-        x, y = 1.0 - a * x * x + y, b * x
-        if not (abs(x) <= DIVERGENCE_LIMIT and abs(y) <= DIVERGENCE_LIMIT):
-            raise DivergenceError(i + 1)
+    for start in range(0, n, _CHECK_ROWS):
+        stop = min(start + _CHECK_ROWS, n)
+        begin = x, y
+        # numpy-scalar coefficients warn as they overflow past the failing
+        # iterate; the run again warns up to it, as the per-iterate test did
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(start, stop):
+                xs[i] = x
+                x, y = 1.0 - a * x * x + y, b * x
+        block = xs[start:stop]
+        if not (block.min() >= -bound and block.max() <= bound
+                and -bound <= float(x) <= bound):
+            x, y = begin
+            for i in range(start, stop):
+                x, y = 1.0 - a * x * x + y, b * x
+                if not (abs(x) <= DIVERGENCE_LIMIT and abs(y) <= DIVERGENCE_LIMIT):
+                    raise DivergenceError(i + 1)
     return ScalarSeries(xs[spec.transient :])
 
 

@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.spatial import cKDTree
 
 import delaykit as dk
 from delaykit import embedding_params
+from delaykit.timeseries import delay_matrix
 from delaykit.errors import (
     DegenerateSeriesError,
     NoEmbeddingFoundError,
@@ -97,7 +99,12 @@ def brute_force_fnn(values, m, tau, r_tol=10.0, a_tol=2.0):
         stretch = abs(added[i] - added[j]) / d[j]
         d_m1 = np.hypot(d[j], abs(added[i] - added[j]))
         flags.append(stretch > r_tol or d_m1 / r_a > a_tol)
-    return np.mean(flags) if used else 0.0
+    return np.mean(flags) if used else math.nan
+
+
+def same_fraction(a, b):
+    """Equal fractions, NaN (no usable pair) matching NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 def quantised_logistic():
@@ -127,7 +134,44 @@ def rounded(n):
                      st.integers(1, 2)).map(lambda drawn: np.round(*drawn))
 
 
+def lexsort_first_copies(rows):
+    """The grouping ``_first_copies`` replaced: every row sorted whole."""
+    order = np.lexsort(rows.T)
+    same = np.ones(len(rows) - 1, dtype=bool)
+    for c in range(rows.shape[1]):
+        col = rows[order, c]
+        same &= col[1:] == col[:-1]
+    starts = np.concatenate(([True], ~same))
+    ends = np.concatenate((~same, [True]))
+    first = np.zeros(len(rows), dtype=bool)
+    first[order[starts]] = True
+    alone = np.zeros(len(rows), dtype=bool)
+    alone[order[starts & ends]] = True
+    return np.flatnonzero(first), alone[first]
+
+
+@st.composite
+def delay_rows(draw):
+    """The base rows of a false-neighbor test: a delay matrix of a lattice,
+    rounded or continuous series."""
+    m, tau = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n = draw(st.integers(m * tau + 1, 120))
+    samples = draw(st.sampled_from([
+        st.integers(-3, 3).map(float),
+        st.floats(-1.0, 1.0).map(lambda v: round(v, 1)),
+        st.floats(-1e6, 1e6)]))
+    values = np.array(draw(st.lists(samples, min_size=n, max_size=n)))
+    return delay_matrix(values, m + 1, tau)[:, :m]
+
+
 class TestFnnFraction:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(delay_rows())
+    def test_first_copies_match_the_whole_sort(self, rows):
+        first, alone = embedding_params._first_copies(rows)
+        expected_first, expected_alone = lexsort_first_copies(rows)
+        assert np.array_equal(first, expected_first)
+        assert np.array_equal(alone, expected_alone)
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(size=500)
@@ -140,19 +184,29 @@ class TestFnnFraction:
     @given(tied_series(integers))
     def test_ties_on_integer_lattices_go_to_the_smallest_index(self, case):
         values, m, tau = case
-        assert dk.fnn_fraction(values, m, tau) == brute_force_fnn(values, m, tau)
+        assert same_fraction(dk.fnn_fraction(values, m, tau),
+                             brute_force_fnn(values, m, tau))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(tied_series(rounded))
     def test_ties_on_rounded_series_go_to_the_smallest_index(self, case):
         values, m, tau = case
-        assert dk.fnn_fraction(values, m, tau) == brute_force_fnn(values, m, tau)
+        assert same_fraction(dk.fnn_fraction(values, m, tau),
+                             brute_force_fnn(values, m, tau))
 
     def test_quantised_logistic_matches_the_oracle(self):
+        # at m = 1 every point has a copy, so no pair is usable
         values = quantised_logistic()
         fractions = [dk.fnn_fraction(values, m, 1) for m in range(1, 5)]
-        assert fractions == [brute_force_fnn(values, m, 1) for m in range(1, 5)]
-        assert fractions == [0.0, 0.0, 0.0, 0.04]
+        oracle = [brute_force_fnn(values, m, 1) for m in range(1, 5)]
+        assert all(map(same_fraction, fractions, oracle))
+        assert math.isnan(fractions[0])
+        assert fractions[1:] == [0.0, 0.0, 0.04]
+
+    def test_no_usable_pair_is_nan(self):
+        values = np.tile([0.0, 1.0, 2.0], 50)
+        assert math.isnan(dk.fnn_fraction(values, 1, 1))
+        assert math.isnan(brute_force_fnn(values, 1, 1))
 
     def test_tied_fractions_do_not_depend_on_the_tree_build(self, monkeypatch):
         draws = np.random.default_rng(0).integers(0, 20, 1500).astype(np.float64)
@@ -161,7 +215,8 @@ class TestFnnFraction:
         default = [dk.fnn_fraction(*case) for case in cases]
         monkeypatch.setattr(embedding_params, "cKDTree",
                             functools.partial(cKDTree, leafsize=1, balanced_tree=False))
-        assert [dk.fnn_fraction(*case) for case in cases] == default
+        rebuilt = [dk.fnn_fraction(*case) for case in cases]
+        assert all(map(same_fraction, rebuilt, default))
 
     def test_memory_is_bounded_on_long_series(self):
         # the neighbors are found in blocks: one query of every point at
@@ -214,6 +269,18 @@ class TestEstimateMFnn:
     def test_line_gives_one(self):
         line = np.linspace(0.0, 5.0, 1000)
         assert dk.estimate_m_fnn(line, 3).m == 1
+
+    def test_rounded_henon_needs_a_usable_pair(self):
+        # at 2 decimals every point of the m = 1 reconstruction has a copy;
+        # the fraction there is NaN, so m = 1 is not accepted on no pairs
+        x = dk.generate_map_trace(dk.MapSpec("henon", x0=(0.1, 0.1), n=11000,
+                                             transient=1000)).values
+        assert dk.estimate_m_fnn(x, 1).m == 2
+        rounded = np.round(x, 2)
+        assert math.isnan(dk.fnn_fraction(rounded, 1, 1))
+        choice = dk.estimate_m_fnn(rounded, 1)
+        assert choice.m == 2
+        assert choice.score == dk.fnn_fraction(rounded, 2, 1) > 0.0
 
     def test_no_embedding_found_carries_curve(self):
         rng = np.random.default_rng(6)

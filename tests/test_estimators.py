@@ -820,6 +820,17 @@ class TestPatternLabels:
         assert dk.permutation_entropy(x, 5) == pe
         assert dk.weighted_permutation_entropy(x, 5) == wpe
 
+    @pytest.mark.parametrize("ell", range(2, 16))
+    def test_weights_are_the_variances_of_numpy(self, monkeypatch, ell):
+        # summed column by column in the order numpy sums a row, the weights
+        # are np.var's bit for bit, in blocks of 7 windows too
+        rng = np.random.default_rng(31)
+        monkeypatch.setattr(estimators, "_PATTERN_BLOCK", 7)
+        for x in (np.round(rng.normal(size=400), 1), rng.normal(size=400)):
+            windows = np.lib.stride_tricks.sliding_window_view(x, ell)
+            _, weights = _pattern_labels(windows, weighted=True)
+            assert weights.tobytes() == np.var(windows, axis=1).tobytes()
+
     def test_long_series_memory_is_bounded(self):
         # one int64 code and one float64 weight per window, plus the sorted
         # copy np.unique takes; ranks and variance temporaries stay within a

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,11 @@ from hypothesis import strategies as st
 
 import delaykit as dk
 from delaykit.errors import DivergenceError, ValidationError
-from delaykit.systems import _FLOAT_MAX_DIMENSION, DIVERGENCE_LIMIT
+from delaykit.systems import _CHECK_ROWS, _FLOAT_MAX_DIMENSION, DIVERGENCE_LIMIT
+
+# Steps per divergence test for the oracle tests: every step its own block,
+# blocks that a divergence falls inside, and the default.
+CHECK_ROWS = [1, 7, _CHECK_ROWS]
 
 
 class TestIntegrateRK4:
@@ -380,28 +385,76 @@ def test_divergence_step_and_warnings_match_oracle(case):
     ("lorenz63", {"rho": 2800}, 0.05),
     ("lorenz96", {"K": 22, "F": 40}, 0.5),
     ("rossler", {"c": 1e3}, 1.0),
+    ("rossler", {}, 0.16),
 ])
-def test_flow_divergence_matches_oracle(name, params, dt):
+def test_flow_divergence_matches_oracle(monkeypatch, name, params, dt):
     spec = dk.FlowSpec(name, params, dt=dt, steps=2000)
     x0 = dk.default_initial_state(name, spec.params, seed=2)
-    new, new_warnings = outcome(dk.integrate_rk4, spec.field_function(), x0, dt,
-                                spec.steps)
     old, old_warnings = outcome(oracle_integrate_rk4, oracle_field(spec), x0, dt,
                                 spec.steps)
-    assert new[0] == "diverged"
-    assert new == old
-    assert new_warnings <= old_warnings
+    assert old[0] == "diverged"
+    for rows in CHECK_ROWS:
+        monkeypatch.setattr(dk.systems, "_CHECK_ROWS", rows)
+        new, new_warnings = outcome(dk.integrate_rk4, spec.field_function(), x0, dt,
+                                    spec.steps)
+        assert new == old, rows
+        assert new_warnings <= old_warnings
 
 
 @pytest.mark.parametrize("x0", [(2.0, 2.0), (1.5, 0.0), (math.nan, 0.0),
                                 (math.inf, 0.0), (50.0, 0.0)])
-def test_henon_divergence_matches_oracle(x0):
+def test_henon_divergence_matches_oracle(monkeypatch, x0):
     spec = dk.MapSpec("henon", {}, x0=x0, n=500)
-    new, new_warnings = outcome(lambda: dk.generate_map_trace(spec).values)
     old, old_warnings = outcome(oracle_henon, spec)
-    assert new[0] == "diverged"
-    assert new == old
-    assert new_warnings <= old_warnings
+    assert old[0] == "diverged"
+    for rows in CHECK_ROWS:
+        monkeypatch.setattr(dk.systems, "_CHECK_ROWS", rows)
+        new, new_warnings = outcome(lambda: dk.generate_map_trace(spec).values)
+        assert new == old, rows
+        assert new_warnings <= old_warnings
+
+
+def test_flow_divergence_on_block_edges_and_last_step(monkeypatch):
+    # Rossler at dt = 0.16 first fails at step 105: as the last step, as
+    # the last row of a block, the first row of the next, or mid-block
+    spec = dk.FlowSpec("rossler", {}, dt=0.16, steps=2000)
+    x0 = dk.default_initial_state("rossler", spec.params, seed=2)
+    field, oracle = spec.field_function(), oracle_field(spec)
+    assert outcome(oracle_integrate_rk4, oracle, x0, spec.dt, 2000)[0] == (
+        "diverged", 105)
+    for rows in (1, 2, 7, 103, 104, 105, 1024):
+        monkeypatch.setattr(dk.systems, "_CHECK_ROWS", rows)
+        for steps in (105, 106, 107, 2000):
+            new, new_warnings = outcome(dk.integrate_rk4, field, x0, spec.dt, steps)
+            old, old_warnings = outcome(oracle_integrate_rk4, oracle, x0, spec.dt,
+                                        steps)
+            assert new == old, (rows, steps)
+            assert new_warnings <= old_warnings
+
+
+@pytest.mark.parametrize("params,x0", [
+    ({}, (50.0, 0.0)),
+    # |b| > 1: y passes the limit first
+    ({"b": 1e13}, (0.5, 0.0)),
+    ({"a": 0, "b": 3}, (0.1, 0.1)),
+    ({"a": 0, "b": np.float32(3)}, (0.1, 0.1)),
+    # numpy-scalar coefficients, which warn as they overflow
+    ({"a": np.float32(1.4), "b": np.float32(0.3)}, (2.0, 2.0)),
+    ({"b": np.float32(-2.5)}, (0.3, 0.1)),
+    ({"a": np.float64(1.4)}, (1e200, 0.0)),
+])
+def test_henon_divergence_on_the_final_iterate(monkeypatch, params, x0):
+    # with n = the failing iterate, the failure is the final iterate, which
+    # the orbit never stores
+    step = outcome(oracle_henon, dk.MapSpec("henon", params, x0=x0, n=5000))[0][1]
+    for rows in (1, 2, 7, step - 1, step, 1024):
+        monkeypatch.setattr(dk.systems, "_CHECK_ROWS", max(rows, 1))
+        for n in (step, step + 1, 5000):
+            spec = dk.MapSpec("henon", params, x0=x0, n=n)
+            new, new_warnings = outcome(lambda: dk.generate_map_trace(spec).values)
+            old, old_warnings = outcome(oracle_henon, spec)
+            assert new == old == ("diverged", step), (rows, n)
+            assert new_warnings <= old_warnings
 
 
 @pytest.mark.parametrize("name,params", [("lorenz96", {"K": 5}),
@@ -535,14 +588,17 @@ def flow_cases(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(flow_cases())
 def test_integrator_matches_oracle_property(case):
-    # the same bytes, or the same divergence step, and no new warnings
+    # the same bytes, or the same divergence step, and no new warnings, for
+    # every block size
     spec, x0 = case
-    new, new_warnings = outcome(dk.integrate_rk4, spec.field_function(), x0,
-                                spec.dt, spec.steps)
     old, old_warnings = outcome(oracle_integrate_rk4, oracle_field(spec), x0,
                                 spec.dt, spec.steps)
-    assert new == old
-    assert new_warnings <= old_warnings
+    for rows in CHECK_ROWS:
+        with mock.patch.object(dk.systems, "_CHECK_ROWS", rows):
+            new, new_warnings = outcome(dk.integrate_rk4, spec.field_function(),
+                                        x0, spec.dt, spec.steps)
+        assert new == old, rows
+        assert new_warnings <= old_warnings
 
 
 # --------------------------------------------------------------------------

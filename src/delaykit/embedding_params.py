@@ -7,8 +7,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from ._neighbours import _ExactIndex
 from .errors import (
     NoEmbeddingFoundError,
     NoMinimumError,
@@ -22,7 +22,6 @@ from .estimators import (
     binned_mutual_information,
     td_mutual_information_curve,
 )
-from .forecast import _nearest_rows
 from .timeseries import as_count, as_values, delay_matrix
 
 __all__ = [
@@ -172,62 +171,27 @@ def fnn_fraction(series, m: int, tau: int,
     ext = delay_matrix(values, m + 1, tau)  # columns 0..m-1 plus the new lag
     base = ext[:, :m]
     added = ext[:, m]
-    # a point with a copy has a neighbor at distance 0 and is skipped; any
-    # other point's neighbor is the first copy of its nearest point, so the
-    # tree holds each distinct point once, in index order. Without this,
-    # every copy would be proposed before a tie could be settled.
-    first, lone = _first_copies(base)
-    points = base[first]
-    tree = cKDTree(points)
+    # a point with a copy has a neighbor at distance 0 and is skipped; the
+    # others are asked for their nearest other point
+    index = _ExactIndex(base)
     r_a = float(np.std(values))
     flagged = used = 0
-    for start in range(0, first.size, _FNN_BLOCK):
-        rows = start + np.flatnonzero(lone[start : start + _FNN_BLOCK])
+    for start in range(0, index.first.size, _FNN_BLOCK):
+        lone = np.flatnonzero(index.alone[start : start + _FNN_BLOCK])
+        rows = index.first[start + lone]
         # k = 3 proposes the point itself, its neighbor and one more, which
         # shows whether the neighbor is tied; a point without a copy among
         # at least two points always has another point to pair with.
-        d_m, nbr = _nearest_rows(tree, points, points[rows],
+        d_m, nbr = index.nearest(base[rows],
                                  lambda idx, part: idx == rows[part, None], 3)
         usable = d_m > 0.0
         d_m = d_m[usable]
-        gap = np.abs(added[first[rows]] - added[first[nbr]])[usable]
+        gap = np.abs(added[rows] - added[nbr])[usable]
         d_m1 = np.sqrt(d_m ** 2 + gap ** 2)
         flagged += int(np.count_nonzero((gap / d_m > config.r_tol)
                                         | (d_m1 / r_a > config.a_tol)))
         used += d_m.size
     return flagged / used if used else math.nan
-
-
-def _first_copies(rows: np.ndarray):
-    """Indices of the first copy of each distinct row, ascending, and a
-    mask over them of the rows that have no other copy.
-
-    Only a row whose first value repeats can have a copy, so only those
-    rows are sorted whole: the cost follows the copies. On a 10^6-sample
-    Henon series at m = 1 (medians of 11 interleaved calls): 35 ms against
-    211 ms sorting every row; rounded to 2 decimals, 231 against 123 ms,
-    where the search that follows holds a few hundred distinct points."""
-    lead = np.sort(rows[:, 0])
-    # the values that repeat, then the largest value, so that every search
-    # lands on an entry; rows that match only the largest are sorted idly
-    repeated = np.append(np.unique(lead[1:][lead[1:] == lead[:-1]]), lead[-1:])
-    maybe = np.flatnonzero(repeated[np.searchsorted(repeated, rows[:, 0])]
-                           == rows[:, 0])
-    order = maybe[np.lexsort(rows[maybe].T)]  # stable: copies in index order
-    same = True
-    for c in range(rows.shape[1]):
-        col = rows[order, c]
-        same = same & (col[1:] == col[:-1])
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = ~same
-    ends = np.ones(order.size, dtype=bool)
-    ends[:-1] = ~same
-    first = np.ones(len(rows), dtype=bool)
-    first[maybe] = False
-    first[order[starts]] = True
-    alone = first.copy()
-    alone[order[starts & ~ends]] = False
-    return np.flatnonzero(first), alone[first]
 
 
 def estimate_m_fnn(series, tau: int,

@@ -19,14 +19,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
+from ._neighbours import _mark_cell_worker, _query_workers
 from .errors import (
     CapacityError,
     DegenerateSeriesError,
     DelayKitError,
     ValidationError,
 )
-from .timeseries import (_mark_cell_worker, _query_workers, _usable_cores, as_count,
-                         as_points, as_values, delay_matrix)
+from .timeseries import _usable_cores, as_count, as_points, as_values, delay_matrix
 
 __all__ = [
     "SweepGrid",

@@ -5,7 +5,9 @@ all prior observations), nearest-neighbor analogue forecasting on a delay
 reconstruction, and a least-squares autoregressive baseline. All run under
 the same rolling protocol: predict a block of h steps from the current
 training prefix, ingest the h true values, repeat to the end of the test
-segment, and score the collected predictions with h-MASE.
+segment, and score the collected predictions with h-MASE. Analogues come
+from one exact neighbour index over the distinct delay vectors, so a
+quantised series costs what its distinct vectors cost.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial import cKDTree
 
+from ._neighbours import _ExactIndex, _scan_distances
 from .errors import NoNeighborError, ValidationError
 from .metrics import MaseScore, h_mase
-from .timeseries import ScalarSeries, _query_workers, as_count, as_values, delay_matrix, split
+from .timeseries import ScalarSeries, as_count, as_values, delay_matrix, split
 
 __all__ = [
     "ForecastRun",
@@ -154,57 +156,6 @@ def forecast_ar(train, order: int = 8) -> float:
     return float(_ar_blocks(x, x.size, x.size + 1, 1, order, 1)[0][0])
 
 
-def _scan_distances(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Euclidean distances of (q, k, m) vectors to their (q, m) queries, as
-    (q, k), by the formula of a full scan, so that ties and rounding are
-    those of ``np.sqrt(np.sum((points - query) ** 2, axis=1))``."""
-    q, k, m = vectors.shape
-    diff = (vectors - queries[:, None, :]).reshape(q * k, m)
-    return np.sqrt(np.sum(diff ** 2, axis=1)).reshape(q, k)
-
-
-def _nearest_rows(tree: cKDTree, points: np.ndarray, queries: np.ndarray,
-                  excluded, k: int):
-    """For each query, the nearest admissible row of ``points`` (the rows
-    ``tree`` was built on) and its distance, the smallest row winning ties.
-
-    ``excluded(idx, part)`` flags the inadmissible rows among the candidate
-    rows ``idx``, shape (len(part), k'), of the queries ``queries[part]``.
-    Every query must have at least one admissible row. The tree proposes
-    the k nearest rows by its own distance; admissible ones are re-ranked
-    by the scan formula. A query is settled once its k-th proposal lies
-    farther than the best exact distance by a relative margin far above
-    rounding, so no unproposed row can be closer or tied; unsettled
-    queries ask again with k four times larger, up to every row. Queries
-    go in chunks of at most 2**19 candidate coordinates, so memory stays
-    bounded however far k grows, and on one thread in a grid's cells.
-    """
-    total, m = points.shape
-    best = np.empty(queries.shape[0])
-    rows = np.empty(queries.shape[0], dtype=np.intp)
-    todo = np.arange(queries.shape[0])
-    while todo.size:
-        k = min(k, total)
-        chunk = max(1, 2**19 // (k * m))
-        unsettled = []
-        for at in range(0, todo.size, chunk):
-            part = todo[at : at + chunk]
-            tree_d, idx = tree.query(queries[part], k=k, workers=_query_workers())
-            tree_d = tree_d.reshape(part.size, k)
-            idx = idx.reshape(part.size, k)
-            d = _scan_distances(points[idx], queries[part])
-            d[excluded(idx, part)] = np.inf
-            d_min = d.min(axis=1)
-            settled = (k == total) | (tree_d[:, -1] > d_min * (1.0 + 1e-9))
-            best[part[settled]] = d_min[settled]
-            rows[part[settled]] = np.where(d == d_min[:, None], idx,
-                                           total).min(axis=1)[settled]
-            unsettled.append(part[~settled])
-        todo = np.concatenate(unsettled)
-        k *= 4
-    return best, rows
-
-
 def _lma_blocks(x: np.ndarray, n: int, total: int, h: int, m: int, tau: int,
                 theiler: int) -> np.ndarray:
     """Analogue forecasts of samples ``n .. total - 1`` in blocks of h.
@@ -213,10 +164,10 @@ def _lma_blocks(x: np.ndarray, n: int, total: int, h: int, m: int, tau: int,
     exactly as a scan over the delay vectors of that prefix would: the
     nearest admissible vector (anchor more than ``theiler`` before the
     query's, image known) supplies its image, ties going to the earliest
-    anchor. One KD-tree over the prefix's delay vectors serves every
-    block; the first steps of all blocks form one batch, and so do the
-    s-th steps, which add the at most h - 1 vectors that hold predictions
-    (or whose image is one) by direct distance.
+    anchor. One KD-tree over the prefix's distinct delay vectors serves
+    every block; the first steps of all blocks form one batch, and so do
+    the s-th steps, which add the at most h - 1 vectors that hold
+    predictions (or whose image is one) by direct distance.
     """
     m, tau = as_count(m, "m"), as_count(tau, "tau")
     theiler = as_count(theiler, "theiler", low=0)
@@ -240,8 +191,7 @@ def _lma_blocks(x: np.ndarray, n: int, total: int, h: int, m: int, tau: int,
     work[:, : span + 1] = sliding_window_view(x, span + 1)[starts - (span + 1)]
     # row i is anchored at sample span + i; every row's image is known
     # before the last block starts
-    points = delay_matrix(x[: starts[-1] - 1], m, tau)
-    tree = cKDTree(points)
+    index = _ExactIndex(delay_matrix(x[: starts[-1] - 1], m, tau))
     lags = tau * np.arange(m)
     for s in range(h):
         live = np.count_nonzero(lengths > s)
@@ -251,8 +201,7 @@ def _lma_blocks(x: np.ndarray, n: int, total: int, h: int, m: int, tau: int,
         # never none, as the first query has the fewest. The query's own
         # temporal neighbours, excluded or future, tend to be nearest.
         last = starts[:live] - 2 - max(0, theiler - s) - span
-        dist, rows = _nearest_rows(tree, points, queries,
-                                   lambda idx, part: idx > last[part, None],
+        dist, rows = index.nearest(queries, lambda idx, part: idx > last[part, None],
                                    16 + 2 * theiler)
         pred = x[rows + span + 1]
         # anchors pos - 1 + j hold predictions or have one as their image
@@ -278,9 +227,9 @@ def forecast_lma(train, m: int, tau: int, steps: int = 1,
     the trajectory and repeat. Equidistant neighbors resolve to the
     smallest index so runs are deterministic.
 
-    Neighbors come from a KD-tree over the training delay vectors and are
-    re-ranked by the exact distance a full scan would compute, so the
-    result equals the scan's bit for bit.
+    Neighbors come from a KD-tree over the distinct training delay
+    vectors and are re-ranked by the exact distance a full scan would
+    compute, so the result equals the scan's bit for bit.
 
     Raises
     ------
@@ -356,8 +305,8 @@ def rolling_evaluate(series, fraction: float, method, h: int = 1, *,
 
     ``method`` is one of "random_walk", "naive", "lma", "ar", or a
     callable ``f(train_values, steps) -> sequence`` (useful for injecting
-    oracles in tests). LMA builds one KD-tree over the series' delay
-    vectors for the whole run and answers each step with the nearest
+    oracles in tests). LMA builds one KD-tree over the series' distinct
+    delay vectors for the whole run and answers each step with the nearest
     admissible vector, exactly as a scan of the prefix would. The AR
     baseline refits its coefficients to the prefix every ``refit_every``
     blocks. The refits are computed together, in batches: one QR call

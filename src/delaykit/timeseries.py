@@ -7,15 +7,14 @@ its values. Series and point clouds hold only finite reals, and
 counts (dimensions, delays, horizons, neighbour, landmark and step
 counts) are integers: every entry point coerces its inputs through
 ``as_values``, ``as_points`` and ``as_count``, which raise
-ValidationError naming what they reject. Thread pools and tree queries
-take their thread counts from the rules kept here.
+ValidationError naming what they reject. Thread pools take their thread
+counts from the rule kept here.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,20 +213,6 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-# Set in the threads of a grid pool of more than one worker. Those already
-# spread the cells over the cores, so their tree queries run on one thread
-# each; every other call splits its queries over all cores.
-_cell_worker = threading.local()
-
-
-def _mark_cell_worker():
-    _cell_worker.active = True
-
-
-def _query_workers() -> int:
-    return 1 if getattr(_cell_worker, "active", False) else -1
-
-
 # Characters of text the reader takes at a time (the ``readlines`` hint):
 # about 1 MB once held as line strings, less than the array of a
 # 2*10^5-line file, so reading peaks near twice the array.
@@ -331,7 +316,14 @@ def write_lines(path, header_lines, rows) -> None:
             fh.write(f"{row}\n")
 
 
+# Samples formatted at a time, as Python floats (faster than numpy scalars,
+# same text): a list of a whole 10^6-sample series held about 32 MB.
+_WRITE_BLOCK = 2**14
+
+
 def save_series(series: ScalarSeries, path, header_lines: list[str] | None = None) -> None:
     """Write a series file; 17 significant digits so a round trip is exact."""
-    # Python floats format faster than numpy scalars, to the same text
-    write_lines(path, header_lines or [], (f"{x:.17g}" for x in series.values.tolist()))
+    values = series.values
+    write_lines(path, header_lines or [],
+                (f"{x:.17g}" for start in range(0, values.size, _WRITE_BLOCK)
+                 for x in values[start : start + _WRITE_BLOCK].tolist()))

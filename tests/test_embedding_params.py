@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import delaykit as dk
-from delaykit import embedding_params
+from delaykit import _neighbours
 from delaykit.timeseries import delay_matrix
 from delaykit.errors import (
     DegenerateSeriesError,
@@ -168,7 +168,7 @@ class TestFnnFraction:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(delay_rows())
     def test_first_copies_match_the_whole_sort(self, rows):
-        first, alone = embedding_params._first_copies(rows)
+        first, alone = _neighbours._first_copies(rows)
         expected_first, expected_alone = lexsort_first_copies(rows)
         assert np.array_equal(first, expected_first)
         assert np.array_equal(alone, expected_alone)
@@ -213,7 +213,7 @@ class TestFnnFraction:
         cases = [(quantised_logistic(), m, 1) for m in range(1, 5)]
         cases += [(draws, m, 2) for m in range(1, 4)]
         default = [dk.fnn_fraction(*case) for case in cases]
-        monkeypatch.setattr(embedding_params, "cKDTree",
+        monkeypatch.setattr(_neighbours, "cKDTree",
                             functools.partial(cKDTree, leafsize=1, balanced_tree=False))
         rebuilt = [dk.fnn_fraction(*case) for case in cases]
         assert all(map(same_fraction, rebuilt, default))

@@ -12,7 +12,7 @@ from conftest import make_map_trace
 from scipy.spatial import cKDTree
 
 import delaykit as dk
-from delaykit import cli, embedding_params, estimators, forecast
+from delaykit import _neighbours, cli, estimators
 from delaykit.errors import CapacityError, DegenerateSeriesError, ValidationError
 from delaykit.estimators import (
     _autocorrelation_at,
@@ -619,8 +619,7 @@ class TestNeighbourSearchThreads:
     def entries(self, monkeypatch):
         log = []
         monkeypatch.setattr(WorkersRecordingTree, "log", log)
-        for module in (forecast, embedding_params):
-            monkeypatch.setattr(module, "cKDTree", WorkersRecordingTree)
+        monkeypatch.setattr(_neighbours, "cKDTree", WorkersRecordingTree)
         return log
 
     def test_standalone_lma_queries_on_every_core(self, entries):

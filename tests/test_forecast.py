@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 
 import delaykit as dk
-from delaykit import forecast
+from delaykit import _neighbours, forecast
 from delaykit.errors import NoNeighborError, ValidationError
 from delaykit.forecast import _fit_ar
 from delaykit.timeseries import delay_matrix
@@ -235,7 +237,10 @@ def scan_forecast_lma(train, m, tau, steps=1, theiler=0):
     out = np.empty(steps)
     for s in range(steps):
         end = n + s  # number of known samples
-        points = delay_matrix(work[:end], m, tau)
+        # rows in C order, as the library gathers them: numpy sums a row
+        # of 8 or more squares pairwise there, but lays the difference of a
+        # delay view out column-major at tau >= 2 and sums it left to right
+        points = np.ascontiguousarray(delay_matrix(work[:end], m, tau))
         query_anchor = end - 1
         query = points[-1]
         dist = np.sqrt(np.sum((points - query) ** 2, axis=1))
@@ -336,6 +341,15 @@ def _noisy_oscillator(n=300, seed=8):
 def _lattice(n=300, seed=9):
     # small integers: many delay vectors lie at exactly equal distances
     return np.random.default_rng(seed).integers(0, 3, n).astype(np.float64)
+
+
+def _one_decimal(n=300, seed=8):
+    # a sensor's rounding: many delay vectors have copies
+    return np.round(_noisy_oscillator(n, seed), 1)
+
+
+def _two_decimals(n=300, seed=8):
+    return np.round(_noisy_oscillator(n, seed), 2)
 
 
 def assert_ar_close(run, pred, score, pred_tol, mase_rtol):
@@ -524,7 +538,8 @@ class TestBatchedAR:
 @pytest.mark.parametrize("theiler", [0, 1, 25])
 @pytest.mark.parametrize("tau", [1, 3])
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
-@pytest.mark.parametrize("make", [_noisy_oscillator, _lattice])
+@pytest.mark.parametrize("make", [_noisy_oscillator, _lattice, _one_decimal,
+                                  _two_decimals])
 def test_lma_matches_scan(make, m, tau, theiler, h):
     x = make()
     kwargs = {"m": m, "tau": tau, "theiler": theiler}
@@ -564,13 +579,53 @@ def test_lma_grows_candidates_to_every_row(monkeypatch):
     x = rng.standard_normal(400)
     x[:80] += 1000.0
     monkeypatch.setattr(_CountingTree, "asked", [])
-    monkeypatch.setattr(forecast, "cKDTree", _CountingTree)
+    monkeypatch.setattr(_neighbours, "cKDTree", _CountingTree)
     kwargs = {"m": 2, "tau": 1, "theiler": 120}
     for h in (1, 4):
         run = dk.rolling_evaluate(x, 0.5, "lma", h=h, **kwargs)
         pred, _, _ = rolling_oracle(x, 0.5, "lma", h=h, **kwargs)
         assert run.predictions.tobytes() == pred.tobytes()
     assert any(k == rows > 256 for k, rows in _CountingTree.asked)
+
+
+@pytest.mark.parametrize("make", [_one_decimal, _lattice])
+def test_lma_tree_holds_each_distinct_vector_once(monkeypatch, make):
+    # copies lie at equal distances and the first is admissible whenever
+    # any copy is, so the tree holds first copies only, and no query asks
+    # past its first k to see every copy of a tie
+    x = make(2000)
+    monkeypatch.setattr(_CountingTree, "asked", [])
+    monkeypatch.setattr(_neighbours, "cKDTree", _CountingTree)
+    m, tau, h = 2, 1, 3
+    train = x[:1600]
+    assert (dk.forecast_lma(train, m, tau, steps=h).tobytes()
+            == scan_forecast_lma(train, m, tau, steps=h).tobytes())
+    run = dk.rolling_evaluate(x, 0.8, "lma", h=h, m=m, tau=tau)
+    pred, _, _ = rolling_oracle(x, 0.8, "lma", h=h, m=m, tau=tau)
+    assert run.predictions.tobytes() == pred.tobytes()
+    # the rolling tree holds the vectors whose image is known before the
+    # last block starts
+    last_start = np.arange(train.size, x.size, h)[-1]
+    distinct = [len(np.unique(delay_matrix(part[:-1], m, tau), axis=0))
+                for part in (train, x[:last_start])]
+    sizes = [rows for _, rows in _CountingTree.asked]
+    assert sorted(set(sizes)) == sorted(set(distinct))
+    assert max(k for k, _ in _CountingTree.asked) <= 16
+
+
+def test_tied_predictions_do_not_depend_on_the_tree_build(monkeypatch):
+    x = _lattice(1500)
+    cases = [(1, 1, 0, 1), (2, 1, 0, 3), (3, 2, 5, 4), (2, 3, 25, 2)]
+
+    def predictions():
+        return [dk.rolling_evaluate(x, 0.8, "lma", h=h, m=m, tau=tau,
+                                    theiler=theiler).predictions.tobytes()
+                for m, tau, theiler, h in cases]
+
+    default = predictions()
+    monkeypatch.setattr(_neighbours, "cKDTree",
+                        functools.partial(cKDTree, leafsize=1, balanced_tree=False))
+    assert predictions() == default
 
 
 @pytest.mark.parametrize("h", [1, 5])

@@ -3,8 +3,9 @@ No module starts processes: grids run their cells on threads. Only the flow
 stepper generator compiles code, and the code it generates obeys the same
 rules. Only the edge-filtration kernel passes over the witnesses, only
 the pass multiplies matrices in ``topology``, and only ``build_complex``
-lists triangles. Only the exact-neighbour helper of ``forecast`` queries a
-tree in ``forecast`` and ``embedding_params``. No module scatters with a
+lists triangles. Only the exact-neighbour index of ``_neighbours`` queries
+a tree among the modules of analogues and false neighbours, and only it
+and ``estimators`` import ``scipy.spatial``. No module scatters with a
 ufunc's unbuffered ``at``. Only ``timeseries`` scans inputs for non-finite
 values.
 The public namespace holds the names listed here and no others."""
@@ -227,9 +228,9 @@ def test_only_the_exact_neighbour_helper_queries_trees():
     # analogue forecasts and false neighbours share one tie rule: the scan
     # distance re-ranks the tree's proposals and the smallest row wins
     uses = {module: tree_queries((PACKAGE / module).read_text(encoding="utf-8"))
-            for module in ("forecast.py", "embedding_params.py")}
-    assert uses == {"forecast.py": ["_nearest_rows: query"],
-                    "embedding_params.py": []}
+            for module in ("forecast.py", "embedding_params.py", "_neighbours.py")}
+    assert uses == {"forecast.py": [], "embedding_params.py": [],
+                    "_neighbours.py": ["nearest: query"]}
 
 
 def test_guard_catches_tree_queries():
@@ -237,6 +238,43 @@ def test_guard_catches_tree_queries():
               "def g(tree, q):\n    d, i = tree.query(q, k=3, workers=-1)\n"
               "def h(tree, q):\n    return tree.query_ball_point(q, 1.0), query\n")
     assert tree_queries(source) == ["f: query", "g: query"]
+
+
+def spatial_imports(source: str) -> list[str]:
+    """Each import of ``scipy.spatial`` or one of its submodules, as
+    ``line: what``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno}: import {a.name}" for a in node.names
+                      if a.name.startswith("scipy.spatial")]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("scipy.spatial"):
+                found.append(f"{node.lineno}: from {node.module}")
+            elif node.module == "scipy":
+                found += [f"{node.lineno}: from scipy import spatial"
+                          for a in node.names if a.name == "spatial"]
+    return found
+
+
+def test_only_the_neighbour_module_and_ksg_import_spatial_trees():
+    # every other tree is built by the exact-neighbour index
+    uses = {module: spatial_imports((PACKAGE / module).read_text(encoding="utf-8"))
+            for module in MODULES}
+    assert sorted(module for module, found in uses.items() if found) == [
+        "_neighbours.py", "estimators.py"]
+
+
+def test_guard_catches_spatial_imports():
+    source = ("import scipy.spatial\nfrom scipy.spatial import cKDTree\n"
+              "from scipy import spatial, special\nimport scipy.spatial.distance as d\n"
+              "from scipy.spatial.distance import cdist\nfrom scipy.special import digamma\n"
+              "import scipy\n")
+    assert spatial_imports(source) == ["1: import scipy.spatial",
+                                       "2: from scipy.spatial",
+                                       "3: from scipy import spatial",
+                                       "4: import scipy.spatial.distance",
+                                       "5: from scipy.spatial.distance"]
 
 
 def ufunc_at_uses(source: str) -> list[str]:

@@ -380,6 +380,32 @@ def test_bad_line_in_a_later_chunk(tmp_path, monkeypatch, chunk):
     assert read_rows(p).tolist() == [[i + 0.5] for i in range(200) if i != 149]
 
 
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 14])
+def test_series_is_written_in_blocks_as_one_list_writes_it(tmp_path, monkeypatch, n):
+    # blocks of 7 samples: a file of one partial block, of exact blocks and
+    # of a partial last block
+    monkeypatch.setattr(timeseries, "_WRITE_BLOCK", 7)
+    values = np.random.default_rng(n).normal(size=n) * 1e-3
+    p = tmp_path / "blocks.txt"
+    dk.save_series(dk.ScalarSeries(values), p, ["blocks"])
+    whole = "".join(f"{x:.17g}\n" for x in values.tolist())
+    assert p.read_text(encoding="utf-8") == "# blocks\n" + whole
+
+
+def test_writing_holds_one_block_of_floats(tmp_path):
+    # a list of the whole series as Python floats peaked at 4.0 times the
+    # array of 2*10^5 samples, one block at 0.36 times
+    series = dk.ScalarSeries(np.random.default_rng(5).standard_normal(200_000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dk.save_series(series, tmp_path / "long.txt")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * series.values.nbytes
+
+
 def test_long_file_reads_in_twice_the_array(tmp_path):
     # the row-list reader peaked at 20x the array on this file
     rng = np.random.default_rng(4)

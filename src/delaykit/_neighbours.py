@@ -26,9 +26,12 @@ def _query_workers() -> int:
 
 def _scan_distances(vectors: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Euclidean distances of (q, k, m) vectors to their (q, m) queries, as
-    (q, k), by the formula of a full scan, so that ties and rounding are
-    those of ``np.sqrt(np.sum((points - query) ** 2, axis=1))`` for points
-    in C order (from 8 columns numpy sums a C row pairwise)."""
+    (q, k), with the ties and rounding of the full scan
+    ``np.sqrt(np.sum((points - query) ** 2, axis=1))`` over C-ordered
+    points, such as ``np.ascontiguousarray(delay_reconstruct(...).points)``
+    (numpy sums a C row of 8 or more columns pairwise). Over the raw
+    strided ``points`` at m >= 8 and tau >= 2 numpy sums in another order,
+    so that scan can send a tie to another anchor."""
     q, k, m = vectors.shape
     diff = (vectors - queries[:, None, :]).reshape(q * k, m)
     return np.sqrt(np.sum(diff ** 2, axis=1)).reshape(q, k)

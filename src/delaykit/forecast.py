@@ -5,9 +5,10 @@ all prior observations), nearest-neighbor analogue forecasting on a delay
 reconstruction, and a least-squares autoregressive baseline. All run under
 the same rolling protocol: predict a block of h steps from the current
 training prefix, ingest the h true values, repeat to the end of the test
-segment, and score the collected predictions with h-MASE. Analogues come
-from one exact neighbour index over the distinct delay vectors, so a
-quantised series costs what its distinct vectors cost.
+segment, and score the collected predictions with h-MASE. One driver,
+``_roll``, steps the analogue and AR blocks together. Analogues come from
+one exact neighbour index over the distinct delay vectors, so a quantised
+series costs what its distinct vectors cost.
 """
 
 from __future__ import annotations
@@ -124,54 +125,66 @@ def _fit_ar(x: np.ndarray, positions: np.ndarray, order: int):
     return coef, fallbacks
 
 
-def _ar_blocks(x: np.ndarray, n: int, total: int, h: int, order: int,
-               refit_every: int):
-    """AR forecasts of samples ``n .. total - 1`` in blocks of h, and the
-    number of fits that fell back to the mean.
+def _roll(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray, width: int,
+          step) -> np.ndarray:
+    """The rolling protocol's one step loop: the predictions of the blocks
+    of ``lengths[b]`` samples at ``starts[b]``, concatenated. Work row b
+    holds the ``width`` samples before block b, then its predictions; step
+    s fills column ``width + s`` of the first ``live`` rows (only the last
+    block can be short) with ``step(s, live, work[:live, : width + s])``."""
+    work = np.empty((starts.size, width + lengths[0]))
+    work[:, :width] = sliding_window_view(x[: starts[-1]], width)[starts - width]
+    for s in range(lengths[0]):
+        live = np.count_nonzero(lengths > s)
+        work[:live, width + s] = step(s, live, work[:live, : width + s])
+    return work[:, width:].ravel()[: lengths.sum()]
+
+
+def _ar_blocks(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+               order: int, refit_every: int):
+    """AR forecasts of the blocks of ``lengths[b]`` samples at ``starts[b]``,
+    and the number of fits that fell back to the mean.
 
     The block at ``pos`` iterates the AR fit to ``x[:pos]`` of the last
     refit at or before it, refits falling on every ``refit_every``-th
     block. All fits come from one ``_fit_ar`` call; the s-th steps of all
-    blocks are one vectorised step.
+    blocks are one ``_roll`` step.
     """
-    starts = np.arange(n, total, h)
     coef, fallbacks = _fit_ar(x, starts[::refit_every], order)
     coef = coef[np.arange(starts.size) // refit_every]
     lagged = coef[:, :0:-1]  # the oldest sample's coefficient first
-    lengths = np.minimum(h, total - starts)
-    # row b of work holds the order samples before block b, then the
-    # block's predictions
-    work = np.empty((starts.size, order + h))
-    work[:, :order] = sliding_window_view(x[: starts[-1]], order)[starts - order]
-    for s in range(h):
-        live = np.count_nonzero(lengths > s)
-        work[:live, order + s] = coef[:live, 0] + np.einsum(
-            "ij,ij->i", lagged[:live], work[:live, s : s + order])
-    return work[:, order:].ravel()[: total - n], int(np.count_nonzero(fallbacks))
+
+    def step(s, live, known):
+        return coef[:live, 0] + np.einsum("ij,ij->i", lagged[:live],
+                                          known[:, -order:])
+
+    return _roll(x, starts, lengths, order, step), int(np.count_nonzero(fallbacks))
 
 
 def forecast_ar(train, order: int = 8) -> float:
     """One-step prediction from a least-squares AR(order) fit with intercept."""
     x = as_values(train)
-    return float(_ar_blocks(x, x.size, x.size + 1, 1, order, 1)[0][0])
+    return float(_ar_blocks(x, np.array([x.size]), np.array([1]), order, 1)[0][0])
 
 
-def _lma_blocks(x: np.ndarray, n: int, total: int, h: int, m: int, tau: int,
-                theiler: int) -> np.ndarray:
-    """Analogue forecasts of samples ``n .. total - 1`` in blocks of h.
+def _lma_blocks(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray, m: int,
+                tau: int, theiler: int) -> np.ndarray:
+    """Analogue forecasts of the blocks of ``lengths[b]`` samples at
+    ``starts[b]``.
 
     The block at ``pos`` sees ``x[:pos]`` and its own earlier predictions,
-    exactly as a scan over the delay vectors of that prefix would: the
-    nearest admissible vector (anchor more than ``theiler`` before the
-    query's, image known) supplies its image, ties going to the earliest
-    anchor. One KD-tree over the prefix's distinct delay vectors serves
-    every block; the first steps of all blocks form one batch, and so do
-    the s-th steps, which add the at most h - 1 vectors that hold
+    exactly as a full scan over the C-ordered delay vectors of that prefix
+    would (see ``forecast_lma``): the nearest admissible vector (anchor
+    more than ``theiler`` before the query's, image known) supplies its
+    image, ties going to the earliest anchor. One KD-tree over the prefix's
+    distinct delay vectors serves every block; the s-th steps of all blocks
+    form one ``_roll`` step, which adds the at most h - 1 vectors that hold
     predictions (or whose image is one) by direct distance.
     """
     m, tau = as_count(m, "m"), as_count(tau, "tau")
     theiler = as_count(theiler, "theiler", low=0)
     span = (m - 1) * tau
+    n = int(starts[0])
     if span >= n:
         raise ValidationError(
             f"train of length {n} cannot be reconstructed at (m={m}, tau={tau})"
@@ -183,20 +196,15 @@ def _lma_blocks(x: np.ndarray, n: int, total: int, h: int, m: int, tau: int,
             f"no admissible analogue at step 1 "
             f"(theiler={theiler}, {n - span} reconstruction points)"
         )
-    starts = np.arange(n, total, h)
-    lengths = np.minimum(h, total - starts)
-    # row b of work holds samples starts[b] - 1 - span onward: the span + 1
-    # known ones before the block, then the block's predictions
-    work = np.empty((starts.size, span + 1 + h))
-    work[:, : span + 1] = sliding_window_view(x, span + 1)[starts - (span + 1)]
     # row i is anchored at sample span + i; every row's image is known
     # before the last block starts
     index = _ExactIndex(delay_matrix(x[: starts[-1] - 1], m, tau))
     lags = tau * np.arange(m)
-    for s in range(h):
-        live = np.count_nonzero(lengths > s)
-        w = work[:live]
-        queries = w[:, span + s - lags]
+
+    def step(s, live, known):
+        # known[b] holds samples starts[b] - 1 - span onward, then the
+        # block's predictions so far
+        queries = known[:, span + s - lags]
         # index rows: anchors up to pos - 2 and outside the Theiler window;
         # never none, as the first query has the fewest. The query's own
         # temporal neighbours, excluded or future, tend to be nearest.
@@ -208,12 +216,13 @@ def _lma_blocks(x: np.ndarray, n: int, total: int, h: int, m: int, tau: int,
         extra = s - theiler
         if extra > 0:
             cols = span + np.arange(extra)[:, None] - lags
-            d = _scan_distances(w[:, cols], queries)
+            d = _scan_distances(known[:, cols], queries)
             j = np.argmin(d, axis=1)
             closer = d[np.arange(live), j] < dist
-            pred = np.where(closer, w[np.arange(live), span + 1 + j], pred)
-        work[:live, span + 1 + s] = pred
-    return work[:, span + 1 :].ravel()[: total - n]
+            pred = np.where(closer, known[np.arange(live), span + 1 + j], pred)
+        return pred
+
+    return _roll(x, starts, lengths, span + 1, step)
 
 
 def forecast_lma(train, m: int, tau: int, steps: int = 1,
@@ -228,8 +237,12 @@ def forecast_lma(train, m: int, tau: int, steps: int = 1,
     smallest index so runs are deterministic.
 
     Neighbors come from a KD-tree over the distinct training delay
-    vectors and are re-ranked by the exact distance a full scan would
-    compute, so the result equals the scan's bit for bit.
+    vectors and are re-ranked by the distance of a full scan,
+    ``np.sqrt(np.sum((P - q) ** 2, axis=1))`` over C-ordered rows P, such
+    as ``np.ascontiguousarray(delay_reconstruct(train, m, tau).points)``:
+    the result equals that scan's bit for bit. Over the raw strided
+    ``points`` numpy sums rows of m >= 8 at tau >= 2 in another order, so
+    a tie can go to another anchor.
 
     Raises
     ------
@@ -238,57 +251,39 @@ def forecast_lma(train, m: int, tau: int, steps: int = 1,
     """
     x = as_values(train)
     steps = as_count(steps, "steps")
-    return _lma_blocks(x, x.size, x.size + steps, steps, m, tau, theiler)
+    return _lma_blocks(x, np.array([x.size]), np.array([steps]), m, tau, theiler)
 
 
-def _per_block(forecaster, name: str):
-    """Run a block forecaster ``f(train_values, steps)`` over the rolling
-    protocol: ``run(x, n, h)`` predicts ``x[n:]`` block by block."""
-    def run(x: np.ndarray, n: int, h: int) -> np.ndarray:
-        predictions = []
-        for pos in range(n, x.size, h):
-            block = min(h, x.size - pos)
-            block_pred = np.asarray(forecaster(x[:pos], block), dtype=np.float64)
-            if block_pred.shape != (block,):
-                raise ValidationError(f"method {name!r} returned a wrong-length block")
-            predictions.append(block_pred)
-        return np.concatenate(predictions)
-
-    return run
-
-
-def _run_forecaster(method, name: str, params: dict, m, tau, theiler: int,
-                    order: int, refit_every: int):
-    """Resolve ``method`` to ``run(x, n, h) -> predictions of x[n:]`` and
-    record the settings it uses in ``params``."""
+def _predict(x: np.ndarray, n: int, h: int, method, name: str, m, tau,
+             theiler: int, order: int, refit_every: int):
+    """Predictions of ``x[n:]`` in blocks of h by ``method``, and the
+    settings it used; its block arrays are freed before h-MASE runs."""
+    starts = np.arange(n, x.size, h)
+    lengths = np.minimum(h, x.size - starts)
     if callable(method):
-        return _per_block(method, name)
-    if method == "random_walk":
-        # each block repeats the last value before it; "naive" stays per
-        # block, since prefix means from a cumulative sum would not round
-        # as train.mean()'s pairwise sum does
-        def random_walk(x, n, h):
-            starts = np.arange(n, x.size, h)
-            return np.repeat(x[starts - 1], np.minimum(h, x.size - starts))
-
-        return random_walk
-    if method == "naive":
-        return _per_block(lambda train, steps: np.full(steps, train.mean()), name)
+        blocks = []
+        for pos, length in zip(starts.tolist(), lengths.tolist()):
+            block = np.asarray(method(x[:pos], length), dtype=np.float64)
+            if block.shape != (length,):
+                raise ValidationError(f"method {name!r} returned a wrong-length block")
+            blocks.append(block)
+        return np.concatenate(blocks), {}
+    if method in ("random_walk", "naive"):
+        # naive keeps train.mean()'s pairwise sum: prefix means from a
+        # cumulative sum would round otherwise
+        level = (x[starts - 1] if method == "random_walk"
+                 else [x[:pos].mean() for pos in starts])
+        return np.repeat(level, lengths), {}
     if method == "lma":
         if m is None or tau is None:
             raise ValidationError("lma requires m and tau")
-        params.update({"m": m, "tau": tau, "theiler": theiler})
-        return lambda x, n, h: _lma_blocks(x, n, x.size, h, m, tau, theiler)
+        return (_lma_blocks(x, starts, lengths, m, tau, theiler),
+                {"m": m, "tau": tau, "theiler": theiler})
     if method == "ar":
         refit_every = as_count(refit_every, "refit_every")
-        params.update({"order": order, "refit_every": refit_every, "fallbacks": 0})
-
-        def ar(x, n, h):
-            pred, params["fallbacks"] = _ar_blocks(x, n, x.size, h, order,
-                                                   refit_every)
-            return pred
-
-        return ar
+        pred, fallbacks = _ar_blocks(x, starts, lengths, order, refit_every)
+        return pred, {"order": order, "refit_every": refit_every,
+                      "fallbacks": fallbacks}
     raise ValidationError(f"unknown forecast method {method!r}")
 
 
@@ -305,15 +300,16 @@ def rolling_evaluate(series, fraction: float, method, h: int = 1, *,
 
     ``method`` is one of "random_walk", "naive", "lma", "ar", or a
     callable ``f(train_values, steps) -> sequence`` (useful for injecting
-    oracles in tests). LMA builds one KD-tree over the series' distinct
-    delay vectors for the whole run and answers each step with the nearest
-    admissible vector, exactly as a scan of the prefix would. The AR
-    baseline refits its coefficients to the prefix every ``refit_every``
-    blocks. The refits are computed together, in batches: one QR call
-    folds each refit's new design rows into the previous factor, one SVD
-    call checks their ranks with ``lstsq``'s cutoff and one solve gives
-    the full-rank coefficients. Fallbacks to the mean predictor are counted
-    in the run's params.
+    oracles in tests), called once per block. LMA builds one KD-tree over
+    the series' distinct delay vectors for the whole run and answers each
+    step with the nearest admissible vector, exactly as a full scan over
+    the prefix's C-ordered delay vectors would (see ``forecast_lma``). The
+    AR baseline refits its coefficients to the prefix every
+    ``refit_every`` blocks. The refits are computed together, in batches:
+    one QR call folds each refit's new design rows into the previous
+    factor, one SVD call checks their ranks with ``lstsq``'s cutoff and one
+    solve gives the full-rank coefficients. Fallbacks to the mean predictor
+    are counted in the run's params.
     """
     h = as_count(h, "h")
     full = series if isinstance(series, ScalarSeries) else ScalarSeries(series)
@@ -322,11 +318,9 @@ def rolling_evaluate(series, fraction: float, method, h: int = 1, *,
     n = len(parts.train)
 
     name = method if isinstance(method, str) else getattr(method, "__name__", "custom")
-    params: dict = {"h": h, "fraction": fraction}
-    run = _run_forecaster(method, name, params, m, tau, theiler, order,
-                          refit_every)
-    pred = run(x, n, h)
+    pred, settings = _predict(x, n, h, method, name, m, tau, theiler, order,
+                              refit_every)
     truth = x[n:]
     score = h_mase(pred, truth, parts.train, h)
-    return ForecastRun(method=name, params=params, predictions=pred,
-                       truth=truth, train_length=n, score=score)
+    return ForecastRun(method=name, params={"h": h, "fraction": fraction, **settings},
+                       predictions=pred, truth=truth, train_length=n, score=score)

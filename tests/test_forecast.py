@@ -215,9 +215,16 @@ class TestRollingEvaluate:
             dk.rolling_evaluate(np.arange(100.0), 0.9, "naive", h=h)
 
     def test_wrong_length_block_rejected(self):
-        with pytest.raises(ValidationError):
-            dk.rolling_evaluate(np.arange(100.0), 0.9,
-                                lambda train, steps: np.zeros(steps + 1), h=2)
+        asked = []
+
+        def one_too_many(train, steps):
+            asked.append((train.size, steps))
+            return np.zeros(steps + (train.size == 94))
+
+        # the third block is wrong; no later block is requested
+        with pytest.raises(ValidationError, match="wrong-length block"):
+            dk.rolling_evaluate(np.arange(100.0), 0.9, one_too_many, h=2)
+        assert asked == [(90, 2), (92, 2), (94, 2)]
 
     def test_lorenz96_optimal_beats_heuristic(self, lorenz96_20k):
         sub = dk.ScalarSeries(lorenz96_20k.values[:6000])
@@ -359,7 +366,8 @@ def assert_ar_close(run, pred, score, pred_tol, mase_rtol):
 
 class TestRollingOracle:
     @pytest.mark.parametrize("refit_every", [1, 3])
-    @pytest.mark.parametrize("h", [1, 3])
+    # 60 test samples: h = 7 leaves a last block of 4
+    @pytest.mark.parametrize("h", [1, 3, 7])
     @pytest.mark.parametrize("method", ["random_walk", "naive", "lma", "ar"])
     def test_matches_per_block_dispatch(self, method, h, refit_every):
         x = _noisy_oscillator()

@@ -5,7 +5,9 @@ rules. Only the edge-filtration kernel passes over the witnesses, only
 the pass multiplies matrices in ``topology``, and only ``build_complex``
 lists triangles. Only the exact-neighbour index of ``_neighbours`` queries
 a tree among the modules of analogues and false neighbours, and only it
-and ``estimators`` import ``scipy.spatial``. No module scatters with a
+and ``estimators`` import ``scipy.spatial``. Only the rolling driver of
+``forecast`` gathers the samples before each block, and no per-method
+adapter wraps the built-in forecasters. No module scatters with a
 ufunc's unbuffered ``at``. Only ``timeseries`` scans inputs for non-finite
 values.
 The public namespace holds the names listed here and no others."""
@@ -238,6 +240,30 @@ def test_guard_catches_tree_queries():
               "def g(tree, q):\n    d, i = tree.query(q, k=3, workers=-1)\n"
               "def h(tree, q):\n    return tree.query_ball_point(q, 1.0), query\n")
     assert tree_queries(source) == ["f: query", "g: query"]
+
+
+def block_gathers(source: str) -> list[str]:
+    """Each call of ``sliding_window_view``, by name or attribute: the
+    gather of the samples before each rolling block."""
+    return call_sites(source, ("sliding_window_view",), attributes=True)
+
+
+def test_forecasts_roll_in_one_step_loop():
+    # the AR and analogue blocks are step functions of one driver, and
+    # the dispatch calls them without an adapter
+    source = (PACKAGE / "forecast.py").read_text(encoding="utf-8")
+    assert block_gathers(source) == ["_roll: sliding_window_view"]
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_per_block", "_run_forecaster"}
+
+
+def test_guard_catches_block_gathers():
+    source = ("def f(x, w):\n    return sliding_window_view(x, w)[::2]\n"
+              "def g(x, w):\n    np.lib.stride_tricks.sliding_window_view(x, w)\n"
+              "def h():\n    return sliding_window_view\n")
+    assert block_gathers(source) == ["f: sliding_window_view",
+                                     "g: sliding_window_view"]
 
 
 def spatial_imports(source: str) -> list[str]:

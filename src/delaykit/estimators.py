@@ -257,6 +257,19 @@ def _marginal_counts(points: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return counts - 1
 
 
+def _box_radii(points: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+    """Each point's max-norm distance to the farthest of its neighbors
+    ``nbrs`` (one row per point), max over c and d of
+    |points[i, d] - points[nbrs[i, c], d]|, taken one coordinate and one
+    neighbor column at a time, so no N x k x m temporary is held."""
+    rho = np.zeros(points.shape[0])
+    for d in range(points.shape[1]):
+        col = points[:, d]
+        for c in range(nbrs.shape[1]):
+            np.maximum(rho, np.abs(col - col[nbrs[:, c]]), out=rho)
+    return rho
+
+
 def ksg_mutual_information(x_points, y_points, k: int = 4) -> float:
     """k-nearest-neighbor mutual information between two point sets, in bits.
 
@@ -287,8 +300,8 @@ def ksg_mutual_information(x_points, y_points, k: int = 4) -> float:
     _, idx = cKDTree(joint).query(joint, k=k + 1, p=np.inf,
                                   workers=_query_workers())
     nbrs = idx[:, 1:]
-    rho_x = np.max(np.abs(xp[:, None, :] - xp[nbrs]), axis=(1, 2))
-    rho_y = np.max(np.abs(yp[:, None, :] - yp[nbrs]), axis=(1, 2))
+    rho_x = _box_radii(xp, nbrs)
+    rho_y = _box_radii(yp, nbrs)
     n_x = _marginal_counts(xp, rho_x)
     n_y = _marginal_counts(yp, rho_y)
     nats = (digamma(k) - 1.0 / k
@@ -338,12 +351,19 @@ def run_grid(cell_fn, series, m_range, tau_range, jobs: int,
     """Evaluate ``cell_fn(values, m, tau)`` at every cell of an (m, tau) grid.
 
     Cells are independent and run on threads of this process: one per
-    usable core at ``jobs=1``, N threads at ``jobs=N > 1``. Inside a
-    pool of more than one thread, tree queries run on one thread.
+    usable core at ``jobs=1``, N threads at ``jobs=N > 1``, never more
+    than there are evaluations. Inside a pool of more than one thread,
+    tree queries run on one thread.
     A cell that raises a toolkit error is flagged missing (NaN) with its
     message in ``cell_errors``; the rest of the grid is still returned.
     Any other error stops the grid: cells not yet started are dropped
     and the error is raised.
+
+    Each distinct cell is evaluated once. A ``cell_fn`` must not depend
+    on tau at m = 1, where delay vectors have one coordinate and span 0:
+    the cells at m = 1 and tau >= 1 share the evaluation at their first
+    tau. Should it fail, each of them runs on its own, so that every
+    message is the one its cell raises.
     """
     values = as_values(series)
     # integers only; one below 1 fails its own cell
@@ -353,15 +373,24 @@ def run_grid(cell_fn, series, m_range, tau_range, jobs: int,
         raise ValidationError("empty parameter grid")
     jobs = as_count(jobs, "jobs")
     cells = [(m, tau) for m in m_values for tau in tau_values]
-    task = partial(_grid_cell, cell_fn, values)
-    workers = min(jobs if jobs > 1 else _usable_cores(), len(cells))
+    groups = {}  # cell positions by the evaluation they share
+    for pos, (m, tau) in enumerate(cells):
+        key = (1, None) if m == 1 and tau >= 1 else (m, tau)
+        groups.setdefault(key, []).append(pos)
+    task = partial(_grid_group, cell_fn, values)
+    workers = min(jobs if jobs > 1 else _usable_cores(), len(groups))
     # a single worker has no other cell to share the cores with
     pool = ThreadPoolExecutor(max_workers=workers,
                               initializer=_mark_cell_worker if workers > 1 else None)
     try:
-        results = list(pool.map(task, *zip(*cells), chunksize=1))
+        shared = list(pool.map(task, ([cells[pos] for pos in group]
+                                      for group in groups.values()), chunksize=1))
     finally:
         pool.shutdown(cancel_futures=True)
+    results = [None] * len(cells)
+    for group, group_results in zip(groups.values(), shared):
+        for pos, result in zip(group, group_results):
+            results[pos] = result
     grid = np.array([value for value, _ in results], dtype=np.float64)
     errors = {cell: err for cell, (_, err) in zip(cells, results) if err is not None}
     return SweepGrid(m_values, tau_values,
@@ -374,6 +403,15 @@ def _grid_cell(cell_fn, values, m, tau):
         return cell_fn(values, m, tau), None
     except DelayKitError as err:
         return np.nan, str(err)
+
+
+def _grid_group(cell_fn, values, cells):
+    """The (value, error) of each of ``cells``, which share one evaluation:
+    the first cell's, or, when it fails, each cell's own."""
+    first = _grid_cell(cell_fn, values, *cells[0])
+    if first[1] is None:
+        return [first] * len(cells)
+    return [first] + [_grid_cell(cell_fn, values, *cell) for cell in cells[1:]]
 
 
 def _atau_cell(values, m, tau, h, k, max_samples):

@@ -265,6 +265,20 @@ class TestActiveInformationStorage:
             tracemalloc.stop()
         assert peak < x.nbytes * 8 / 4
 
+    def test_long_series_cell_takes_radii_without_neighbor_temporaries(self):
+        # the same cell: 20,000 joint samples at m = 8 and k = 4. Gathering
+        # each point's neighbors as N x k x m floats to take its box radii
+        # peaked at 12.7 MiB; one column at a time, at 5.5 MiB
+        x = np.cumsum(np.random.default_rng(5).standard_normal(10**6))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dk.active_information_storage(x, 8, 1, max_samples=20000)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestAtauSurface:
     def test_single_cell_matches_scalar_op(self):
@@ -369,9 +383,9 @@ def assert_same_grid(grid, oracle):
 
 
 def reverse_finishing_cell(values, m, tau):
-    """Cells of the 2x3 grid m 1:2, tau 1:3 sleep less the later they
+    """Cells of the 2x3 grid m 2:3, tau 1:3 sleep less the later they
     come, so a pool wide enough finishes them in reverse order."""
-    time.sleep(0.08 * (6 - (3 * (m - 1) + tau - 1)))
+    time.sleep(0.08 * (6 - (3 * (m - 2) + tau - 1)))
     return 10.0 * m + tau
 
 
@@ -494,6 +508,16 @@ class TestRunGridPools:
         assert pool_sizes == [threads]
         assert grid.values.ravel().tolist() == list(range(1, cells + 1))
 
+    @pytest.mark.parametrize("cores, jobs, threads", [(8, 1, 2), (2, 4, 2), (1, 1, 1)])
+    def test_no_more_threads_than_distinct_cells(self, monkeypatch, pool_sizes, cores,
+                                                 jobs, threads):
+        # (1, 0) is one evaluation, m = 1 at tau 1-4 another
+        monkeypatch.setattr(estimators, "_usable_cores", lambda: cores)
+        grid = estimators.run_grid(lambda values, m, tau: float(tau > 0), np.arange(5.0),
+                                   [1], range(5), jobs, {})
+        assert pool_sizes == [threads]
+        assert grid.values.ravel().tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+
     @pytest.mark.parametrize("cores, jobs, cells, threads", [(1, 2, 6, 2), (2, 3, 6, 3),
                                                              (8, 4, 2, 2), (2, 5, 1, 1)])
     def test_jobs_threads_whatever_the_cores(self, monkeypatch, pool_sizes, cores,
@@ -517,8 +541,8 @@ class TestRunGridPools:
         with pytest.raises((pickle.PicklingError, AttributeError)):
             pickle.dumps(cell)
         meta = {"quantity": "closure"}
-        grid = estimators.run_grid(cell, x, [1, 2, 3], [1, 2], 2, dict(meta))
-        oracle = serial_run_grid(cell, x, [1, 2, 3], [1, 2], meta)
+        grid = estimators.run_grid(cell, x, [2, 3, 4], [1, 2], 2, dict(meta))
+        oracle = serial_run_grid(cell, x, [2, 3, 4], [1, 2], meta)
         assert set(oracle.cell_errors) == {(3, 1), (3, 2)}
         assert_same_grid(grid, oracle)
 
@@ -532,13 +556,13 @@ class TestRunGridPools:
             finished.append((m, tau))
             return value
 
-        grid = estimators.run_grid(recording_cell, np.arange(5.0), [1, 2], [1, 2, 3],
+        grid = estimators.run_grid(recording_cell, np.arange(5.0), [2, 3], [1, 2, 3],
                                    jobs, {})
-        assert grid.values.tolist() == [[11.0, 12.0, 13.0], [21.0, 22.0, 23.0]]
+        assert grid.values.tolist() == [[21.0, 22.0, 23.0], [31.0, 32.0, 33.0]]
         # six threads finish every cell in reverse; three threads finish the
         # first row in reverse, then the second row all at once
-        first = {1: [(2, 3), (2, 2), (2, 1), (1, 3), (1, 2), (1, 1)],
-                 3: [(1, 3), (1, 2), (1, 1)]}[jobs]
+        first = {1: [(3, 3), (3, 2), (3, 1), (2, 3), (2, 2), (2, 1)],
+                 3: [(2, 3), (2, 2), (2, 1)]}[jobs]
         assert finished[:len(first)] == first
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -608,6 +632,141 @@ class TestRunGridPools:
         x = np.random.default_rng(5).normal(size=500)
         dk.atau_surface(x, [3], [2], jobs=2)
         assert query_workers(workers_log()) == {-1}
+
+
+def counting(monkeypatch, module, name):
+    """Replaces ``module.name`` with a wrapper that records each call's
+    (m, tau); returns the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((kwargs["m"], kwargs["tau"]) if "m" in kwargs else args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def grid_of(monkeypatch, module, name):
+    """Replaces the runner ``module.name`` with one that keeps each grid
+    it returns; returns the kept grids."""
+    grids = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        grids.append(original(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return grids
+
+
+def assert_same_errors_in_order(grid, oracle):
+    # argbest names the first failed cell, so the order counts too
+    assert list(grid.cell_errors.items()) == list(oracle.cell_errors.items())
+
+
+class TestSharedCells:
+    """Grids evaluate a cell at m = 1 once for every tau >= 1; the grid
+    equals the serial loop's, which evaluates each cell on its own, bit
+    for bit."""
+
+    M, TAU = [1, 2], list(range(1, 6))
+    ATAU_META = {"h": 1, "k": 4, "max_samples": estimators.DEFAULT_MAX_SAMPLES,
+                 "quantity": "atau"}
+
+    @staticmethod
+    def atau_cell(h=1):
+        return partial(estimators._atau_cell, h=h, k=4,
+                       max_samples=estimators.DEFAULT_MAX_SAMPLES)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_atau_evaluates_m1_once(self, monkeypatch, jobs):
+        x = make_map_trace("henon", seed=2, n=1200, transient=200)
+        oracle = serial_run_grid(self.atau_cell(), x, self.M, self.TAU, self.ATAU_META)
+        calls = counting(monkeypatch, estimators, "active_information_storage")
+        grid = dk.atau_surface(x, self.M, self.TAU, jobs=jobs)
+        assert sorted(calls) == [(1, 1)] + [(2, tau) for tau in self.TAU]
+        assert_same_grid(grid, oracle)
+        assert len(set(grid.values[0].tolist())) == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mase_sweep_evaluates_m1_once(self, monkeypatch, tmp_path, jobs):
+        path = tmp_path / "henon.txt"
+        dk.save_series(make_map_trace("henon", seed=3, n=1500, transient=500), path)
+        x = dk.load_series(path)
+        cell = partial(cli._mase_cell, h=1, fraction=0.9, theiler=0)
+        meta = {"quantity": "h_mase", "h": 1}
+        oracle = serial_run_grid(cell, x, self.M, self.TAU, meta)
+        calls = counting(monkeypatch, cli, "rolling_evaluate")
+        grids = grid_of(monkeypatch, cli, "run_grid")
+        assert cli.main(["sweep", "--mode", "mase", "--m", "1:2", "--tau", "1:5",
+                         "--jobs", str(jobs), "-i", str(path),
+                         "-o", str(tmp_path / "grid.csv")]) == 0
+        assert sorted(calls) == [(1, 1)] + [(2, tau) for tau in self.TAU]
+        assert_same_grid(grids[0], oracle)
+
+    def test_tau_zero_cell_fails_alone(self, monkeypatch):
+        x = np.random.default_rng(8).normal(size=800)
+        oracle = serial_run_grid(self.atau_cell(), x, [1, 2], [0, 1, 2], self.ATAU_META)
+        assert set(oracle.cell_errors) == {(1, 0), (2, 0)}
+        calls = counting(monkeypatch, estimators, "active_information_storage")
+        grid = dk.atau_surface(x, [1, 2], [0, 1, 2], jobs=2)
+        assert sorted(calls) == [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+        assert_same_grid(grid, oracle)
+        assert_same_errors_in_order(grid, oracle)
+
+    def test_mase_tau_zero_cell_fails_alone(self):
+        x = make_map_trace("henon", seed=3, n=600, transient=500)
+        cell = partial(cli._mase_cell, h=1, fraction=0.9, theiler=0)
+        grid = estimators.run_grid(cell, x, [1], [0, 1, 2], 2, {})
+        oracle = serial_run_grid(cell, x, [1], [0, 1, 2], {})
+        assert set(oracle.cell_errors) == {(1, 0)}
+        assert_same_grid(grid, oracle)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_atau_too_short_for_m1_fails_each_cell(self, monkeypatch, jobs):
+        x = np.array([0.0, 1.0, 3.0])
+        oracle = serial_run_grid(self.atau_cell(h=2), x, self.M, self.TAU,
+                                 dict(self.ATAU_META, h=2))
+        assert len(oracle.cell_errors) == 10
+        calls = counting(monkeypatch, estimators, "active_information_storage")
+        grid = dk.atau_surface(x, self.M, self.TAU, h=2, jobs=jobs)
+        assert len(calls) == 10
+        assert_same_grid(grid, oracle)
+        assert_same_errors_in_order(grid, oracle)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mase_too_short_for_m1_fails_each_cell(self, jobs):
+        # two training samples: no admissible analogue at m = 1 inside a
+        # Theiler window of 5; at m = 2 the message names tau
+        x = np.array([0.0, 1.0, 0.5])
+        cell = partial(cli._mase_cell, h=1, fraction=0.7, theiler=5)
+        grid = estimators.run_grid(cell, x, self.M, self.TAU, jobs, {})
+        oracle = serial_run_grid(cell, x, self.M, self.TAU, {})
+        assert len(oracle.cell_errors) == 10
+        assert "tau=3" in oracle.cell_errors[(2, 3)]
+        assert_same_grid(grid, oracle)
+        assert_same_errors_in_order(grid, oracle)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_m1_message_naming_tau_stays_its_own(self, jobs):
+        evaluated = []
+
+        def cell(values, m, tau):
+            evaluated.append((m, tau))
+            if m == 1:
+                raise ValidationError(f"cannot be reconstructed at (m={m}, tau={tau})")
+            return float(m * tau)
+
+        grid = estimators.run_grid(cell, np.arange(5.0), self.M, self.TAU, jobs, {})
+        assert sorted(evaluated) == sorted((m, t) for m in self.M for t in self.TAU)
+        evaluated.clear()
+        oracle = serial_run_grid(cell, np.arange(5.0), self.M, self.TAU, {})
+        assert grid.cell_errors[(1, 4)] == "cannot be reconstructed at (m=1, tau=4)"
+        assert_same_grid(grid, oracle)
+        assert_same_errors_in_order(grid, oracle)
 
 
 class TestNeighbourSearchThreads:

@@ -7,6 +7,8 @@ earlier counter that took a ball count for every wider query.
 ``tree_ksg_mutual_information`` is the earlier estimator that counted
 every marginal with a default ``cKDTree``; the current one must reproduce
 it bit for bit, including cells where the k-th joint neighbor is tied.
+``gather_radii`` is the earlier box-radius formula, which gathered every
+point's neighbors at once; ``_box_radii`` must equal it byte for byte.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from scipy.special import digamma
 import delaykit as dk
 from delaykit import estimators
 from delaykit.errors import ValidationError
-from delaykit.estimators import _marginal_counts, _sorted_counts
+from delaykit.estimators import _box_radii, _marginal_counts, _sorted_counts
 from delaykit.timeseries import as_points, as_values, delay_matrix
 
 from conftest import make_map_trace
@@ -54,6 +56,12 @@ def tree_counts(points, radii):
                                  return_length=True) - 1
 
 
+def gather_radii(points, nbrs):
+    """Each point's max-norm distance to the farthest of its neighbors,
+    from the N x k x m array of their coordinates."""
+    return np.max(np.abs(points[:, None, :] - points[nbrs]), axis=(1, 2))
+
+
 def tree_ksg_mutual_information(x_points, y_points, k=4):
     """The KSG estimate with every marginal counted by a default cKDTree."""
     xp, yp = as_points(x_points), as_points(y_points)
@@ -61,8 +69,8 @@ def tree_ksg_mutual_information(x_points, y_points, k=4):
     joint = np.hstack([xp, yp])
     _, idx = cKDTree(joint).query(joint, k=k + 1, p=np.inf, workers=-1)
     nbrs = idx[:, 1:]
-    rho_x = np.max(np.abs(xp[:, None, :] - xp[nbrs]), axis=(1, 2))
-    rho_y = np.max(np.abs(yp[:, None, :] - yp[nbrs]), axis=(1, 2))
+    rho_x = gather_radii(xp, nbrs)
+    rho_y = gather_radii(yp, nbrs)
     n_x = tree_counts(xp, rho_x)
     n_y = tree_counts(yp, rho_y)
     nats = (digamma(k) - 1.0 / k
@@ -139,6 +147,65 @@ class TestMarginalCountOracle:
         counts = _marginal_counts(values[:, None], radii)
         assert np.array_equal(counts, brute_counts(values, radii))
         assert set(counts.tolist()) == {999, 1499}
+
+
+@st.composite
+def neighbor_boxes(draw):
+    """Points with m of 1-8 coordinates, C-ordered or a strided delay
+    matrix, quantised, on a lattice or repeating a few rows; and k of 1-6
+    neighbors per point, laid out as the columns after the first of a
+    joint kNN index array. Some neighbors are the point itself, and some
+    points have only themselves and their copies as neighbors, so their
+    radius is zero."""
+    m, k = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    n = draw(st.integers(k + 1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["lattice", "quantised", "repeats"]))
+    layout = draw(st.sampled_from(["c", "delay"]))
+    tau = draw(st.integers(1, 4)) if layout == "delay" else 1
+    size = n + (m - 1) * tau if layout == "delay" else n * m
+    if kind == "lattice":
+        raw = rng.integers(-2, 3, size=size).astype(np.float64)
+    elif kind == "quantised":
+        raw = np.round(rng.standard_normal(size), 1)
+    else:
+        # a period of whole rows (C-ordered) or of samples (delay vectors)
+        period = draw(st.integers(1, 5)) * (m if layout == "c" else 1)
+        raw = np.resize(np.round(rng.standard_normal(period), 1), size)
+    raw = raw * draw(st.sampled_from([1.0, 1e-3, 0.3])) + draw(
+        st.sampled_from([0.0, 0.1, 1e3, -4.5e5]))
+    if layout == "delay":
+        points = delay_matrix(raw, m, tau)
+    else:
+        points = raw.reshape(n, m)
+    joint = rng.integers(0, n, size=(n, k + 1))
+    rows = np.arange(n)[:, None]
+    joint[:, 1:] = np.where(rng.random((n, k)) < 0.2, rows, joint[:, 1:])
+    copies = np.flatnonzero((points == points[0]).all(axis=1))
+    alone = rng.random(n) < 0.1
+    joint[alone, 1:] = rows[alone]
+    joint[0, 1:] = rng.choice(copies, size=k)
+    return points, joint[:, 1:]
+
+
+class TestBoxRadiusOracle:
+    @ORACLE_SETTINGS
+    @given(neighbor_boxes())
+    def test_radii_match_the_gathered_box(self, case):
+        points, nbrs = case
+        radii = _box_radii(points, nbrs)
+        assert radii.tobytes() == gather_radii(points, nbrs).tobytes()
+        assert radii[0] == 0.0
+
+    def test_strided_and_c_ordered_points_agree(self):
+        values = np.round(make_map_trace("henon", seed=1, n=1200).values, 2)
+        points = delay_matrix(values, 5, 3)
+        assert not points.flags.c_contiguous
+        _, idx = cKDTree(np.ascontiguousarray(points)).query(points, k=5, p=np.inf)
+        radii = _box_radii(points, idx[:, 1:])
+        assert radii.tobytes() == gather_radii(points, idx[:, 1:]).tobytes()
+        assert radii.tobytes() == _box_radii(np.ascontiguousarray(points),
+                                             idx[:, 1:]).tobytes()
 
 
 def routed_counts(points, radii, workers):

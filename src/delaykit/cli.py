@@ -303,9 +303,7 @@ def run_sweep(args) -> int:
     write_lines(args.output, header, grid.to_csv_rows())
     if args.argmax_json:
         payload = {"mode": args.mode, "m": best[0], "tau": best[1], "value": best[2]}
-        with open(args.argmax_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_lines(args.argmax_json, [], [json.dumps(payload, indent=2)])
     print(f"wrote {len(m_values) * len(tau_values)} cells to {args.output}; "
           f"best cell m={best[0]} tau={best[1]} value={best[2]:.6g}")
     return 0
@@ -423,8 +421,7 @@ def run_forecast(args) -> int:
     }
     text = json.dumps(summary)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_lines(args.json, [], [text])
     if args.csv:
         rows = ["index,prediction,truth"] + [
             f"{run.train_length + i},{p:.17g},{c:.17g}"

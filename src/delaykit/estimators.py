@@ -361,9 +361,8 @@ def run_grid(cell_fn, series, m_range, tau_range, jobs: int,
 
     Each distinct cell is evaluated once. A ``cell_fn`` must not depend
     on tau at m = 1, where delay vectors have one coordinate and span 0:
-    the cells at m = 1 and tau >= 1 share the evaluation at their first
-    tau. Should it fail, each of them runs on its own, so that every
-    message is the one its cell raises.
+    the cells at m = 1 and tau >= 1 all take the value, or the error, of
+    the evaluation at their first tau.
     """
     values = as_values(series)
     # integers only; one below 1 fails its own cell
@@ -373,24 +372,21 @@ def run_grid(cell_fn, series, m_range, tau_range, jobs: int,
         raise ValidationError("empty parameter grid")
     jobs = as_count(jobs, "jobs")
     cells = [(m, tau) for m in m_values for tau in tau_values]
-    groups = {}  # cell positions by the evaluation they share
-    for pos, (m, tau) in enumerate(cells):
-        key = (1, None) if m == 1 and tau >= 1 else (m, tau)
-        groups.setdefault(key, []).append(pos)
-    task = partial(_grid_group, cell_fn, values)
-    workers = min(jobs if jobs > 1 else _usable_cores(), len(groups))
+    # cells with one key read one evaluation, made at the first of them
+    keys = [(1, None) if m == 1 and tau >= 1 else (m, tau) for m, tau in cells]
+    firsts = {}
+    for key, cell in zip(keys, cells):
+        firsts.setdefault(key, cell)
+    task = partial(_grid_cell, cell_fn, values)
+    workers = min(jobs if jobs > 1 else _usable_cores(), len(firsts))
     # a single worker has no other cell to share the cores with
     pool = ThreadPoolExecutor(max_workers=workers,
                               initializer=_mark_cell_worker if workers > 1 else None)
     try:
-        shared = list(pool.map(task, ([cells[pos] for pos in group]
-                                      for group in groups.values()), chunksize=1))
+        outcomes = dict(zip(firsts, pool.map(task, *zip(*firsts.values()))))
     finally:
         pool.shutdown(cancel_futures=True)
-    results = [None] * len(cells)
-    for group, group_results in zip(groups.values(), shared):
-        for pos, result in zip(group, group_results):
-            results[pos] = result
+    results = [outcomes[key] for key in keys]
     grid = np.array([value for value, _ in results], dtype=np.float64)
     errors = {cell: err for cell, (_, err) in zip(cells, results) if err is not None}
     return SweepGrid(m_values, tau_values,
@@ -403,22 +399,6 @@ def _grid_cell(cell_fn, values, m, tau):
         return cell_fn(values, m, tau), None
     except DelayKitError as err:
         return np.nan, str(err)
-
-
-def _grid_group(cell_fn, values, cells):
-    """The (value, error) of each of ``cells``, which share one evaluation:
-    the first cell's, or, when it fails, each cell's own."""
-    first = _grid_cell(cell_fn, values, *cells[0])
-    if first[1] is None:
-        return [first] * len(cells)
-    return [first] + [_grid_cell(cell_fn, values, *cell) for cell in cells[1:]]
-
-
-def _atau_cell(values, m, tau, h, k, max_samples):
-    # looks the estimator up through the module on every call, so a
-    # replaced ``active_information_storage`` is the one the cells run
-    return active_information_storage(values, m, tau, h=h, k=k,
-                                      max_samples=max_samples)
 
 
 def atau_surface(series, m_range, tau_range, h: int = 1, k: int = 4,
@@ -435,7 +415,7 @@ def atau_surface(series, m_range, tau_range, h: int = 1, k: int = 4,
     h, k = as_count(h, "h"), as_count(k, "k")
     if max_samples is not None:
         max_samples = as_count(max_samples, "max_samples")
-    cell = partial(_atau_cell, h=h, k=k, max_samples=max_samples)
+    cell = partial(active_information_storage, h=h, k=k, max_samples=max_samples)
     meta = {"h": h, "k": k, "max_samples": max_samples, "quantity": "atau"}
     return run_grid(cell, series, m_range, tau_range, jobs, meta)
 

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._neighbours import _ExactIndex, _scan_distances
 from .errors import NoNeighborError, ValidationError
 from .metrics import MaseScore, h_mase
-from .timeseries import ScalarSeries, as_count, as_values, delay_matrix, split
+from .timeseries import ScalarSeries, _train_length, as_count, as_values, delay_matrix
 
 __all__ = [
     "ForecastRun",
@@ -312,15 +312,13 @@ def rolling_evaluate(series, fraction: float, method, h: int = 1, *,
     are counted in the run's params.
     """
     h = as_count(h, "h")
-    full = series if isinstance(series, ScalarSeries) else ScalarSeries(series)
-    parts = split(full, fraction)
-    x = full.values
-    n = len(parts.train)
+    x = (series if isinstance(series, ScalarSeries) else ScalarSeries(series)).values
+    n = _train_length(x.size, fraction)
 
     name = method if isinstance(method, str) else getattr(method, "__name__", "custom")
     pred, settings = _predict(x, n, h, method, name, m, tau, theiler, order,
                               refit_every)
     truth = x[n:]
-    score = h_mase(pred, truth, parts.train, h)
+    score = h_mase(pred, truth, x[:n], h)
     return ForecastRun(method=name, params={"h": h, "fraction": fraction, **settings},
                        predictions=pred, truth=truth, train_length=n, score=score)

@@ -146,19 +146,25 @@ def split(series, fraction: float) -> TrainTestSplit:
     """
     if not isinstance(series, ScalarSeries):
         series = ScalarSeries(series)
-    if not 0.0 < fraction < 1.0:
-        raise ValidationError("split fraction must lie strictly between 0 and 1")
-    n = len(series)
-    n_train = int(np.floor(fraction * n))
-    if n_train < 1 or n - n_train < 1:
-        raise ValidationError(
-            f"fraction {fraction} produces an empty part for length {n}"
-        )
+    n_train = _train_length(len(series), fraction)
     return TrainTestSplit(
         train=ScalarSeries(series.values[:n_train], series.sample_interval),
         test=ScalarSeries(series.values[n_train:], series.sample_interval),
         fraction=fraction,
     )
+
+
+def _train_length(n: int, fraction: float) -> int:
+    """``floor(fraction * n)``, the training length of a split of ``n``
+    samples; raises unless both parts are nonempty."""
+    if not 0.0 < fraction < 1.0:
+        raise ValidationError("split fraction must lie strictly between 0 and 1")
+    n_train = int(np.floor(fraction * n))
+    if n_train < 1 or n - n_train < 1:
+        raise ValidationError(
+            f"fraction {fraction} produces an empty part for length {n}"
+        )
+    return n_train
 
 
 def _finite_array(data, what: str) -> np.ndarray:

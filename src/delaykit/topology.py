@@ -532,9 +532,7 @@ def edge_lifespan_diagram(series, m_range, tau: int, xi: float,
             f"reconstruction at m={m_values[-1]} has {shortest} points; "
             f"cannot place {ell} landmarks"
         )
-    stride = shortest // ell
-    landmarks = LandmarkSet(indices=tuple(i * stride for i in range(ell)),
-                            strategy="equally_spaced")
+    landmarks = select_landmarks(delay_matrix(values, m_values[-1], tau), ell)
 
     best = np.zeros((ell, ell), dtype=np.int64)
     run = np.zeros((ell, ell), dtype=np.int64)

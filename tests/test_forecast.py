@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,28 @@ class TestRollingEvaluate:
         with pytest.raises(ValidationError, match="wrong-length block"):
             dk.rolling_evaluate(np.arange(100.0), 0.9, one_too_many, h=2)
         assert asked == [(90, 2), (92, 2), (94, 2)]
+
+    @pytest.mark.parametrize("n, fraction", [(100, 0.0), (100, 1.0), (3, 0.3)])
+    def test_bad_split_rejected_as_split_does(self, n, fraction):
+        with pytest.raises(ValidationError) as expected:
+            dk.split(np.arange(float(n)), fraction)
+        with pytest.raises(ValidationError) as err:
+            dk.rolling_evaluate(np.arange(float(n)), fraction, "naive")
+        assert str(err.value) == str(expected.value)
+
+    def test_long_run_copies_no_part(self):
+        # the test part and a copy of the training part are never read: a
+        # split into both parts peaked at 29.0 MiB, the run without at 21.4
+        series = dk.ScalarSeries(
+            np.cumsum(np.random.default_rng(10).standard_normal(1_000_000)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dk.rolling_evaluate(series, 0.9, "random_walk")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2**20
 
     def test_lorenz96_optimal_beats_heuristic(self, lorenz96_20k):
         sub = dk.ScalarSeries(lorenz96_20k.values[:6000])
